@@ -1,29 +1,3 @@
-import os
-
 from setuptools import setup
 
-ext_modules = []
-if os.environ.get("LIDARTRACK_NO_EXT") != "1":
-    try:
-        import numpy
-        from Cython.Build import cythonize
-        from setuptools import Extension
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "lidartrack._kernels._core",
-                    ["src/lidartrack/_kernels/_core.pyx"],
-                    include_dirs=[numpy.get_include()],
-                    extra_compile_args=["-O3"],
-                    define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        # No Cython toolchain: install anyway, the package falls back to the
-        # pure python kernels at import time.
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

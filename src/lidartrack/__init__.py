@@ -9,6 +9,4 @@ Scores come out as CLEAR-MOT style MOTA.
 
 __version__ = "0.1.0"
 
-from ._kernels import HAVE_COMPILED, available_backends
-
-__all__ = ["HAVE_COMPILED", "available_backends", "__version__"]
+__all__ = ["__version__"]

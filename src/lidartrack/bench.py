@@ -8,7 +8,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 from .clustering import ClusterParams, dbscan
 from .config import PipelineConfig
 from .dataset_io import Sequence
@@ -108,17 +107,15 @@ def bench_cloud(n_points: int, seed: int = 0) -> np.ndarray:
 def bench_clustering(
     points: np.ndarray, params: ClusterParams | None = None
 ) -> list[ClusterBenchRow]:
-    """Time one full DBSCAN pass per method: KD-tree per backend, then the
-    linear-scan baseline. Tree timings include the build; the comparison is
-    end to end for one frame's clustering."""
+    """Time one full DBSCAN pass per method: KD-tree, then the linear-scan
+    baseline. Tree timings include the build; the comparison is end to end
+    for one frame's clustering."""
     params = params or ClusterParams(eps=1.0, min_points=5)
     rows = []
     results = {}
-    for backend in _kernels.available_backends():
-        t0 = time.perf_counter()
-        labels = dbscan(points, params, KdTree(points, backend=backend))
-        dt = time.perf_counter() - t0
-        results[f"kdtree[{backend}]"] = (dt, labels)
+    t0 = time.perf_counter()
+    labels = dbscan(points, params, KdTree(points))
+    results["kdtree"] = (time.perf_counter() - t0, labels)
     t0 = time.perf_counter()
     brute_labels = dbscan(points, params, BruteForceIndex(points))
     brute_dt = time.perf_counter() - t0

@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_plot)
 
-    p = subs.add_parser("bench", help="time pipeline stages and clustering backends")
+    p = subs.add_parser("bench", help="time pipeline stages and DBSCAN on a KD-tree against brute force")
     p.add_argument("dataset", nargs="?", help="sequence directory")
     p.add_argument("--max-frames", type=int, default=None)
     p.add_argument("--cluster-points", type=int, default=20000)

@@ -1,12 +1,12 @@
 """Density clustering of point clouds (DBSCAN).
 
-Label semantics, fixed across backends:
+Label semantics, the same whichever index supplies the neighbor pairs:
   - a point is core iff it has at least min_points neighbors within eps,
     counting itself, with the boundary inclusive (distance <= eps);
-  - cluster ids are dense, ordered by each cluster's first core point in
-    scan order;
-  - border points belong to the first cluster that expands into them, which
-    with ascending seeds is the lowest-id adjacent cluster;
+  - clusters are the connected components of core points linked within
+    eps; their ids are dense, ordered by each cluster's lowest core index;
+  - a border point (not core, within eps of a core point) belongs to the
+    lowest-id cluster among its adjacent core points;
   - everything else is noise, labeled -1.
 """
 
@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .spatial_index import KdTree, _check_points
 
 NOISE = -1
-_UNVISITED = -2
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,10 @@ class ClusterLabels:
 def dbscan(points, params: ClusterParams, index=None) -> ClusterLabels:
     """Cluster (N, 3) points with the given eps / min_points.
 
-    `index` must be a radius-query index built over exactly these points;
-    when omitted a KD-tree is built with the default backend. A KdTree
-    carries its own fused clustering loop in the compiled backend, any other
-    index goes through the generic expansion below.
+    `index` must be a radius index (`KdTree` or `BruteForceIndex`) built over
+    exactly these points; when omitted a KD-tree is built. The index supplies
+    every pair of points within eps, and the labels follow from those pairs
+    in whole-array steps.
     """
     pts = _check_points(points)
     if index is None:
@@ -72,49 +73,40 @@ def dbscan(points, params: ClusterParams, index=None) -> ClusterLabels:
             f"index holds {index.n} points but {len(pts)} were passed; "
             "build the index over the same cloud"
         )
-    impl = getattr(index, "_impl", None)
-    if impl is not None and hasattr(impl, "dbscan"):
-        return ClusterLabels(impl.dbscan(params.eps, params.min_points))
-    return ClusterLabels(_expand_via_index(pts, params, index))
+    i, j = index.radius_pairs(params.eps)
+    return ClusterLabels(_label_pairs(len(pts), i, j, params.min_points))
 
 
-def _expand_via_index(pts: np.ndarray, params: ClusterParams, index) -> np.ndarray:
-    """Generic DBSCAN loop over any radius-query index."""
-    n = len(pts)
-    labels = np.full(n, _UNVISITED, dtype=np.int64)
-    eps, min_points = params.eps, params.min_points
-    cluster = 0
-    queue = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        if labels[i] != _UNVISITED:
-            continue
-        nbrs = index.radius_query(pts[i], eps)
-        if nbrs.size < min_points:
-            labels[i] = NOISE
-            continue
-        labels[i] = cluster
-        qtail = 0
-        for j in nbrs:
-            if j == i:
-                continue
-            if labels[j] == _UNVISITED:
-                labels[j] = cluster
-                queue[qtail] = j
-                qtail += 1
-            elif labels[j] == NOISE:
-                labels[j] = cluster
-        qhead = 0
-        while qhead < qtail:
-            j = queue[qhead]
-            qhead += 1
-            nbrs2 = index.radius_query(pts[j], eps)
-            if nbrs2.size >= min_points:
-                for u in nbrs2:
-                    if labels[u] == _UNVISITED:
-                        labels[u] = cluster
-                        queue[qtail] = u
-                        qtail += 1
-                    elif labels[u] == NOISE:
-                        labels[u] = cluster
-        cluster += 1
+def _label_pairs(n: int, i: np.ndarray, j: np.ndarray, min_points: int) -> np.ndarray:
+    """DBSCAN labels from the neighbor pairs (i, j), i != j, each listed once."""
+    labels = np.full(n, NOISE, dtype=np.int64)
+    core = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + 1 >= min_points
+    core_idx = np.flatnonzero(core)
+    if core_idx.size == 0:
+        return labels
+
+    # Clusters: connected components of the core-core edges, over the core
+    # points renumbered 0..k-1 in index order.
+    core_i, core_j = core[i], core[j]
+    both = core_i & core_j
+    k = core_idx.size
+    rank = np.cumsum(core) - 1
+    graph = coo_matrix(
+        (np.ones(int(both.sum()), dtype=np.int8), (rank[i[both]], rank[j[both]])), shape=(k, k)
+    )
+    n_comp, comp = connected_components(graph, directed=False)
+    # Number the components by their lowest core index.
+    _, first = np.unique(comp, return_index=True)
+    comp_id = np.empty(n_comp, dtype=np.int64)
+    comp_id[np.argsort(first)] = np.arange(n_comp)
+    labels[core_idx] = comp_id[comp]
+
+    # Border points: the lowest cluster id among adjacent core points.
+    to_j = core_i & ~core_j
+    to_i = core_j & ~core_i
+    border = np.concatenate((j[to_j], i[to_i]))
+    best = np.full(n, n, dtype=np.int64)
+    np.minimum.at(best, border, np.concatenate((labels[i[to_j]], labels[j[to_i]])))
+    reached = best < n
+    labels[reached] = best[reached]
     return labels

@@ -194,7 +194,7 @@ def _pose_from_json(obj: dict, path: Path) -> RigidTransform:
         raise DatasetError(path, f"bad pose: {exc}") from exc
 
 
-def _load_cloud(path: Path, expected_points: int) -> np.ndarray:
+def _load_cloud(path: Path, expected_points: int, frame_index: int) -> np.ndarray:
     if not path.is_file():
         raise DatasetError(path, "point cloud file is missing")
     raw = path.read_bytes()
@@ -204,6 +204,11 @@ def _load_cloud(path: Path, expected_points: int) -> np.ndarray:
     if len(pts) != expected_points:
         raise DatasetError(
             path, f"manifest promises {expected_points} points but file holds {len(pts)}"
+        )
+    bad = int(np.count_nonzero(~np.isfinite(pts).all(axis=1)))
+    if bad:
+        raise DatasetError(
+            path, f"frame {frame_index}: {bad} point(s) have NaN or infinite coordinates"
         )
     return pts.astype(np.float64)
 
@@ -339,7 +344,7 @@ def load_sequence(path) -> Sequence:
         prev_ts = ts
         n_points = int(_require(rec, "points", manifest_path))
         cloud_file = root / _require(rec, "file", manifest_path)
-        pts = _load_cloud(cloud_file, n_points)
+        pts = _load_cloud(cloud_file, n_points, index)
         if index not in poses:
             raise DatasetError(poses_path, f"no ego pose for frame {index}")
         masks: list[MaskRegion] = []

@@ -91,7 +91,6 @@ def detect(
     limits: BoxLimits,
     cameras: dict[str, CameraModel] | None = None,
     drivable: DrivableGrid | None = None,
-    kdtree_backend: str | None = None,
 ):
     """Full single-frame detection: preprocess, cluster, fit, gate.
 
@@ -103,7 +102,7 @@ def detect(
     pts = cloud.points
     if len(pts) == 0:
         return [], stats, 0
-    index = KdTree(pts, backend=kdtree_backend)
+    index = KdTree(pts)
     labels = dbscan(pts, cluster_params, index)
     detections = []
     for cid, idx in labels.iter_clusters():

@@ -1,4 +1,4 @@
-"""Benchmark helpers: timings exist and backends agree on labels."""
+"""Benchmark helpers: timings exist and the KD-tree and brute force agree on labels."""
 
 import numpy as np
 

@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from lidartrack.cli import main
@@ -125,6 +126,23 @@ def test_synth_seed_changes_the_data(tmp_path):
 def test_missing_dataset_is_a_data_error(tmp_path, capsys):
     assert main(["track", str(tmp_path / "missing")]) == 2
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drivable_filter", [True, False])
+def test_non_finite_point_is_a_data_error(tmp_path, capsys, drivable_filter):
+    root = tmp_path / "seq"
+    assert main(["synth", str(root), "--cars", "1", "--frames", "3"]) == 0
+    frame = sorted((root / "frames").glob("*.bin"))[1]
+    pts = np.frombuffer(frame.read_bytes(), dtype="<f4").reshape(-1, 3).copy()
+    pts[0, 1] = np.nan
+    frame.write_bytes(pts.tobytes())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preprocess": {"drivable_filter_enabled": drivable_filter}}))
+    capsys.readouterr()
+    assert main(["track", str(root), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert frame.name in err
+    assert "frame 1: 1 point(s) have NaN" in err
 
 
 def test_unreadable_tracks_file_is_a_data_error(dataset, tmp_path, capsys):

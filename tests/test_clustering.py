@@ -8,12 +8,11 @@ Both constructions must produce identical label arrays.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lidartrack import _kernels
 from lidartrack.clustering import ClusterLabels, ClusterParams, dbscan
 from lidartrack.spatial_index import BruteForceIndex, KdTree
-
-BACKENDS = _kernels.available_backends()
 
 
 def reference_dbscan(points: np.ndarray, eps: float, min_points: int) -> np.ndarray:
@@ -168,7 +167,7 @@ def test_matches_reference_randomized():
 
 
 def test_all_routes_produce_identical_labels():
-    """Fused kernel loops and the generic index walk must agree exactly."""
+    """The KD-tree and the brute-force index must give identical labels."""
     rng = np.random.default_rng(205)
     for _ in range(25):
         n = int(rng.integers(10, 250))
@@ -176,13 +175,42 @@ def test_all_routes_produce_identical_labels():
         params = ClusterParams(
             eps=float(rng.uniform(0.4, 1.5)), min_points=int(rng.integers(2, 8))
         )
-        outs = [dbscan(pts, params, index=KdTree(pts, backend=b)) for b in BACKENDS]
-        outs.append(dbscan(pts, params, index=BruteForceIndex(pts)))
-        for other in outs[1:]:
-            assert np.array_equal(outs[0].labels, other.labels)
+        tree = dbscan(pts, params, index=KdTree(pts))
+        brute = dbscan(pts, params, index=BruteForceIndex(pts))
+        assert np.array_equal(tree.labels, brute.labels)
 
 
 def test_cluster_labels_n_clusters_from_array():
     labels = ClusterLabels(np.array([0, 0, 1, -1, 2, 2]))
     assert labels.n_clusters == 3
     assert ClusterLabels(np.array([-1, -1])).n_clusters == 0
+
+
+# --- generated inputs -----------------------------------------------------
+
+
+@st.composite
+def cluster_case(draw):
+    """A cloud, eps and min_points. Lattice clouds put many neighbors at
+    exactly (or within a few ulps of) eps, or a hair outside it; repeated
+    points stack densities."""
+    spacing = draw(st.sampled_from((0.25, 0.5, 0.7, 1.0)))
+    coord = st.integers(-4, 4).map(lambda k: k * spacing) | st.floats(-3.0, 3.0)
+    pts = draw(st.lists(st.tuples(coord, coord, coord), max_size=80))
+    if pts:
+        repeats = draw(st.lists(st.integers(0, len(pts) - 1), max_size=15))
+        pts += [pts[k] for k in repeats]
+    pts = np.array(pts, dtype=np.float64).reshape(-1, 3)
+    eps = spacing * draw(st.sampled_from((0.5, 1.0, 1.0 - 1e-12, np.sqrt(2.0), 2.0)))
+    min_points = draw(st.integers(1, 8))
+    return pts, float(eps), min_points
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(cluster_case())
+def test_matches_reference_generated(case):
+    pts, eps, min_points = case
+    want = reference_dbscan(pts, eps, min_points)
+    params = ClusterParams(eps=eps, min_points=min_points)
+    assert np.array_equal(dbscan(pts, params).labels, want)
+    assert np.array_equal(dbscan(pts, params, index=BruteForceIndex(pts)).labels, want)

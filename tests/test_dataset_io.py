@@ -177,6 +177,19 @@ def test_point_count_mismatch(tmp_path):
         load_sequence(root)
 
 
+def test_non_finite_points_name_file_frame_and_count(tmp_path):
+    root, _ = write_full(tmp_path)
+    bin_path = root / "frames" / "000001.bin"
+    pts = np.frombuffer(bin_path.read_bytes(), dtype="<f4").reshape(-1, 3).copy()
+    pts[3, 0] = np.nan
+    pts[7, 2] = np.inf
+    pts[7, 1] = -np.inf
+    bin_path.write_bytes(pts.astype("<f4").tobytes())
+    with pytest.raises(DatasetError, match=r"frame 1: 2 point\(s\) have NaN") as err:
+        load_sequence(root)
+    assert err.value.path == str(bin_path)
+
+
 def test_missing_cloud_file(tmp_path):
     root, _ = write_full(tmp_path)
     (root / "frames" / "000002.bin").unlink()

@@ -15,15 +15,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import PipelineConfig, config_to_dict, dump_config, load_config
 from .dataset_io import load_ground_truth, load_sequence, load_tracks, write_tracks
+from .detection import detect
 from .errors import DatasetError, EvaluationError, LidartrackError
 from .evaluation import gt_to_eval_frames, mota, tracks_to_eval_frames
 from .geometry import transform_points
 from .pipeline import run_tracking
-from .preprocess import preprocess_frame
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,10 +123,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    from .clustering import dbscan
-    from .detection import fit_box, passes_heuristics
     from .plotting import render_frame_svg, view_bounds
-    from .spatial_index import KdTree
 
     cfg = _effective_config(args)
     if _maybe_print_config(args, cfg):
@@ -151,26 +146,19 @@ def cmd_plot(args) -> int:
 
     frames = seq.frames if args.max_frames is None else seq.frames[: args.max_frames]
     for frame in frames:
-        cloud, _ = preprocess_frame(
-            frame, cfg.preprocess, cameras=seq.cameras, drivable=seq.drivable
+        found = detect(
+            frame,
+            cfg.preprocess,
+            cfg.clustering,
+            cfg.box_limits,
+            cameras=seq.cameras,
+            drivable=seq.drivable,
         )
-        city_pts = (
-            transform_points(frame.ego_pose, cloud.points)[:, :2]
-            if len(cloud)
-            else np.empty((0, 2))
-        )
-        detections = []
-        if len(cloud):
-            labels = dbscan(cloud.points, cfg.clustering, KdTree(cloud.points))
-            for _, idx in labels.iter_clusters():
-                det = fit_box(cloud.points[idx], frame_index=frame.index)
-                if passes_heuristics(det, cfg.box_limits):
-                    center = transform_points(frame.ego_pose, det.center[None, :])[0]
-                    detections.append((center[0], center[1], det.length, det.width))
+        detections = [(d.center[0], d.center[1], d.length, d.width) for d in found.detections]
         svg = render_frame_svg(
             frame.index,
-            city_pts,
-            sorted(detections),
+            transform_points(frame.ego_pose, found.points)[:, :2],
+            detections,
             sorted(tracks_by_frame.get(frame.index, [])),
             drivable=seq.drivable,
             bounds=bounds,
@@ -202,6 +190,16 @@ def cmd_bench(args) -> int:
             f"{row.speedup_vs_brute:>8.1f}x"
         )
     return 0
+
+
+def _frame_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_config_flags(sub, with_workers: bool = False) -> None:
@@ -247,13 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", nargs="?", help="sequence directory")
     p.add_argument("tracks", nargs="?", help="optional tracks file to overlay")
     p.add_argument("--output", help="output directory (default: DATASET/plots)")
-    p.add_argument("--max-frames", type=int, default=None)
+    p.add_argument("--max-frames", type=_frame_count, default=None)
     _add_config_flags(p)
     p.set_defaults(func=cmd_plot)
 
     p = subs.add_parser("bench", help="time pipeline stages and DBSCAN on a KD-tree against brute force")
     p.add_argument("dataset", nargs="?", help="sequence directory")
-    p.add_argument("--max-frames", type=int, default=None)
+    p.add_argument("--max-frames", type=_frame_count, default=None)
     p.add_argument("--cluster-points", type=int, default=20000)
     _add_config_flags(p)
     p.set_defaults(func=cmd_bench)

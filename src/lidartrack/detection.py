@@ -9,14 +9,16 @@ gate does not care how the car is oriented relative to the axes.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .clustering import ClusterParams, dbscan
 from .dataset_io import DrivableGrid, Frame
 from .geometry import CameraModel, transform_point
-from .preprocess import PreprocessConfig, preprocess_frame
+from .preprocess import PreprocessConfig, PreprocessStats, preprocess_frame
 from .spatial_index import KdTree
 
 
@@ -84,6 +86,17 @@ def passes_heuristics(det: Detection3D, limits: BoxLimits) -> bool:
     )
 
 
+class FrameDetections(NamedTuple):
+    """What `detect` found in one frame."""
+
+    detections: list[Detection3D]  # city frame, sorted by center x then y
+    stats: PreprocessStats
+    n_clusters: int
+    points: np.ndarray  # (N, 3) ego-frame points that reached clustering
+    # The preprocess stages, then kdtree_build, clustering and box_fit.
+    stage_seconds: dict[str, float]
+
+
 def detect(
     frame: Frame,
     preprocess_cfg: PreprocessConfig,
@@ -91,19 +104,25 @@ def detect(
     limits: BoxLimits,
     cameras: dict[str, CameraModel] | None = None,
     drivable: DrivableGrid | None = None,
-):
+) -> FrameDetections:
     """Full single-frame detection: preprocess, cluster, fit, gate.
 
-    Returns (detections, stats, n_clusters). Detections are in the city
-    frame, sorted by center x then y so downstream consumers see a stable
-    order no matter how clusters were numbered.
+    Detections are in the city frame, sorted by center x then y so
+    downstream consumers see a stable order no matter how clusters were
+    numbered. The box_fit stage covers the fit, the gate, the move to the
+    city frame and the sort.
     """
     cloud, stats = preprocess_frame(frame, preprocess_cfg, cameras=cameras, drivable=drivable)
     pts = cloud.points
+    seconds = dict(stats.stage_seconds)
     if len(pts) == 0:
-        return [], stats, 0
+        seconds.update(kdtree_build=0.0, clustering=0.0, box_fit=0.0)
+        return FrameDetections([], stats, 0, pts, seconds)
+    t0 = time.perf_counter()
     index = KdTree(pts)
+    t1 = time.perf_counter()
     labels = dbscan(pts, cluster_params, index)
+    t2 = time.perf_counter()
     detections = []
     for cid, idx in labels.iter_clusters():
         det = fit_box(pts[idx], frame_index=frame.index)
@@ -113,4 +132,6 @@ def detect(
         replace(det, center=transform_point(frame.ego_pose, det.center)) for det in detections
     ]
     city.sort(key=lambda d: (d.center[0], d.center[1]))
-    return city, stats, labels.n_clusters
+    t3 = time.perf_counter()
+    seconds.update(kdtree_build=t1 - t0, clustering=t2 - t1, box_fit=t3 - t2)
+    return FrameDetections(city, stats, labels.n_clusters, pts, seconds)

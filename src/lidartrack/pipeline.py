@@ -1,10 +1,9 @@
 """Sequence-level tracking runs: per-frame detection feeding one tracker.
 
 Detection is independent per frame, so with workers > 1 it fans out over a
-thread pool (numpy and the compiled kernels drop the GIL for the heavy
-parts). The tracker itself consumes frames strictly in order; executor.map
-preserves input order, which is what makes worker count irrelevant to the
-output.
+thread pool. The tracker itself consumes frames strictly in order;
+executor.map preserves input order, which is what makes worker count
+irrelevant to the output.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .config import PipelineConfig
 from .dataset_io import Frame, Sequence, TrackRecord
-from .detection import detect
+from .detection import FrameDetections, detect
 from .preprocess import PreprocessStats
 from .tracking import Tracker, TrackSnapshot
 
@@ -27,7 +26,9 @@ class FrameResult:
     stats: PreprocessStats
     n_clusters: int
     n_detections: int
-    detect_seconds: float
+    # downsample, ground_removal, drivable_filter, mask_filter, kdtree_build,
+    # clustering, box_fit, tracker_step: wall time of each, in that order.
+    stage_seconds: dict[str, float]
     snapshots: list[TrackSnapshot] = field(default_factory=list)
 
 
@@ -42,9 +43,8 @@ class RunResult:
         return {rec.track_id for rec in self.records}
 
 
-def _detect_one(frame: Frame, seq: Sequence, cfg: PipelineConfig):
-    t0 = time.perf_counter()
-    detections, stats, n_clusters = detect(
+def _detect_one(frame: Frame, seq: Sequence, cfg: PipelineConfig) -> FrameDetections:
+    return detect(
         frame,
         cfg.preprocess,
         cfg.clustering,
@@ -52,7 +52,6 @@ def _detect_one(frame: Frame, seq: Sequence, cfg: PipelineConfig):
         cameras=seq.cameras,
         drivable=seq.drivable,
     )
-    return detections, stats, n_clusters, time.perf_counter() - t0
 
 
 def run_tracking(seq: Sequence, cfg: PipelineConfig, workers: int = 1) -> RunResult:
@@ -64,17 +63,18 @@ def run_tracking(seq: Sequence, cfg: PipelineConfig, workers: int = 1) -> RunRes
     results: list[FrameResult] = []
     records: list[TrackRecord] = []
 
-    def consume(frame: Frame, payload) -> None:
-        detections, stats, n_clusters, dt_detect = payload
-        snapshots = tracker.step(detections, frame.timestamp)
+    def consume(frame: Frame, found: FrameDetections) -> None:
+        t0 = time.perf_counter()
+        snapshots = tracker.step(found.detections, frame.timestamp)
+        tracker_step = time.perf_counter() - t0
         results.append(
             FrameResult(
                 frame_index=frame.index,
                 timestamp=frame.timestamp,
-                stats=stats,
-                n_clusters=n_clusters,
-                n_detections=len(detections),
-                detect_seconds=dt_detect,
+                stats=found.stats,
+                n_clusters=found.n_clusters,
+                n_detections=len(found.detections),
+                stage_seconds={**found.stage_seconds, "tracker_step": tracker_step},
                 snapshots=snapshots,
             )
         )

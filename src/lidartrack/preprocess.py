@@ -8,6 +8,7 @@ float triple that came off the sensor.
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -68,6 +69,9 @@ class PreprocessStats:
     n_after_ground: int
     n_after_drivable: int
     n_after_masks: int
+    # Wall time of each stage, in stage order: downsample, ground_removal,
+    # drivable_filter, mask_filter. A disabled filter still gets its entry.
+    stage_seconds: dict[str, float]
 
 
 def downsample_stride(cloud: PointCloud, stride: int) -> PointCloud:
@@ -233,14 +237,25 @@ def preprocess_frame(
         rng = np.random.default_rng([cfg.rng_seed, frame.index])
     cloud = frame.cloud
     n_raw = len(cloud)
+    t0 = time.perf_counter()
     cloud = downsample_stride(cloud, cfg.stride)
+    t1 = time.perf_counter()
     n_down = len(cloud)
     cloud = remove_ground(cloud, cfg, rng=rng)
+    t2 = time.perf_counter()
     n_ground = len(cloud)
     if cfg.drivable_filter_enabled and drivable is not None:
         cloud = filter_drivable(cloud, drivable, frame.ego_pose)
+    t3 = time.perf_counter()
     n_driv = len(cloud)
     if cfg.mask_filter_enabled:
         cloud = filter_by_masks(cloud, cameras or {}, frame.masks, strict=cfg.mask_filter_strict)
+    t4 = time.perf_counter()
     n_mask = len(cloud)
-    return cloud, PreprocessStats(n_raw, n_down, n_ground, n_driv, n_mask)
+    seconds = {
+        "downsample": t1 - t0,
+        "ground_removal": t2 - t1,
+        "drivable_filter": t3 - t2,
+        "mask_filter": t4 - t3,
+    }
+    return cloud, PreprocessStats(n_raw, n_down, n_ground, n_driv, n_mask, seconds)

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import RigidTransform, transform_point
 
 # Cost assigned to gated-out pairs. Any pair carrying this cost is reported
 # unmatched no matter what the assignment solver picked.
@@ -261,14 +260,6 @@ class TrackSnapshot:
     width: float
     height: float
     hits: int
-
-
-def compensate_to_city(detections: Sequence, ego_pose: RigidTransform) -> list:
-    """Move detection centers from the ego frame into the city frame.
-
-    Box extents stay as fitted; only centers are transformed.
-    """
-    return [replace(d, center=transform_point(ego_pose, d.center)) for d in detections]
 
 
 class Tracker:

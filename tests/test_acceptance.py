@@ -118,7 +118,7 @@ def test_kdtree_exact_and_faster_than_brute():
     report(
         "kd-tree radius queries exact, clustering speedup",
         speedup >= 2.0,
-        f"1000 queries equal linear scan; best backend {speedup:.0f}x vs brute "
+        f"1000 queries equal linear scan; KD-tree {speedup:.0f}x vs brute "
         f"at N=20000 (needs >=2x)",
     )
 

@@ -1,9 +1,11 @@
-"""Benchmark helpers: timings exist and the KD-tree and brute force agree on labels."""
+"""Benchmark helpers: stage timings come from the tracking run, and the KD-tree
+and brute force agree on labels."""
 
 import numpy as np
 
 from lidartrack.bench import bench_cloud, bench_clustering, time_stages
 from lidartrack.config import PipelineConfig
+from lidartrack.pipeline import run_tracking
 from lidartrack.synth import SynthConfig, generate
 
 
@@ -38,3 +40,9 @@ def test_time_stages_buckets():
     ]
     assert all(r.runs == 2 for r in rows)
     assert all(r.median_ms >= 0 for r in rows)
+    # The medians come from the timings every tracking run records per frame.
+    frames = run_tracking(seq, PipelineConfig()).frames
+    assert len(frames) == 3
+    for fr in frames:
+        assert list(fr.stage_seconds) == stages
+        assert all(s >= 0 for s in fr.stage_seconds.values())

@@ -8,6 +8,8 @@ import pytest
 
 from lidartrack.cli import main
 from lidartrack.config import PipelineConfig, config_from_dict
+from lidartrack.dataset_io import load_sequence
+from lidartrack.pipeline import run_tracking
 
 CARS = 3
 FRAMES = 15
@@ -84,6 +86,24 @@ def test_plot_writes_svgs(dataset, tracked, tmp_path, capsys):
     assert early.count('class="track-id"') == 0
     assert late.count('class="track-id"') == CARS
     assert late.count('class="det"') == CARS
+    # plot draws exactly the detections that track feeds the tracker.
+    tracked_frames = run_tracking(load_sequence(dataset), PipelineConfig()).frames
+    for svg, fr in zip(files, tracked_frames):
+        assert svg.name == f"frame_{fr.frame_index:06d}.svg"
+        assert svg.read_text().count('class="det"') == fr.n_detections
+
+
+@pytest.mark.parametrize("command", ["plot", "bench"])
+def test_negative_max_frames_is_a_usage_error(dataset, tmp_path, capsys, command):
+    out = tmp_path / "plots"
+    argv = [command, str(dataset), "--max-frames", "-1"]
+    if command == "plot":
+        argv += ["--output", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "--max-frames" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_bench_prints_stage_table(dataset, capsys):

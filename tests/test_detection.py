@@ -127,13 +127,21 @@ def test_detect_reports_city_frame_centers():
     with pytest.warns(UserWarning):
         # No points below the ground split: the fit warns and passes through.
         # eps spans the whole cluster so the pinned corner points stay in.
-        dets, stats, n_clusters = detect(
+        found = detect(
             frame, detect_cfg(), ClusterParams(eps=2.5, min_points=10), BoxLimits()
         )
-    assert n_clusters == 1
-    assert len(dets) == 1
+    assert found.n_clusters == 1
+    assert len(found.detections) == 1
+    # Every point reaches clustering, still in the ego frame.
+    assert np.array_equal(found.points, pts)
     # yaw 90: ego (10, 2) -> city (-2, 10) + (100, 50).
-    assert np.allclose(dets[0].center[:2], [98.0, 60.0], atol=1e-9)
+    (det,) = found.detections
+    assert np.allclose(det.center[:2], [98.0, 60.0], atol=1e-9)
+    # Only the center moves to the city frame; extents stay as fitted.
+    ego = fit_box(pts)
+    assert (det.length, det.width, det.height, det.n_points) == (
+        ego.length, ego.width, ego.height, ego.n_points,
+    )
 
 
 def test_detect_sorts_by_city_position():
@@ -143,9 +151,9 @@ def test_detect_sorts_by_city_position():
     b = cluster_at(rng, [15.0, 0.0, 0.0])
     frame = make_frame(np.vstack([b, a]), yaw=np.pi)  # city x = -ego x
     with pytest.warns(UserWarning):
-        dets, _, _ = detect(
+        dets = detect(
             frame, detect_cfg(), ClusterParams(eps=2.5, min_points=10), BoxLimits()
-        )
+        ).detections
     assert len(dets) == 2
     assert dets[0].center[0] < dets[1].center[0]
     assert np.isclose(dets[0].center[0], -15.0)
@@ -157,19 +165,20 @@ def test_detect_gates_non_car_clusters():
     wall = cluster_at(rng, [0.0, 10.0, 0.0], n=400, size=(18.0, 0.6, 2.4))
     frame = make_frame(np.vstack([car, wall]))
     with pytest.warns(UserWarning):
-        dets, _, n_clusters = detect(
+        found = detect(
             frame, detect_cfg(), ClusterParams(eps=2.5, min_points=10), BoxLimits()
         )
-    assert n_clusters == 2
-    assert len(dets) == 1
-    assert np.isclose(dets[0].center[0], 8.0)
+    assert found.n_clusters == 2
+    assert len(found.detections) == 1
+    assert np.isclose(found.detections[0].center[0], 8.0)
 
 
 def test_detect_empty_frame():
     frame = make_frame(np.zeros((0, 3)))
     with pytest.warns(UserWarning):
-        dets, stats, n_clusters = detect(
+        found = detect(
             frame, detect_cfg(), ClusterParams(), BoxLimits()
         )
-    assert dets == [] and n_clusters == 0
-    assert stats.n_raw == 0
+    assert found.detections == [] and found.n_clusters == 0
+    assert found.stats.n_raw == 0
+    assert len(found.points) == 0

@@ -11,14 +11,12 @@ import numpy as np
 import pytest
 
 from lidartrack.detection import Detection3D
-from lidartrack.geometry import RigidTransform, quat_from_yaw
 from lidartrack.tracking import (
     GATE_SENTINEL,
     Assignment,
     KalmanCV,
     Tracker,
     TrackerConfig,
-    compensate_to_city,
     cost_matrix,
     hungarian,
     kalman_init,
@@ -390,19 +388,6 @@ def test_ca_model_tracks_accelerating_target():
     # Velocity estimate approaches a*t.
     want_v = accel * 24 * dt
     assert abs(snaps[0].vx - want_v) / want_v < 0.1
-
-
-def test_compensate_to_city_moves_centers_only():
-    pose = RigidTransform(
-        rotation=quat_from_yaw(np.pi / 2),
-        translation=np.array([10.0, 0.0, 0.0]),
-        from_frame="ego",
-        to_frame="city",
-    )
-    det = det_at(5.0, 0.0, z=-0.5)
-    (out,) = compensate_to_city([det], pose)
-    assert np.allclose(out.center, [10.0, 5.0, -0.5], atol=1e-12)
-    assert out.length == det.length and out.n_points == det.n_points
 
 
 def test_tracker_config_validation():

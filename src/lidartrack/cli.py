@@ -68,7 +68,7 @@ def cmd_track(args) -> int:
         print(
             f"{fr.frame_index:>6} {s.n_raw:>7} {s.n_downsampled:>7} {s.n_after_ground:>7} "
             f"{s.n_after_drivable:>7} {s.n_after_masks:>7} {fr.n_clusters:>5} "
-            f"{fr.n_detections:>4} {len(fr.snapshots):>4}"
+            f"{fr.n_detections:>4} {fr.n_tracks:>4}"
         )
     print(
         f"frames={len(result.frames)} confirmed_tracks={len(result.confirmed_ids)} "
@@ -192,7 +192,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _frame_count(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -245,14 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", nargs="?", help="sequence directory")
     p.add_argument("tracks", nargs="?", help="optional tracks file to overlay")
     p.add_argument("--output", help="output directory (default: DATASET/plots)")
-    p.add_argument("--max-frames", type=_frame_count, default=None)
+    p.add_argument("--max-frames", type=_non_negative_int, default=None)
     _add_config_flags(p)
     p.set_defaults(func=cmd_plot)
 
     p = subs.add_parser("bench", help="time pipeline stages and DBSCAN on a KD-tree against brute force")
     p.add_argument("dataset", nargs="?", help="sequence directory")
-    p.add_argument("--max-frames", type=_frame_count, default=None)
-    p.add_argument("--cluster-points", type=int, default=20000)
+    p.add_argument("--max-frames", type=_non_negative_int, default=None)
+    p.add_argument("--cluster-points", type=_non_negative_int, default=20000)
     _add_config_flags(p)
     p.set_defaults(func=cmd_bench)
 

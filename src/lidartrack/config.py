@@ -46,7 +46,11 @@ _SECTIONS = {
 }
 
 
-def _build_section(name: str, cls, data: dict):
+def build_section(name: str, cls, data: dict):
+    """cls(**data) for a config dataclass; an unknown key or a rejected value
+    is a ConfigError naming the section."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"section {name!r} must be a JSON object, got {type(data).__name__}")
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - known
     if unknown:
@@ -69,7 +73,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
             f"unknown config section(s): {sorted(unknown)}; valid sections: {sorted(_SECTIONS)}"
         )
     parts = {
-        name: _build_section(name, cls, data.get(name, {})) for name, cls in _SECTIONS.items()
+        name: build_section(name, cls, data.get(name, {})) for name, cls in _SECTIONS.items()
     }
     return PipelineConfig(**parts)
 

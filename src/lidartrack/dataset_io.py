@@ -20,10 +20,11 @@ broken export can be located without a debugger.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -151,7 +152,8 @@ class Sequence:
 
 @dataclass(frozen=True)
 class TrackRecord:
-    """One confirmed-track snapshot as stored in a tracks file."""
+    """One confirmed track in one frame, in city coordinates: what
+    `Tracker.step` reports and one line of a tracks file."""
 
     frame: int
     track_id: int
@@ -165,31 +167,51 @@ class TrackRecord:
     height: float
 
 
+# Key -> type of every track-record field, in the order a tracks file lists them.
+_TRACK_FIELDS = {
+    f.name: get_type_hints(TrackRecord)[f.name] for f in dataclasses.fields(TrackRecord)
+}
+
+
 def _read_json(path: Path):
     if not path.is_file():
         raise DatasetError(path, "file is missing")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DatasetError(path, f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DatasetError(path, f"top level must be a JSON object, got {type(obj).__name__}")
+    return obj
 
 
-def _require(record: dict, key: str, path: Path, line=None):
-    if key not in record:
+def _require(record: dict, key: str, path: Path, line=None, cast=None):
+    """record[key], passed through cast if one is given. A missing key or a
+    value cast rejects is a DatasetError naming path."""
+    if not isinstance(record, dict) or key not in record:
         raise DatasetError(path, f"record is missing key {key!r}", line=line)
-    return record[key]
+    if cast is None:
+        return record[key]
+    try:
+        return cast(record[key])
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(path, f"bad value for {key!r}: {exc}", line=line) from exc
 
 
-def _pose_from_json(obj: dict, path: Path) -> RigidTransform:
-    rot = np.asarray(_require(obj, "rotation", path), dtype=np.float64)
-    tr = np.asarray(_require(obj, "translation", path), dtype=np.float64)
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
+
+
+def _pose_from_json(obj: dict, path: Path, to_frame: str = "city") -> RigidTransform:
+    rot = _require(obj, "rotation", path, cast=_floats)
+    tr = _require(obj, "translation", path, cast=_floats)
     if rot.shape != (4,):
         raise DatasetError(path, f"rotation must be a 4-quaternion, got {rot.tolist()}")
     if tr.shape != (3,):
         raise DatasetError(path, f"translation must be a 3-vector, got {tr.tolist()}")
     try:
-        return RigidTransform(rot, tr, "ego", "city")
+        return RigidTransform(rot, tr, "ego", to_frame)
     except ValueError as exc:
         raise DatasetError(path, f"bad pose: {exc}") from exc
 
@@ -233,35 +255,29 @@ def _load_masks(path: Path, cameras: dict[str, CameraModel]) -> list[MaskRegion]
 def load_calibration(path: Path) -> dict[str, CameraModel]:
     obj = _read_json(path)
     cameras = {}
-    for cam_id, rec in sorted(_require(obj, "cameras", path).items()):
+    for cam_id, rec in sorted(_require(obj, "cameras", path, cast=dict).items()):
         intr = _require(rec, "intrinsics", path)
-        ext = _require(rec, "ego_to_camera", path)
-        pose = RigidTransform(
-            np.asarray(ext["rotation"], dtype=np.float64),
-            np.asarray(ext["translation"], dtype=np.float64),
-            "ego",
-            f"cam:{cam_id}",
-        )
+        pose = _pose_from_json(_require(rec, "ego_to_camera", path), path, f"cam:{cam_id}")
         try:
             cameras[cam_id] = CameraModel(
                 camera_id=cam_id,
-                fx=float(intr["fx"]),
-                fy=float(intr["fy"]),
-                cx=float(intr["cx"]),
-                cy=float(intr["cy"]),
-                width=int(intr["width"]),
-                height=int(intr["height"]),
+                fx=_require(intr, "fx", path, cast=float),
+                fy=_require(intr, "fy", path, cast=float),
+                cx=_require(intr, "cx", path, cast=float),
+                cy=_require(intr, "cy", path, cast=float),
+                width=_require(intr, "width", path, cast=int),
+                height=_require(intr, "height", path, cast=int),
                 extrinsics=pose,
             )
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise DatasetError(path, f"camera {cam_id!r}: {exc}") from exc
     return cameras
 
 
 def load_drivable(header_path: Path) -> DrivableGrid:
     obj = _read_json(header_path)
-    width = int(_require(obj, "width", header_path))
-    height = int(_require(obj, "height", header_path))
+    width = _require(obj, "width", header_path, cast=int)
+    height = _require(obj, "height", header_path, cast=int)
     bits_file = header_path.parent / _require(obj, "file", header_path)
     if not bits_file.is_file():
         raise DatasetError(bits_file, "drivable bitmask file is missing")
@@ -272,11 +288,14 @@ def load_drivable(header_path: Path) -> DrivableGrid:
             bits_file, f"expected {expected} packed bytes for {width}x{height}, got {len(packed)}"
         )
     bits = np.unpackbits(packed)[: width * height].reshape(height, width).astype(bool)
-    return DrivableGrid(
-        origin_xy=np.asarray(_require(obj, "origin_xy", header_path), dtype=np.float64),
-        resolution=float(_require(obj, "resolution", header_path)),
-        bits=bits,
-    )
+    try:
+        return DrivableGrid(
+            origin_xy=_require(obj, "origin_xy", header_path, cast=_floats),
+            resolution=_require(obj, "resolution", header_path, cast=float),
+            bits=bits,
+        )
+    except ValueError as exc:
+        raise DatasetError(header_path, f"bad drivable grid: {exc}") from exc
 
 
 def load_ground_truth(path: Path) -> dict[int, list[GroundTruthBox]]:
@@ -323,8 +342,8 @@ def load_sequence(path) -> Sequence:
     poses_path = root / "poses.json"
     poses_obj = _read_json(poses_path)
     poses = {}
-    for rec in _require(poses_obj, "frames", poses_path):
-        poses[int(_require(rec, "index", poses_path))] = _pose_from_json(rec, poses_path)
+    for rec in _require(poses_obj, "frames", poses_path, cast=list):
+        poses[_require(rec, "index", poses_path, cast=int)] = _pose_from_json(rec, poses_path)
 
     drivable = None
     if (root / "drivable.json").is_file():
@@ -332,9 +351,9 @@ def load_sequence(path) -> Sequence:
 
     frames = []
     prev_ts = None
-    for rec in _require(manifest, "frames", manifest_path):
-        index = int(_require(rec, "index", manifest_path))
-        ts = float(_require(rec, "timestamp", manifest_path))
+    for rec in _require(manifest, "frames", manifest_path, cast=list):
+        index = _require(rec, "index", manifest_path, cast=int)
+        ts = _require(rec, "timestamp", manifest_path, cast=float)
         if prev_ts is not None and ts <= prev_ts:
             raise DatasetError(
                 manifest_path,
@@ -342,8 +361,8 @@ def load_sequence(path) -> Sequence:
                 f"{ts} after {prev_ts}",
             )
         prev_ts = ts
-        n_points = int(_require(rec, "points", manifest_path))
-        cloud_file = root / _require(rec, "file", manifest_path)
+        n_points = _require(rec, "points", manifest_path, cast=int)
+        cloud_file = root / _require(rec, "file", manifest_path, cast=str)
         pts = _load_cloud(cloud_file, n_points, index)
         if index not in poses:
             raise DatasetError(poses_path, f"no ego pose for frame {index}")
@@ -488,23 +507,7 @@ def write_tracks(path, records: list[TrackRecord]) -> Path:
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format": TRACKS_FORMAT, "version": FORMAT_VERSION}) + "\n")
         for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "frame": rec.frame,
-                        "track_id": rec.track_id,
-                        "x": rec.x,
-                        "y": rec.y,
-                        "z": rec.z,
-                        "vx": rec.vx,
-                        "vy": rec.vy,
-                        "length": rec.length,
-                        "width": rec.width,
-                        "height": rec.height,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({key: getattr(rec, key) for key in _TRACK_FIELDS}) + "\n")
     return out
 
 
@@ -524,31 +527,17 @@ def load_tracks(path) -> list[TrackRecord]:
             except json.JSONDecodeError as exc:
                 raise DatasetError(p, f"invalid JSON: {exc}", line=lineno) from exc
             if not saw_header:
-                if rec.get("format") != TRACKS_FORMAT:
+                found = rec.get("format") if isinstance(rec, dict) else rec
+                if found != TRACKS_FORMAT:
                     raise DatasetError(
                         p,
-                        f"expected header with format {TRACKS_FORMAT!r}, got {rec.get('format')!r}",
+                        f"expected header with format {TRACKS_FORMAT!r}, got {found!r}",
                         line=lineno,
                     )
                 saw_header = True
                 continue
-            try:
-                records.append(
-                    TrackRecord(
-                        frame=int(_require(rec, "frame", p, lineno)),
-                        track_id=int(_require(rec, "track_id", p, lineno)),
-                        x=float(_require(rec, "x", p, lineno)),
-                        y=float(_require(rec, "y", p, lineno)),
-                        z=float(_require(rec, "z", p, lineno)),
-                        vx=float(_require(rec, "vx", p, lineno)),
-                        vy=float(_require(rec, "vy", p, lineno)),
-                        length=float(_require(rec, "length", p, lineno)),
-                        width=float(_require(rec, "width", p, lineno)),
-                        height=float(_require(rec, "height", p, lineno)),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise DatasetError(p, f"bad track record: {exc}", line=lineno) from exc
+            values = {k: _require(rec, k, p, lineno, cast) for k, cast in _TRACK_FIELDS.items()}
+            records.append(TrackRecord(**values))
     if not saw_header:
         raise DatasetError(p, f"no header record with format {TRACKS_FORMAT!r} found")
     return records

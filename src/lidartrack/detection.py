@@ -43,7 +43,6 @@ class Detection3D:
     width: float  # y extent
     height: float  # z extent
     n_points: int
-    frame_index: int = 0
 
     def __post_init__(self):
         c = np.asarray(self.center, dtype=np.float64).reshape(3)
@@ -55,7 +54,7 @@ class Detection3D:
             raise ValueError("box extents cannot be negative")
 
 
-def fit_box(points, frame_index: int = 0) -> Detection3D:
+def fit_box(points) -> Detection3D:
     """Axis-aligned bounding box of a cluster: per-axis extremes, center at
     the midpoint. A single point yields a zero-size box."""
     pts = np.asarray(points, dtype=np.float64)
@@ -69,7 +68,6 @@ def fit_box(points, frame_index: int = 0) -> Detection3D:
         width=float(hi[1] - lo[1]),
         height=float(hi[2] - lo[2]),
         n_points=len(pts),
-        frame_index=frame_index,
     )
 
 
@@ -125,7 +123,7 @@ def detect(
     t2 = time.perf_counter()
     detections = []
     for cid, idx in labels.iter_clusters():
-        det = fit_box(pts[idx], frame_index=frame.index)
+        det = fit_box(pts[idx])
         if passes_heuristics(det, limits):
             detections.append(det)
     city = [

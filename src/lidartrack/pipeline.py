@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import PipelineConfig
 from .dataset_io import Frame, Sequence, TrackRecord
 from .detection import FrameDetections, detect
 from .preprocess import PreprocessStats
-from .tracking import Tracker, TrackSnapshot
+from .tracking import Tracker
 
 
 @dataclass
@@ -29,7 +29,7 @@ class FrameResult:
     # downsample, ground_removal, drivable_filter, mask_filter, kdtree_build,
     # clustering, box_fit, tracker_step: wall time of each, in that order.
     stage_seconds: dict[str, float]
-    snapshots: list[TrackSnapshot] = field(default_factory=list)
+    n_tracks: int  # confirmed tracks reported this frame
 
 
 @dataclass
@@ -65,7 +65,7 @@ def run_tracking(seq: Sequence, cfg: PipelineConfig, workers: int = 1) -> RunRes
 
     def consume(frame: Frame, found: FrameDetections) -> None:
         t0 = time.perf_counter()
-        snapshots = tracker.step(found.detections, frame.timestamp)
+        frame_records = tracker.step(found.detections, frame.timestamp, frame.index)
         tracker_step = time.perf_counter() - t0
         results.append(
             FrameResult(
@@ -75,24 +75,10 @@ def run_tracking(seq: Sequence, cfg: PipelineConfig, workers: int = 1) -> RunRes
                 n_clusters=found.n_clusters,
                 n_detections=len(found.detections),
                 stage_seconds={**found.stage_seconds, "tracker_step": tracker_step},
-                snapshots=snapshots,
+                n_tracks=len(frame_records),
             )
         )
-        for snap in snapshots:
-            records.append(
-                TrackRecord(
-                    frame=frame.index,
-                    track_id=snap.track_id,
-                    x=snap.x,
-                    y=snap.y,
-                    z=snap.z,
-                    vx=snap.vx,
-                    vy=snap.vy,
-                    length=snap.length,
-                    width=snap.width,
-                    height=snap.height,
-                )
-            )
+        records.extend(frame_records)
 
     if workers == 1:
         for frame in seq.frames:

@@ -13,12 +13,12 @@ produced without generating the ones before it.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import build_section
 from .dataset_io import (
     DrivableGrid,
     Frame,
@@ -27,7 +27,6 @@ from .dataset_io import (
     Sequence,
     write_sequence,
 )
-from .errors import ConfigError
 from .geometry import (
     CameraModel,
     RigidTransform,
@@ -76,16 +75,7 @@ class SynthConfig:
 
 
 def synth_config_from_dict(data: dict) -> SynthConfig:
-    known = {f.name for f in dataclasses.fields(SynthConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(
-            f"unknown synth config key(s): {sorted(unknown)}; valid keys: {sorted(known)}"
-        )
-    try:
-        return SynthConfig(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid synth config: {exc}") from exc
+    return build_section("synth", SynthConfig, data)
 
 
 def _car_speeds(cfg: SynthConfig) -> np.ndarray:

@@ -4,28 +4,28 @@ Working in the city frame is what makes a constant-velocity model usable at
 all: ego motion is removed before the tracker ever sees a detection, so the
 filter only has to explain how the cars move, not how the sensor does.
 
-One track per object: a 2-d position/velocity Kalman filter in bird's-eye
-view, box z and extents carried along unfiltered. Association is min-cost
-assignment on BEV centroid distance with a gate; lifecycle is hit/miss
-counting (tentative until enough hits, deleted after enough consecutive
-misses). Track ids are never reused.
+One track per object: a constant-velocity Kalman filter over the
+bird's-eye-view state [x, y, vx, vy], box z and extents carried along
+unfiltered. Association is min-cost assignment on BEV centroid distance
+with a gate; lifecycle is hit/miss counting (tentative until enough hits,
+deleted after enough consecutive misses). Track ids are never reused.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .dataset_io import TrackRecord
+
 
 # Cost assigned to gated-out pairs. Any pair carrying this cost is reported
 # unmatched no matter what the assignment solver picked.
 GATE_SENTINEL = 1.0e6
-
-MOTION_MODELS = ("cv", "static", "ca")
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class TrackerConfig:
     process_noise_accel: float = 2.0
     measurement_noise_pos: float = 0.5
     initial_velocity_std: float = 10.0
-    motion_model: str = "cv"
 
     def __post_init__(self):
         if self.hit_confirm_threshold < 1:
@@ -47,75 +46,34 @@ class TrackerConfig:
             raise ValueError("gate_distance must be positive")
         if self.measurement_noise_pos <= 0:
             raise ValueError("measurement_noise_pos must be positive")
-        if self.motion_model not in MOTION_MODELS:
-            raise ValueError(f"motion_model must be one of {MOTION_MODELS}")
 
 
-def transition_matrices(model: str, dt: float, q_accel: float):
-    """State transition F and process noise Q for one predict step.
-
-    cv:     [x, y, vx, vy], white-acceleration noise.
-    static: [x, y, vx, vy] with F = I; position random walk with std
-            q_accel * dt, velocity entries unused.
-    ca:     [x, y, vx, vy, ax, ay], white-jerk style noise on acceleration.
-    """
-    q2 = q_accel * q_accel
-    if model == "cv":
-        F = np.eye(4)
-        F[0, 2] = dt
-        F[1, 3] = dt
-        d2 = dt * dt
-        d3 = d2 * dt
-        d4 = d3 * dt
-        Q = q2 * np.array(
-            [
-                [d4 / 4, 0, d3 / 2, 0],
-                [0, d4 / 4, 0, d3 / 2],
-                [d3 / 2, 0, d2, 0],
-                [0, d3 / 2, 0, d2],
-            ]
-        )
-        return F, Q
-    if model == "static":
-        F = np.eye(4)
-        drift = (q_accel * dt) ** 2
-        Q = np.diag([drift, drift, 0.0, 0.0])
-        return F, Q
-    if model == "ca":
-        F = np.eye(6)
-        d2 = dt * dt
-        for ax in range(2):
-            F[ax, 2 + ax] = dt
-            F[ax, 4 + ax] = d2 / 2
-            F[2 + ax, 4 + ax] = dt
-        d3 = d2 * dt
-        d4 = d3 * dt
-        blk = q2 * np.array(
-            [
-                [d4 / 4, d3 / 2, d2 / 2],
-                [d3 / 2, d2, dt],
-                [d2 / 2, dt, 1.0],
-            ]
-        )
-        Q = np.zeros((6, 6))
-        for ax in range(2):
-            sel = np.ix_([ax, 2 + ax, 4 + ax], [ax, 2 + ax, 4 + ax])
-            Q[sel] = blk
-        return F, Q
-    raise ValueError(f"unknown motion model {model!r}")
-
-
-def state_dim(model: str) -> int:
-    return 6 if model == "ca" else 4
+def transition_matrices(dt: float, q_accel: float):
+    """State transition F and white-acceleration process noise Q for one
+    predict step of the [x, y, vx, vy] state."""
+    F = np.eye(4)
+    F[0, 2] = dt
+    F[1, 3] = dt
+    d2 = dt * dt
+    d3 = d2 * dt
+    d4 = d3 * dt
+    Q = (q_accel * q_accel) * np.array(
+        [
+            [d4 / 4, 0, d3 / 2, 0],
+            [0, d4 / 4, 0, d3 / 2],
+            [d3 / 2, 0, d2, 0],
+            [0, d3 / 2, 0, d2],
+        ]
+    )
+    return F, Q
 
 
 @dataclass(frozen=True)
 class KalmanCV:
     """BEV position/velocity estimate plus carried box geometry.
 
-    state is [x, y, vx, vy] for the cv and static models, [x, y, vx, vy,
-    ax, ay] for ca. Box z and extents ride along from the latest matched
-    detection; they are copied, never filtered.
+    state is [x, y, vx, vy]. Box z and extents ride along from the latest
+    matched detection; they are copied, never filtered.
     """
 
     state: np.ndarray
@@ -126,7 +84,7 @@ class KalmanCV:
     def __post_init__(self):
         s = np.asarray(self.state, dtype=np.float64).reshape(-1)
         p = np.asarray(self.covariance, dtype=np.float64)
-        if s.shape[0] not in (4, 6) or p.shape != (s.shape[0], s.shape[0]):
+        if s.shape != (4,) or p.shape != (4, 4):
             raise ValueError(f"bad state/covariance shapes {s.shape}, {p.shape}")
         s.flags.writeable = False
         p.flags.writeable = False
@@ -149,23 +107,18 @@ def kalman_init(
     dims: tuple[float, float, float] = (0.0, 0.0, 0.0),
 ) -> KalmanCV:
     """Fresh estimate at a detection: zero velocity, inflated velocity variance."""
-    n = state_dim(cfg.motion_model)
-    state = np.zeros(n)
+    state = np.zeros(4)
     state[:2] = xy
     r2 = cfg.measurement_noise_pos**2
     v2 = cfg.initial_velocity_std**2
-    diag = [r2, r2, v2, v2]
-    if n == 6:
-        # The velocity prior scale doubles as the acceleration prior.
-        diag += [v2, v2]
-    return KalmanCV(state, np.diag(diag), z=z, dims=dims)
+    return KalmanCV(state, np.diag([r2, r2, v2, v2]), z=z, dims=dims)
 
 
-def kalman_predict(k: KalmanCV, dt: float, q_accel: float, model: str = "cv") -> KalmanCV:
+def kalman_predict(k: KalmanCV, dt: float, q_accel: float) -> KalmanCV:
     """Advance the estimate by dt. dt = 0 is an exact no-op on the state."""
     if dt < 0:
         raise ValueError("dt must be non-negative")
-    F, Q = transition_matrices(model, dt, q_accel)
+    F, Q = transition_matrices(dt, q_accel)
     state = F @ k.state
     cov = F @ k.covariance @ F.T + Q
     cov = (cov + cov.T) / 2.0
@@ -175,16 +128,13 @@ def kalman_predict(k: KalmanCV, dt: float, q_accel: float, model: str = "cv") ->
 def kalman_update(k: KalmanCV, z_xy, r_pos: float) -> KalmanCV:
     """Fold in a BEV position measurement with noise std r_pos per axis."""
     z = np.asarray(z_xy, dtype=np.float64).reshape(2)
-    n = k.state.shape[0]
-    H = np.zeros((2, n))
-    H[0, 0] = 1.0
-    H[1, 1] = 1.0
+    H = np.eye(2, 4)
     R = np.eye(2) * (r_pos * r_pos)
     innovation = z - H @ k.state
     S = H @ k.covariance @ H.T + R
     K = k.covariance @ H.T @ np.linalg.inv(S)
     state = k.state + K @ innovation
-    cov = (np.eye(n) - K @ H) @ k.covariance
+    cov = (np.eye(4) - K @ H) @ k.covariance
     cov = (cov + cov.T) / 2.0
     return replace(k, state=state, covariance=cov)
 
@@ -246,27 +196,17 @@ class Track:
     status: TrackStatus = TrackStatus.TENTATIVE
 
 
-@dataclass(frozen=True)
-class TrackSnapshot:
-    """Per-frame view of one confirmed track, in city coordinates."""
-
-    track_id: int
-    x: float
-    y: float
-    z: float
-    vx: float
-    vy: float
-    length: float
-    width: float
-    height: float
-    hits: int
+def _record(tr: Track, frame: int) -> TrackRecord:
+    k = tr.kalman
+    x, y, vx, vy = (float(v) for v in k.state)
+    return TrackRecord(frame, tr.track_id, x, y, float(k.z), vx, vy, *k.dims)
 
 
 class Tracker:
     """Multi-object tracker consuming city-frame detections frame by frame.
 
     Tentative and confirmed tracks associate identically; the status only
-    controls what step() returns. Snapshots reflect the post-update state of
+    controls what step() returns. Records reflect the post-update state of
     this frame, so a confirmed track coasting through a missed frame still
     reports its predicted position.
     """
@@ -277,29 +217,8 @@ class Tracker:
         self._next_id = 0
         self._last_timestamp: Optional[float] = None
 
-    def _velocity(self, k: KalmanCV) -> np.ndarray:
-        if self.config.motion_model == "static":
-            return np.zeros(2)
-        return k.velocity
-
-    def _snapshot(self, tr: Track) -> TrackSnapshot:
-        k = tr.kalman
-        v = self._velocity(k)
-        return TrackSnapshot(
-            track_id=tr.track_id,
-            x=float(k.state[0]),
-            y=float(k.state[1]),
-            z=float(k.z),
-            vx=float(v[0]),
-            vy=float(v[1]),
-            length=k.dims[0],
-            width=k.dims[1],
-            height=k.dims[2],
-            hits=tr.hits,
-        )
-
-    def step(self, detections: Sequence, timestamp: float) -> list[TrackSnapshot]:
-        """Advance one frame; returns snapshots of confirmed tracks."""
+    def step(self, detections: Sequence, timestamp: float, frame: int) -> list[TrackRecord]:
+        """Advance one frame; returns the records of its confirmed tracks."""
         cfg = self.config
         if self._last_timestamp is not None and timestamp <= self._last_timestamp:
             raise ValueError(
@@ -309,7 +228,7 @@ class Tracker:
         self._last_timestamp = timestamp
 
         for tr in self.tracks:
-            tr.kalman = kalman_predict(tr.kalman, dt, cfg.process_noise_accel, cfg.motion_model)
+            tr.kalman = kalman_predict(tr.kalman, dt, cfg.process_noise_accel)
 
         track_xy = np.array([tr.kalman.position for tr in self.tracks]).reshape(-1, 2)
         det_xy = np.array([d.center[:2] for d in detections]).reshape(-1, 2)
@@ -351,6 +270,4 @@ class Tracker:
                 track.status = TrackStatus.CONFIRMED
             self.tracks.append(track)
 
-        return [
-            self._snapshot(tr) for tr in self.tracks if tr.status is TrackStatus.CONFIRMED
-        ]
+        return [_record(tr, frame) for tr in self.tracks if tr.status is TrackStatus.CONFIRMED]

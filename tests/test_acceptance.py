@@ -233,12 +233,13 @@ def test_lifecycle_thresholds(threshold):
     tracker = Tracker(cfg)
     first_emit = None
     for i in range(threshold + 2):
-        snaps = tracker.step([one_detection(0.5 * i, 0.0)], timestamp=0.1 * i)
+        snaps = tracker.step([one_detection(0.5 * i, 0.0)], timestamp=0.1 * i, frame=i)
         if snaps and first_emit is None:
             first_emit = i + 1  # frames are 1-counted in the guarantee
     survived = []
     for j in range(threshold + 1):
-        snaps = tracker.step([], timestamp=0.1 * (threshold + 2 + j))
+        i = threshold + 2 + j
+        snaps = tracker.step([], timestamp=0.1 * i, frame=i)
         survived.append(bool(snaps))
     deleted_after = survived.index(False) + 1 if False in survived else None
     report(

@@ -93,15 +93,22 @@ def test_plot_writes_svgs(dataset, tracked, tmp_path, capsys):
         assert svg.read_text().count('class="det"') == fr.n_detections
 
 
-@pytest.mark.parametrize("command", ["plot", "bench"])
-def test_negative_max_frames_is_a_usage_error(dataset, tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        pytest.param("plot", "--max-frames", id="plot"),
+        pytest.param("bench", "--max-frames", id="bench"),
+        pytest.param("bench", "--cluster-points", id="bench-cluster-points"),
+    ],
+)
+def test_negative_max_frames_is_a_usage_error(dataset, tmp_path, capsys, command, flag):
     out = tmp_path / "plots"
-    argv = [command, str(dataset), "--max-frames", "-1"]
+    argv = [command, str(dataset), flag, "-1"]
     if command == "plot":
         argv += ["--output", str(out)]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert "--max-frames" in captured.err
+    assert flag in captured.err
     assert captured.out == ""
     assert not out.exists()
 
@@ -163,6 +170,47 @@ def test_non_finite_point_is_a_data_error(tmp_path, capsys, drivable_filter):
     err = capsys.readouterr().err
     assert frame.name in err
     assert "frame 1: 1 point(s) have NaN" in err
+
+
+DELETE = object()
+CAMERA_ROTATION = ["cameras", "cam_front", "ego_to_camera", "rotation"]
+CAMERA_FX = ["cameras", "cam_front", "intrinsics", "fx"]
+
+
+@pytest.mark.parametrize(
+    "name, keys, value",
+    [
+        pytest.param("calibration.json", CAMERA_ROTATION, DELETE, id="camera-without-rotation"),
+        pytest.param("calibration.json", CAMERA_ROTATION, [0, 0, 0, 0], id="zero-quaternion"),
+        pytest.param("manifest.json", ["frames", 0, "points"], "abc", id="points-not-a-number"),
+        pytest.param("poses.json", ["frames", 0, "index"], None, id="null-pose-index"),
+        pytest.param("drivable.json", ["resolution"], 0, id="zero-resolution"),
+        pytest.param("manifest.json", [], [], id="manifest-root-is-a-list"),
+        pytest.param("poses.json", ["frames"], 5, id="pose-frames-not-a-list"),
+        pytest.param("calibration.json", ["cameras"], 5, id="cameras-not-an-object"),
+        pytest.param("calibration.json", CAMERA_FX, None, id="null-focal-length"),
+        # Already a data error before loader values were checked; the control.
+        pytest.param("manifest.json", ["frames", 0], "frames/000000.bin", id="frame-is-a-string"),
+    ],
+)
+def test_malformed_sequence_file_is_a_data_error(tmp_path, capsys, name, keys, value):
+    root = tmp_path / "seq"
+    assert main(["synth", str(root), "--cars", "1", "--frames", "2"]) == 0
+    obj = json.loads((root / name).read_text())
+    if not keys:
+        obj = value
+    else:
+        parent = obj
+        for key in keys[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+    (root / name).write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["track", str(root)]) == 2
+    assert name in capsys.readouterr().err
 
 
 def test_unreadable_tracks_file_is_a_data_error(dataset, tmp_path, capsys):

@@ -41,6 +41,16 @@ def test_unknown_key_rejected_with_section_name():
         config_from_dict({"clustering": {"epz": 0.9}})
 
 
+def test_tracker_motion_model_key_rejected():
+    with pytest.raises(ConfigError, match="motion_model"):
+        config_from_dict({"tracker": {"motion_model": "cv"}})
+
+
+def test_non_object_section_rejected():
+    with pytest.raises(ConfigError, match="'tracker' must be a JSON object"):
+        config_from_dict({"tracker": 5})
+
+
 def test_bad_value_reported_as_config_error():
     with pytest.raises(ConfigError, match="'tracker'"):
         config_from_dict({"tracker": {"gate_distance": -1.0}})

@@ -291,6 +291,9 @@ def test_tracks_missing_header_rejected(tmp_path):
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(DatasetError, match="header"):
         load_tracks(path)
+    path.write_text("[1]\n")
+    with pytest.raises(DatasetError, match="header"):
+        load_tracks(path)
 
 
 def test_tracks_bad_record_line_number(tmp_path):

@@ -18,13 +18,12 @@ def test_fit_box_extremes_and_midpoint():
             [3.0, 1.0, 0.5],
         ]
     )
-    det = fit_box(pts, frame_index=7)
+    det = fit_box(pts)
     assert np.allclose(det.center, [3.0, 1.0, 0.5])
     assert det.length == 4.0
     assert det.width == 6.0
     assert det.height == 1.0
     assert det.n_points == 3
-    assert det.frame_index == 7
 
 
 def test_fit_box_single_point_is_degenerate():

@@ -20,19 +20,12 @@ def test_run_produces_a_result_per_frame():
     assert out.total_seconds > 0
 
 
-def test_records_mirror_snapshots():
+def test_n_tracks_counts_each_frames_records():
     seq = generate(SCENE)
     out = run_tracking(seq, CFG)
-    n_snaps = sum(len(fr.snapshots) for fr in out.frames)
-    assert len(out.records) == n_snaps > 0
-    by_frame = {}
-    for rec in out.records:
-        by_frame.setdefault(rec.frame, []).append(rec)
+    assert len(out.records) == sum(fr.n_tracks for fr in out.frames) > 0
     for fr in out.frames:
-        recs = by_frame.get(fr.frame_index, [])
-        assert [r.track_id for r in recs] == [s.track_id for s in fr.snapshots]
-        for rec, snap in zip(recs, fr.snapshots):
-            assert (rec.x, rec.y, rec.vx) == (snap.x, snap.y, snap.vx)
+        assert fr.n_tracks == sum(rec.frame == fr.frame_index for rec in out.records)
 
 
 def test_confirmation_delay_respected():

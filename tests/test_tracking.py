@@ -28,7 +28,7 @@ from lidartrack.tracking import (
 
 def test_cv_transition_matrices_hand_values():
     dt, q = 0.5, 2.0
-    F, Q = transition_matrices("cv", dt, q)
+    F, Q = transition_matrices(dt, q)
     F_want = np.array(
         [
             [1, 0, 0.5, 0],
@@ -52,26 +52,6 @@ def test_cv_transition_matrices_hand_values():
     assert np.allclose(Q, Q_want, atol=1e-15)
 
 
-def test_static_transition_is_identity_with_position_drift():
-    F, Q = transition_matrices("static", 0.1, 3.0)
-    assert np.array_equal(F, np.eye(4))
-    assert np.allclose(np.diag(Q), [0.09, 0.09, 0.0, 0.0])
-
-
-def test_ca_transition_couples_acceleration():
-    dt = 0.2
-    F, _ = transition_matrices("ca", dt, 1.0)
-    state = np.array([0.0, 0.0, 1.0, 0.0, 2.0, 0.0])  # vx=1, ax=2
-    nxt = F @ state
-    assert np.isclose(nxt[0], 1.0 * dt + 0.5 * 2.0 * dt * dt)
-    assert np.isclose(nxt[2], 1.0 + 2.0 * dt)
-
-
-def test_unknown_model_rejected():
-    with pytest.raises(ValueError):
-        transition_matrices("cubic", 0.1, 1.0)
-
-
 def test_kalman_init_prior():
     cfg = TrackerConfig(measurement_noise_pos=0.5, initial_velocity_std=10.0)
     k = kalman_init(np.array([3.0, -4.0]), cfg, z=-0.7, dims=(4.0, 2.0, 1.5))
@@ -79,6 +59,11 @@ def test_kalman_init_prior():
     assert np.array_equal(k.velocity, [0.0, 0.0])
     assert np.allclose(np.diag(k.covariance), [0.25, 0.25, 100.0, 100.0])
     assert k.z == -0.7 and k.dims == (4.0, 2.0, 1.5)
+
+
+def test_kalman_state_is_position_and_velocity_only():
+    with pytest.raises(ValueError):
+        KalmanCV(np.zeros(6), np.eye(6))
 
 
 def test_predict_moves_state_linearly():
@@ -125,9 +110,8 @@ def random_spd(rng, n, scale=10.0):
 def test_update_matches_joseph_form_randomized():
     rng = np.random.default_rng(600)
     for _ in range(200):
-        n = 4 if rng.uniform() < 0.7 else 6
-        state = rng.normal(scale=5.0, size=n)
-        cov = random_spd(rng, n)
+        state = rng.normal(scale=5.0, size=4)
+        cov = random_spd(rng, 4)
         z = rng.normal(scale=5.0, size=2)
         r = float(rng.uniform(0.1, 2.0))
         k = KalmanCV(state, cov)
@@ -253,25 +237,23 @@ def det_at(x, y, z=-0.5, length=4.4, width=1.9, height=1.6):
 
 
 def run_frames(tracker, frames, dt=0.1):
-    """frames: list of detection lists. Returns snapshots per frame."""
-    out = []
-    for i, dets in enumerate(frames):
-        out.append(tracker.step(dets, timestamp=i * dt))
-    return out
+    """frames: list of detection lists. Returns the records of each frame."""
+    return [tracker.step(dets, timestamp=i * dt, frame=i) for i, dets in enumerate(frames)]
 
 
 @pytest.mark.parametrize("threshold", [1, 3, 5])
 def test_first_emission_at_exactly_the_nth_hit(threshold):
     cfg = TrackerConfig(hit_confirm_threshold=threshold)
     tracker = Tracker(cfg)
-    frames = [[det_at(1.0 * i, 0.0)] for i in range(8)]
-    emitted = run_frames(tracker, frames)
-    for i, snaps in enumerate(emitted):
+    for i in range(8):
+        records = tracker.step([det_at(1.0 * i, 0.0)], timestamp=i * 0.1, frame=i)
         if i + 1 < threshold:
-            assert snaps == [], f"frame {i}: emitted before {threshold} hits"
+            assert records == [], f"frame {i}: emitted before {threshold} hits"
         else:
-            assert len(snaps) == 1, f"frame {i}: expected one confirmed track"
-    assert emitted[threshold - 1][0].hits == threshold
+            assert len(records) == 1, f"frame {i}: expected one confirmed track"
+            assert records[0].frame == i
+        if i + 1 == threshold:
+            assert tracker.tracks[0].hits == threshold
 
 
 @pytest.mark.parametrize("threshold", [1, 3, 5])
@@ -294,10 +276,10 @@ def test_coasting_track_advances_by_prediction():
     # Feed a constant-velocity target long enough to lock the velocity in.
     snaps = []
     for i in range(12):
-        snaps = tracker.step([det_at(3.0 * i * dt, 0.0)], timestamp=i * dt)
+        snaps = tracker.step([det_at(3.0 * i * dt, 0.0)], timestamp=i * dt, frame=i)
     x_last, vx = snaps[0].x, snaps[0].vx
     assert abs(vx - 3.0) < 0.05
-    coast = tracker.step([], timestamp=12 * dt)
+    coast = tracker.step([], timestamp=12 * dt, frame=12)
     assert len(coast) == 1
     assert np.isclose(coast[0].x, x_last + vx * dt, atol=1e-9)
     assert coast[0].vx == vx
@@ -306,16 +288,16 @@ def test_coasting_track_advances_by_prediction():
 def test_track_ids_never_reused():
     cfg = TrackerConfig(hit_confirm_threshold=1, miss_delete_threshold=1)
     tracker = Tracker(cfg)
-    first = tracker.step([det_at(0.0, 0.0)], 0.0)[0].track_id
-    tracker.step([], 0.1)  # deletes the only track
-    second = tracker.step([det_at(0.0, 0.0)], 0.2)[0].track_id
+    first = tracker.step([det_at(0.0, 0.0)], 0.0, 0)[0].track_id
+    tracker.step([], 0.1, 1)  # deletes the only track
+    second = tracker.step([det_at(0.0, 0.0)], 0.2, 2)[0].track_id
     assert second > first
 
 
 def test_tentative_tracks_are_not_emitted():
     cfg = TrackerConfig(hit_confirm_threshold=3)
     tracker = Tracker(cfg)
-    snaps = tracker.step([det_at(5.0, 5.0)], 0.0)
+    snaps = tracker.step([det_at(5.0, 5.0)], 0.0, 0)
     assert snaps == []
     assert len(tracker.tracks) == 1
 
@@ -323,8 +305,8 @@ def test_tentative_tracks_are_not_emitted():
 def test_detection_outside_gate_starts_new_track():
     cfg = TrackerConfig(hit_confirm_threshold=1, gate_distance=4.0)
     tracker = Tracker(cfg)
-    tracker.step([det_at(0.0, 0.0)], 0.0)
-    snaps = tracker.step([det_at(10.0, 0.0)], 0.1)
+    tracker.step([det_at(0.0, 0.0)], 0.0, 0)
+    snaps = tracker.step([det_at(10.0, 0.0)], 0.1, 1)
     ids = {s.track_id for s in snaps}
     assert len(ids) == 2
     # The original track missed; the new one sits at x=10.
@@ -342,7 +324,7 @@ def test_two_targets_keep_their_ids_when_crossing_paths():
     for i in range(30):
         x_a = 0.0 + 8.0 * i * dt
         x_b = 24.0 - 8.0 * i * dt
-        snaps = tracker.step([det_at(x_a, 0.0), det_at(x_b, 2.0)], timestamp=i * dt)
+        snaps = tracker.step([det_at(x_a, 0.0), det_at(x_b, 2.0)], timestamp=i * dt, frame=i)
         for s in snaps:
             lane = 0 if abs(s.y) < 1.0 else 1
             id_by_lane.setdefault(lane, s.track_id)
@@ -352,42 +334,19 @@ def test_two_targets_keep_their_ids_when_crossing_paths():
 def test_z_and_dims_follow_latest_detection():
     cfg = TrackerConfig(hit_confirm_threshold=1)
     tracker = Tracker(cfg)
-    tracker.step([det_at(0.0, 0.0, z=-0.5, length=4.0)], 0.0)
-    snaps = tracker.step([det_at(0.1, 0.0, z=-0.3, length=4.5)], 0.1)
+    tracker.step([det_at(0.0, 0.0, z=-0.5, length=4.0)], 0.0, 0)
+    snaps = tracker.step([det_at(0.1, 0.0, z=-0.3, length=4.5)], 0.1, 1)
     assert snaps[0].z == -0.3
     assert snaps[0].length == 4.5
 
 
 def test_timestamps_must_increase():
     tracker = Tracker(TrackerConfig())
-    tracker.step([], 1.0)
+    tracker.step([], 1.0, 0)
     with pytest.raises(ValueError):
-        tracker.step([], 1.0)
+        tracker.step([], 1.0, 1)
     with pytest.raises(ValueError):
-        tracker.step([], 0.5)
-
-
-def test_static_model_reports_zero_velocity():
-    cfg = TrackerConfig(hit_confirm_threshold=1, motion_model="static")
-    tracker = Tracker(cfg)
-    snaps = []
-    for i in range(6):
-        snaps = tracker.step([det_at(0.2 * i, 0.0)], timestamp=0.1 * i)
-    assert snaps[0].vx == 0.0 and snaps[0].vy == 0.0
-
-
-def test_ca_model_tracks_accelerating_target():
-    cfg = TrackerConfig(hit_confirm_threshold=1, motion_model="ca")
-    tracker = Tracker(cfg)
-    dt = 0.2
-    accel = 2.0
-    snaps = []
-    for i in range(25):
-        t = i * dt
-        snaps = tracker.step([det_at(0.5 * accel * t * t, 0.0)], timestamp=t)
-    # Velocity estimate approaches a*t.
-    want_v = accel * 24 * dt
-    assert abs(snaps[0].vx - want_v) / want_v < 0.1
+        tracker.step([], 0.5, 1)
 
 
 def test_tracker_config_validation():
@@ -397,5 +356,3 @@ def test_tracker_config_validation():
         TrackerConfig(miss_delete_threshold=0)
     with pytest.raises(ValueError):
         TrackerConfig(gate_distance=0.0)
-    with pytest.raises(ValueError):
-        TrackerConfig(motion_model="warp")

@@ -192,14 +192,22 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _non_negative_int(text: str) -> int:
+def _int_at_least(text: str, lowest: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < lowest:
+        raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
 
 
 def _add_config_flags(sub, with_workers: bool = False) -> None:
@@ -212,7 +220,10 @@ def _add_config_flags(sub, with_workers: bool = False) -> None:
     )
     if with_workers:
         sub.add_argument(
-            "--workers", type=int, default=1, help="detection worker threads (1 = serial)"
+            "--workers",
+            type=_positive_int,
+            default=1,
+            help="detection worker threads (1 = serial)",
         )
 
 

@@ -238,13 +238,13 @@ def _load_cloud(path: Path, expected_points: int, frame_index: int) -> np.ndarra
 def _load_masks(path: Path, cameras: dict[str, CameraModel]) -> list[MaskRegion]:
     obj = _read_json(path)
     regions = []
-    for i, rec in enumerate(_require(obj, "regions", path)):
-        cam_id = _require(rec, "camera_id", path)
+    for i, rec in enumerate(_require(obj, "regions", path, cast=list)):
+        cam_id = _require(rec, "camera_id", path, cast=str)
         if cam_id not in cameras:
             raise DatasetError(
                 path, f"region {i} references camera {cam_id!r} not present in calibration"
             )
-        poly = np.asarray(_require(rec, "polygon", path), dtype=np.float64)
+        poly = _require(rec, "polygon", path, cast=_floats)
         try:
             regions.append(MaskRegion(cam_id, poly))
         except ValueError as exc:

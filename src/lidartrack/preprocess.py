@@ -83,12 +83,51 @@ def downsample_stride(cloud: PointCloud, stride: int) -> PointCloud:
     return PointCloud(cloud.points[::stride], cloud.frame)
 
 
+# Candidates every hypothesis is scored on before any full count: the half
+# with the lowest z and the half with the highest z, where a plane that is
+# not the ground leaves the most points off it.
+_PROBE_POINTS = 1024
+
+
+def _proven_outliers(pts: np.ndarray, planes: list[Plane], tol: float) -> np.ndarray:
+    """Per plane, the probe points whose |distance| exceeds tol however the
+    distance is rounded: a lower bound on the plane's outliers in pts."""
+    n = len(pts)
+    if n > _PROBE_POINTS:
+        half = _PROBE_POINTS // 2
+        order = np.argpartition(pts[:, 2], (half - 1, n - half))
+        probe = pts[np.concatenate((order[:half], order[n - half :]))]
+    else:
+        probe = pts
+    normals = np.array([p.normal for p in planes])
+    offsets = np.array([p.offset for p in planes])
+    # Any order of evaluating |n . p + offset| errs by a few ulps of
+    # 3 max|p| + |offset|; the margin is some 1e6 times that.
+    limit = tol + 1e-9 * (3.0 * float(np.abs(probe).max()) + np.abs(offsets) + tol)
+    dist = probe @ normals.T
+    dist += offsets
+    np.abs(dist, out=dist)
+    return np.count_nonzero(dist > limit, axis=0)
+
+
 def fit_ground_plane(points, cfg: PreprocessConfig, rng=None) -> Plane:
     """RANSAC plane fit over candidate ground points.
 
     Returns the sample plane with the most inliers over cfg.ransac_iterations
     3-point draws (first-found wins ties); no least-squares refinement. The
     normal is oriented with a non-negative z component.
+
+    The plane is the one a loop that counts every hypothesis's inliers over
+    all points would pick, bit for bit, ties included, but most hypotheses
+    are never counted in full. Each is first scored on a probe of at most
+    _PROBE_POINTS candidates, where only proven outliers count: a point
+    whose |distance| exceeds the tolerance by a rounding margin far larger
+    than any difference between two evaluation orders of the same sum. So
+    n minus the probe count bounds the hypothesis's inlier count from above.
+    Hypotheses are counted in full in order of that bound, and one that
+    cannot beat the best so far (a lower bound, or an equal bound and a
+    later draw) is never counted. A full count is the loop's own expression,
+    Plane.signed_distance over all candidates.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -100,14 +139,21 @@ def fit_ground_plane(points, cfg: PreprocessConfig, rng=None) -> Plane:
         )
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
+    tol = cfg.ransac_inlier_tol
 
-    best_count = 0
-    best: Plane | None = None
+    planes = []
     for _ in range(cfg.ransac_iterations):
-        i, j, k = rng.integers(0, n, size=3)
+        i, j, k = rng.integers(0, n, size=3).tolist()
         if i == j or i == k or j == k:
             continue
-        normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+        xi, yi, zi = pts[i].tolist()
+        xj, yj, zj = pts[j].tolist()
+        xk, yk, zk = pts[k].tolist()
+        ax, ay, az = xj - xi, yj - yi, zj - zi
+        bx, by, bz = xk - xi, yk - yi, zk - zi
+        # Each component rounds exactly as np.cross does; norm and the
+        # offset stay on numpy's BLAS dot, which scalar sums do not match.
+        normal = np.array((ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx))
         norm = np.linalg.norm(normal)
         if norm < 1e-12:
             continue
@@ -116,13 +162,23 @@ def fit_ground_plane(points, cfg: PreprocessConfig, rng=None) -> Plane:
         if normal[2] < 0:
             normal = -normal
             offset = -offset
-        count = int((np.abs(pts @ normal + offset) <= cfg.ransac_inlier_tol).sum())
-        if count > best_count:
-            best_count = count
-            best = Plane(normal, offset)
-    if best is None:
+        planes.append(Plane(normal, offset))
+    if not planes:
         raise GroundPlaneError("no non-degenerate 3-point sample found")
-    return best
+
+    min_outliers = _proven_outliers(pts, planes, tol)
+    best, best_count = -1, 0
+    for h in np.argsort(min_outliers, kind="stable").tolist():
+        bound = n - int(min_outliers[h])
+        # Visited in falling bound, then rising h: nothing after this can win.
+        if bound < best_count or (bound == best_count and h > best):
+            break
+        count = int(np.count_nonzero(np.abs(planes[h].signed_distance(pts)) <= tol))
+        if count > best_count or (count == best_count and h < best):
+            best, best_count = h, count
+    if best < 0:
+        raise GroundPlaneError("no non-degenerate 3-point sample found")
+    return planes[best]
 
 
 def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng=None) -> PointCloud:

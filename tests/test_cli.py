@@ -113,6 +113,18 @@ def test_negative_max_frames_is_a_usage_error(dataset, tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_nonpositive_workers_is_a_usage_error(tmp_path, capsys, workers):
+    out = tmp_path / "t.jsonl"
+    # The dataset does not exist: the flag is rejected before anything loads.
+    argv = ["track", str(tmp_path / "missing"), "--workers", workers, "--output", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "--workers" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_bench_prints_stage_table(dataset, capsys):
     assert main(["bench", str(dataset), "--max-frames", "2", "--cluster-points", "1500"]) == 0
     text = capsys.readouterr().out
@@ -211,6 +223,29 @@ def test_malformed_sequence_file_is_a_data_error(tmp_path, capsys, name, keys, v
     capsys.readouterr()
     assert main(["track", str(root)]) == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        pytest.param({"regions": [{"camera_id": "cam_front", "polygon": "abc"}]}, id="polygon-abc"),
+        # Already a data error when the polygon was not cast; the control.
+        pytest.param({"regions": [{"camera_id": "cam_front", "polygon": None}]}, id="null-polygon"),
+        pytest.param({"regions": 5}, id="regions-not-a-list"),
+        pytest.param({"regions": [{"camera_id": [1], "polygon": [[0, 0]] * 3}]}, id="list-camera"),
+    ],
+)
+def test_malformed_mask_file_is_a_data_error(tmp_path, capsys, mask):
+    root = tmp_path / "seq"
+    assert main(["synth", str(root), "--cars", "1", "--frames", "2"]) == 0
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["frames"][0]["masks"] = "masks/000000.json"
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    (root / "masks").mkdir()
+    (root / "masks" / "000000.json").write_text(json.dumps(mask))
+    capsys.readouterr()
+    assert main(["track", str(root)]) == 2
+    assert "000000.json" in capsys.readouterr().err
 
 
 def test_unreadable_tracks_file_is_a_data_error(dataset, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidartrack.dataset_io import DrivableGrid, Frame, MaskRegion, PointCloud
 from lidartrack.errors import ConfigError, GroundPlaneError
@@ -12,7 +14,9 @@ from lidartrack.geometry import (
     quat_from_yaw,
 )
 from lidartrack.preprocess import (
+    _PROBE_POINTS,
     GroundFitWarning,
+    Plane,
     PreprocessConfig,
     _points_in_polygon,
     downsample_stride,
@@ -145,6 +149,154 @@ def test_remove_ground_warns_and_passes_through_when_too_few():
     with pytest.warns(GroundFitWarning):
         out = remove_ground(cloud, PreprocessConfig(), rng=np.random.default_rng(8))
     assert np.array_equal(out.points, pts)
+
+
+# --- ground fit against the per-sample loop -------------------------------
+
+
+def reference_fit_ground_plane(points, cfg, rng) -> Plane:
+    """The plain RANSAC loop: every hypothesis counted over every point."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    if n < max(3, cfg.min_plane_points):
+        raise GroundPlaneError("insufficient ground candidates")
+    best_count = 0
+    best = None
+    for _ in range(cfg.ransac_iterations):
+        i, j, k = rng.integers(0, n, size=3)
+        if i == j or i == k or j == k:
+            continue
+        normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+        norm = np.linalg.norm(normal)
+        if norm < 1e-12:
+            continue
+        normal = normal / norm
+        offset = -float(normal @ pts[i])
+        if normal[2] < 0:
+            normal = -normal
+            offset = -offset
+        count = int((np.abs(pts @ normal + offset) <= cfg.ransac_inlier_tol).sum())
+        if count > best_count:
+            best_count = count
+            best = Plane(normal, offset)
+    if best is None:
+        raise GroundPlaneError("no non-degenerate 3-point sample found")
+    return best
+
+
+def _ulps(x: float, steps: int) -> float:
+    toward = np.inf if steps > 0 else -np.inf
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, toward))
+    return x
+
+
+@st.composite
+def ground_case(draw):
+    """Candidate points, a config and an RNG seed.
+
+    One or two lattice layers, flat or sloped, stacked further apart than
+    the tolerance: samples within a layer tie on inlier count, and so do two
+    layers on the same lattice. Edge points sit tol off a layer along its
+    normal: exactly, 1e-10 beyond (an outlier no probe can prove) or moved
+    1-2 ulps, so rounding alone decides. They are the top and bottom of z,
+    where the probe looks. Repeated points make degenerate samples. A noisy
+    bulk takes the cloud to just at, just over or well over the probe size.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tol = draw(st.sampled_from((0.15, 0.25, 0.5)))
+    z0 = draw(st.sampled_from((-2.0, -1.8, 0.0)))
+    spacing = draw(st.sampled_from((0.3, 0.5, 1.0)))
+    xy = rng.integers(-3, 4, size=(draw(st.sampled_from((8, 12, 20))), 2)) * spacing
+    pts = []
+    for layer in range(draw(st.sampled_from((1, 2)))):
+        base = z0 + layer * 4 * tol
+        sx = draw(st.sampled_from((0.0, 0.25, 0.7)))
+        sy = draw(st.sampled_from((0.0, 0.2)))
+        unit = np.array([-sx, -sy, 1.0])
+        unit /= np.linalg.norm(unit)
+        if layer and draw(st.booleans()):
+            xy = rng.integers(-3, 4, size=xy.shape) * spacing
+        pts += [(x, y, base + sx * x + sy * y) for x, y in xy]
+        for _ in range(draw(st.sampled_from((0, 4, 8)))):
+            x, y = rng.integers(-3, 4, size=2) * spacing
+            off = rng.choice([-1.0, 1.0]) * (tol + rng.choice([0.0, 1e-10]))
+            p = np.array([x, y, base + sx * x + sy * y]) + off * unit
+            pts.append((p[0], p[1], _ulps(p[2], int(rng.integers(-2, 3)))))
+    pts = np.array(pts)
+    clutter = rng.uniform(-5.0, 5.0, size=(draw(st.sampled_from((0, 3))), 3))
+    clutter[:, 2] = z0 + rng.uniform(-1.0, 1.0, size=len(clutter))
+    pts = np.vstack([pts, clutter])
+    pts = np.vstack([pts, pts[rng.integers(0, len(pts), size=draw(st.sampled_from((0, 5, 20))))]])
+    target = draw(st.sampled_from((0, 0, 0, _PROBE_POINTS, _PROBE_POINTS + 1, _PROBE_POINTS + 500)))
+    if target > len(pts):
+        bulk = rng.uniform(-20.0, 20.0, size=(target - len(pts), 3))
+        bulk[:, 2] = z0 + rng.normal(scale=tol, size=len(bulk))
+        pts = rng.permutation(np.vstack([pts, bulk]))
+    cfg = PreprocessConfig(
+        ransac_iterations=draw(st.sampled_from((1, 10, 30, 100))),
+        ransac_inlier_tol=tol,
+        min_plane_points=3,
+    )
+    return pts, cfg, draw(st.integers(0, 2**16))
+
+
+def assert_fit_matches_reference(pts, cfg, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        want = reference_fit_ground_plane(pts, cfg, ref_rng)
+    except GroundPlaneError:
+        with pytest.raises(GroundPlaneError):
+            fit_ground_plane(pts, cfg, rng=rng)
+        return
+    got = fit_ground_plane(pts, cfg, rng=rng)
+    assert got.normal.tobytes() == want.normal.tobytes()
+    assert np.float64(got.offset).tobytes() == np.float64(want.offset).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(ground_case())
+def test_fit_matches_per_sample_loop_bit_for_bit(case):
+    assert_fit_matches_reference(*case)
+
+
+def tilted_edge_cloud(seed: int) -> np.ndarray:
+    """A lattice on a plane sloped in x and y, plus points 0.15 off it along
+    its normal, moved 0-2 ulps in z. Samples of the lattice differ in their
+    last bits, so rounding alone makes an edge point an inlier of one sample
+    and an outlier of another, and ties between them are common."""
+    rng = np.random.default_rng(seed)
+    unit = np.array([-0.7, -0.2, 1.0])
+    unit /= np.linalg.norm(unit)
+    pts = [(x, y, -1.8 + 0.7 * x + 0.2 * y) for x, y in rng.integers(-3, 4, size=(12, 2)) * 0.5]
+    for _ in range(8):
+        x, y = rng.integers(-3, 4, size=2) * 0.5
+        p = np.array([x, y, -1.8 + 0.7 * x + 0.2 * y]) + rng.choice([-1, 1]) * 0.15 * unit
+        pts.append((p[0], p[1], _ulps(p[2], int(rng.integers(-2, 3)))))
+    return np.array(pts)
+
+
+def test_fit_matches_per_sample_loop_on_tolerance_edges():
+    cfg = PreprocessConfig(ransac_iterations=10, ransac_inlier_tol=0.15, min_plane_points=3)
+    for seed in range(150):
+        assert_fit_matches_reference(tilted_edge_cloud(seed), cfg, seed)
+
+
+def test_fit_first_found_wins_a_tie_the_probe_ranks_second():
+    # Two flat 16-point layers tie. The point just over tol above the upper
+    # layer cannot be proven an outlier, so the probe ranks the upper layer
+    # first; the lower layer, drawn first, must still win.
+    grid = [(x, y) for x in range(4) for y in range(4)]
+    pts = np.array(
+        [(x, y, -2.0) for x, y in grid]
+        + [(x, y, -1.0) for x, y in grid]
+        + [(0.0, 0.0, -0.75 + 1e-10)]
+    )
+    cfg = PreprocessConfig(ransac_iterations=10, ransac_inlier_tol=0.25, min_plane_points=3)
+    plane = fit_ground_plane(pts, cfg, rng=np.random.default_rng(2))
+    assert plane.offset == 2.0
+    assert_fit_matches_reference(pts, cfg, 2)
 
 
 def square_grid(x0=0.0, y0=0.0, size=10, resolution=1.0, bits=None):

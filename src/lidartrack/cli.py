@@ -15,11 +15,11 @@ import json
 import sys
 from pathlib import Path
 
-from .config import PipelineConfig, config_to_dict, dump_config, load_config
+from .config import PipelineConfig, dump_config, load_config
 from .dataset_io import load_ground_truth, load_sequence, load_tracks, write_tracks
 from .detection import detect
 from .errors import DatasetError, EvaluationError, LidartrackError
-from .evaluation import gt_to_eval_frames, mota, tracks_to_eval_frames
+from .evaluation import FrameCounts, gt_to_eval_frames, mota, tracks_to_eval_frames
 from .geometry import transform_points
 from .pipeline import run_tracking
 
@@ -42,17 +42,8 @@ def _effective_config(args) -> PipelineConfig:
     return cfg
 
 
-def _maybe_print_config(args, cfg: PipelineConfig) -> bool:
-    if getattr(args, "print_config", False):
-        print(dump_config(cfg))
-        return True
-    return False
-
-
 def cmd_track(args) -> int:
     cfg = _effective_config(args)
-    if _maybe_print_config(args, cfg):
-        return 0
     if args.dataset is None:
         raise SystemExit("track: dataset directory is required")
     seq = load_sequence(args.dataset)
@@ -85,8 +76,6 @@ def _gt_path(arg: str) -> Path:
 
 def cmd_eval(args) -> int:
     cfg = _effective_config(args)
-    if _maybe_print_config(args, cfg):
-        return 0
     if args.gt is None or args.tracks is None:
         raise SystemExit("eval: gt and tracks paths are required")
     gt = load_ground_truth(_gt_path(args.gt))
@@ -100,9 +89,7 @@ def cmd_eval(args) -> int:
     if args.per_frame:
         with open(args.per_frame, "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow([fld.name for fld in dataclasses.fields(per_frame[0])] if per_frame
-                            else ["frame", "n_gt", "n_hyp", "matches",
-                                  "false_negatives", "false_positives", "id_switches"])
+            writer.writerow([fld.name for fld in dataclasses.fields(FrameCounts)])
             for counts in per_frame:
                 writer.writerow(dataclasses.astuple(counts))
     return 0
@@ -126,8 +113,6 @@ def cmd_plot(args) -> int:
     from .plotting import render_frame_svg, view_bounds
 
     cfg = _effective_config(args)
-    if _maybe_print_config(args, cfg):
-        return 0
     if args.dataset is None:
         raise SystemExit("plot: dataset directory is required")
     seq = load_sequence(args.dataset)
@@ -169,26 +154,15 @@ def cmd_plot(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .bench import bench_cloud, bench_clustering, time_stages
+    from .bench import time_stages
 
     cfg = _effective_config(args)
-    if _maybe_print_config(args, cfg):
-        return 0
     if args.dataset is None:
         raise SystemExit("bench: dataset directory is required")
     seq = load_sequence(args.dataset)
     print(f"{'stage':<16} {'median_ms':>10} {'runs':>5}")
     for st in time_stages(seq, cfg, max_frames=args.max_frames):
         print(f"{st.stage:<16} {st.median_ms:>10.3f} {st.runs:>5}")
-
-    pts = bench_cloud(args.cluster_points, seed=args.seed if args.seed is not None else 0)
-    print(f"\nclustering comparison on {args.cluster_points} uniform points:")
-    print(f"{'method':<18} {'seconds':>9} {'clusters':>9} {'vs brute':>9}")
-    for row in bench_clustering(pts):
-        print(
-            f"{row.method:<18} {row.seconds:>9.4f} {row.n_clusters:>9} "
-            f"{row.speedup_vs_brute:>8.1f}x"
-        )
     return 0
 
 
@@ -246,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("synth", help="generate a synthetic sequence")
     p.add_argument("output", help="directory to create")
-    p.add_argument("--cars", type=int, default=5)
-    p.add_argument("--frames", type=int, default=50)
+    p.add_argument("--cars", type=_non_negative_int, default=5)
+    p.add_argument("--frames", type=_positive_int, default=50)
     p.add_argument("--ego-mode", choices=["line", "static"], default="line")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_synth)
@@ -260,10 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_plot)
 
-    p = subs.add_parser("bench", help="time pipeline stages and DBSCAN on a KD-tree against brute force")
+    p = subs.add_parser("bench", help="print the median time of each pipeline stage")
     p.add_argument("dataset", nargs="?", help="sequence directory")
     p.add_argument("--max-frames", type=_non_negative_int, default=None)
-    p.add_argument("--cluster-points", type=_non_negative_int, default=20000)
     _add_config_flags(p)
     p.set_defaults(func=cmd_bench)
 
@@ -284,6 +257,9 @@ def main(argv=None) -> int:
         print("lidartrack: error: a command is required", file=sys.stderr)
         return 1
     try:
+        if getattr(args, "print_config", False):
+            print(dump_config(_effective_config(args)))
+            return 0
         return args.func(args)
     except SystemExit as exc:
         # Raised by command bodies for missing positionals.

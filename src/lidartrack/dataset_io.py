@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, get_type_hints
@@ -167,9 +168,17 @@ class TrackRecord:
     height: float
 
 
-# Key -> type of every track-record field, in the order a tracks file lists them.
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{number} is not a finite number")
+    return number
+
+
+# Key -> cast of every track-record field, in the order a tracks file lists them.
 _TRACK_FIELDS = {
-    f.name: get_type_hints(TrackRecord)[f.name] for f in dataclasses.fields(TrackRecord)
+    f.name: {int: int, float: _finite}[get_type_hints(TrackRecord)[f.name]]
+    for f in dataclasses.fields(TrackRecord)
 }
 
 
@@ -195,12 +204,15 @@ def _require(record: dict, key: str, path: Path, line=None, cast=None):
         return record[key]
     try:
         return cast(record[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(path, f"bad value for {key!r}: {exc}", line=line) from exc
 
 
 def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
+    numbers = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(numbers).all():
+        raise ValueError("not every number is finite")
+    return numbers
 
 
 def _pose_from_json(obj: dict, path: Path, to_frame: str = "city") -> RigidTransform:
@@ -261,10 +273,10 @@ def load_calibration(path: Path) -> dict[str, CameraModel]:
         try:
             cameras[cam_id] = CameraModel(
                 camera_id=cam_id,
-                fx=_require(intr, "fx", path, cast=float),
-                fy=_require(intr, "fy", path, cast=float),
-                cx=_require(intr, "cx", path, cast=float),
-                cy=_require(intr, "cy", path, cast=float),
+                fx=_require(intr, "fx", path, cast=_finite),
+                fy=_require(intr, "fy", path, cast=_finite),
+                cx=_require(intr, "cx", path, cast=_finite),
+                cy=_require(intr, "cy", path, cast=_finite),
                 width=_require(intr, "width", path, cast=int),
                 height=_require(intr, "height", path, cast=int),
                 extrinsics=pose,
@@ -291,7 +303,7 @@ def load_drivable(header_path: Path) -> DrivableGrid:
     try:
         return DrivableGrid(
             origin_xy=_require(obj, "origin_xy", header_path, cast=_floats),
-            resolution=_require(obj, "resolution", header_path, cast=float),
+            resolution=_require(obj, "resolution", header_path, cast=_finite),
             bits=bits,
         )
     except ValueError as exc:
@@ -309,16 +321,16 @@ def load_ground_truth(path: Path) -> dict[int, list[GroundTruthBox]]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(path, f"invalid JSON: {exc}", line=lineno) from exc
+            frame = _require(rec, "frame", path, lineno, cast=int)
             try:
-                frame = int(_require(rec, "frame", path, lineno))
                 box = GroundTruthBox(
-                    track_id=str(_require(rec, "track_id", path, lineno)),
-                    center=np.asarray(_require(rec, "center", path, lineno), dtype=np.float64),
-                    length=float(_require(rec, "length", path, lineno)),
-                    width=float(_require(rec, "width", path, lineno)),
-                    height=float(_require(rec, "height", path, lineno)),
+                    track_id=_require(rec, "track_id", path, lineno, cast=str),
+                    center=_require(rec, "center", path, lineno, cast=_floats),
+                    length=_require(rec, "length", path, lineno, cast=_finite),
+                    width=_require(rec, "width", path, lineno, cast=_finite),
+                    height=_require(rec, "height", path, lineno, cast=_finite),
                 )
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise DatasetError(path, f"bad ground truth record: {exc}", line=lineno) from exc
             gt.setdefault(frame, []).append(box)
     return gt
@@ -353,7 +365,7 @@ def load_sequence(path) -> Sequence:
     prev_ts = None
     for rec in _require(manifest, "frames", manifest_path, cast=list):
         index = _require(rec, "index", manifest_path, cast=int)
-        ts = _require(rec, "timestamp", manifest_path, cast=float)
+        ts = _require(rec, "timestamp", manifest_path, cast=_finite)
         if prev_ts is not None and ts <= prev_ts:
             raise DatasetError(
                 manifest_path,
@@ -500,14 +512,23 @@ def write_sequence(
 
 
 def write_tracks(path, records: list[TrackRecord]) -> Path:
-    """Write track records as newline-delimited JSON with a header record."""
+    """Write track records as newline-delimited JSON with a header record.
+
+    A record with a non-finite field is a ValueError, and nothing is written.
+    """
+    lines = [json.dumps({"format": TRACKS_FORMAT, "version": FORMAT_VERSION})]
+    for rec in records:
+        row = {key: getattr(rec, key) for key in _TRACK_FIELDS}
+        for key, value in row.items():
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"track {rec.track_id} in frame {rec.frame}: {key!r} is {value}, not finite"
+                )
+        lines.append(json.dumps(row))
     out = Path(path)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"format": TRACKS_FORMAT, "version": FORMAT_VERSION}) + "\n")
-        for rec in records:
-            fh.write(json.dumps({key: getattr(rec, key) for key in _TRACK_FIELDS}) + "\n")
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +63,13 @@ class Plane:
         return np.asarray(points, dtype=np.float64) @ self.normal + self.offset
 
 
+class GroundFit(NamedTuple):
+    """The winning plane and its inlier mask over the fitted candidates."""
+
+    plane: Plane
+    inliers: np.ndarray
+
+
 @dataclass(frozen=True)
 class PreprocessStats:
     n_raw: int
@@ -110,12 +118,13 @@ def _proven_outliers(pts: np.ndarray, planes: list[Plane], tol: float) -> np.nda
     return np.count_nonzero(dist > limit, axis=0)
 
 
-def fit_ground_plane(points, cfg: PreprocessConfig, rng=None) -> Plane:
+def fit_ground_plane(points, cfg: PreprocessConfig, rng=None) -> GroundFit:
     """RANSAC plane fit over candidate ground points.
 
     Returns the sample plane with the most inliers over cfg.ransac_iterations
     3-point draws (first-found wins ties); no least-squares refinement. The
-    normal is oriented with a non-negative z component.
+    normal is oriented with a non-negative z component. The inlier mask is
+    the winner's full count, |plane.signed_distance(points)| <= tol.
 
     The plane is the one a loop that counts every hypothesis's inliers over
     all points would pick, bit for bit, ties included, but most hypotheses
@@ -167,18 +176,19 @@ def fit_ground_plane(points, cfg: PreprocessConfig, rng=None) -> Plane:
         raise GroundPlaneError("no non-degenerate 3-point sample found")
 
     min_outliers = _proven_outliers(pts, planes, tol)
-    best, best_count = -1, 0
+    best, best_count, best_inliers = -1, 0, None
     for h in np.argsort(min_outliers, kind="stable").tolist():
         bound = n - int(min_outliers[h])
         # Visited in falling bound, then rising h: nothing after this can win.
         if bound < best_count or (bound == best_count and h > best):
             break
-        count = int(np.count_nonzero(np.abs(planes[h].signed_distance(pts)) <= tol))
+        inliers = np.abs(planes[h].signed_distance(pts)) <= tol
+        count = int(np.count_nonzero(inliers))
         if count > best_count or (count == best_count and h < best):
-            best, best_count = h, count
+            best, best_count, best_inliers = h, count, inliers
     if best < 0:
         raise GroundPlaneError("no non-degenerate 3-point sample found")
-    return planes[best]
+    return GroundFit(planes[best], best_inliers)
 
 
 def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng=None) -> PointCloud:
@@ -190,16 +200,14 @@ def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng=None) -> PointCl
     a GroundFitWarning is emitted.
     """
     pts = cloud.points
-    lower = pts[:, 2] < -cfg.ground_split_height
+    lower_idx = np.flatnonzero(pts[:, 2] < -cfg.ground_split_height)
     try:
-        plane = fit_ground_plane(pts[lower], cfg, rng=rng)
-    except (GroundPlaneError, ValueError) as exc:
+        fit = fit_ground_plane(pts[lower_idx], cfg, rng=rng)
+    except GroundPlaneError as exc:
         warnings.warn(f"ground fit skipped: {exc}", GroundFitWarning, stacklevel=2)
         return cloud
     keep = np.ones(len(pts), dtype=bool)
-    lower_idx = np.nonzero(lower)[0]
-    inlier = np.abs(plane.signed_distance(pts[lower_idx])) <= cfg.ransac_inlier_tol
-    keep[lower_idx[inlier]] = False
+    keep[lower_idx[fit.inliers]] = False
     return PointCloud(pts[keep], cloud.frame)
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-DEFAULT_LEAF_SIZE = 16
+# Points per cKDTree leaf; query results do not depend on it.
+_LEAF_SIZE = 16
 
 # Candidate radius r * (1 + _REL_SLACK) + _ABS_SLACK. The relative part is far
 # wider than the few ulps by which two distance formulas can disagree; the
@@ -64,13 +65,10 @@ def _candidate_radius(r: float) -> float:
 class KdTree:
     """Exact radius queries over (N, 3) points, backed by scipy's cKDTree."""
 
-    def __init__(self, points, leaf_size: int = DEFAULT_LEAF_SIZE):
-        if leaf_size < 1:
-            raise ValueError("leaf_size must be >= 1")
+    def __init__(self, points):
         self.points = _check_points(points)
         self.points.flags.writeable = False
-        self.leaf_size = int(leaf_size)
-        self._tree = cKDTree(self.points, leafsize=self.leaf_size)
+        self._tree = cKDTree(self.points, leafsize=_LEAF_SIZE)
 
     @property
     def n(self) -> int:
@@ -113,7 +111,7 @@ class KdTree:
 
 
 class BruteForceIndex:
-    """Linear-scan radius queries; the baseline the KD-tree is measured against."""
+    """Linear-scan radius queries; the reference the KD-tree is tested against."""
 
     def __init__(self, points):
         self.points = _check_points(points)

@@ -12,14 +12,13 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from lidartrack.bench import bench_cloud, bench_clustering
 from lidartrack.clustering import ClusterParams, dbscan
 from lidartrack.config import PipelineConfig
 from lidartrack.detection import Detection3D
 from lidartrack.evaluation import gt_to_eval_frames, mota, tracks_to_eval_frames
 from lidartrack.pipeline import run_tracking
 from lidartrack.preprocess import PreprocessConfig, fit_ground_plane
-from lidartrack.spatial_index import KdTree
+from lidartrack.spatial_index import BruteForceIndex, KdTree
 from lidartrack.synth import SynthConfig, bake_ego_motion, car_center, generate
 from lidartrack.tracking import (
     Tracker,
@@ -113,8 +112,16 @@ def test_kdtree_exact_and_faster_than_brute():
         got = tree.radius_query(center, r)
         assert np.array_equal(got, want)
 
-    rows = bench_clustering(bench_cloud(20000, seed=7))
-    speedup = max(r.speedup_vs_brute for r in rows if r.method != "brute")
+    # One frame's clustering end to end, index build included.
+    cloud = np.random.default_rng(7).uniform(0.0, 50.0, size=(20000, 3))
+    params = ClusterParams(eps=1.0, min_points=5)
+    t0 = time.perf_counter()
+    labels = dbscan(cloud, params, KdTree(cloud))
+    t1 = time.perf_counter()
+    brute_labels = dbscan(cloud, params, BruteForceIndex(cloud))
+    t2 = time.perf_counter()
+    assert np.array_equal(labels.labels, brute_labels.labels)
+    speedup = (t2 - t1) / (t1 - t0)
     report(
         "kd-tree radius queries exact, clustering speedup",
         speedup >= 2.0,
@@ -174,7 +181,7 @@ def test_ransac_recovers_noisy_plane():
         inliers = np.column_stack([xy, z + rng.normal(0, 0.01, size=400)])
         junk_xy = rng.uniform(-20, 20, size=(100, 2))
         junk = np.column_stack([junk_xy, rng.uniform(-2.2, -1.5, size=100)])
-        plane = fit_ground_plane(np.vstack([inliers, junk]), cfg, rng=rng)
+        plane = fit_ground_plane(np.vstack([inliers, junk]), cfg, rng=rng).plane
         angle = np.degrees(np.arccos(np.clip(abs(plane.normal @ n_true), -1, 1)))
         offset_true = -(n_true @ np.array([0.0, 0.0, -1.7]))
         d_off = abs(plane.offset - offset_true)

@@ -1,32 +1,9 @@
-"""Benchmark helpers: stage timings come from the tracking run, and the KD-tree
-and brute force agree on labels."""
+"""Benchmark helpers: stage timings come from the tracking run."""
 
-import numpy as np
-
-from lidartrack.bench import bench_cloud, bench_clustering, time_stages
+from lidartrack.bench import time_stages
 from lidartrack.config import PipelineConfig
 from lidartrack.pipeline import run_tracking
 from lidartrack.synth import SynthConfig, generate
-
-
-def test_bench_cloud_reproducible():
-    a = bench_cloud(500, seed=3)
-    b = bench_cloud(500, seed=3)
-    assert np.array_equal(a, b)
-    assert a.shape == (500, 3)
-    assert a.min() >= 0.0 and a.max() <= 50.0
-
-
-def test_clustering_rows_cover_backends_and_agree():
-    rows = bench_clustering(bench_cloud(1200, seed=1))
-    methods = [r.method for r in rows]
-    assert methods[-1] == "brute"
-    assert any("kdtree" in m for m in methods[:-1])
-    brute = rows[-1]
-    assert brute.speedup_vs_brute == 1.0
-    for row in rows:
-        assert row.n_clusters == brute.n_clusters  # equality checked inside too
-        assert row.seconds > 0
 
 
 def test_time_stages_buckets():

@@ -1,6 +1,7 @@
 """Command line behavior: flows, output files, exit codes."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -73,6 +74,19 @@ def test_eval_per_frame_csv(dataset, tracked, tmp_path, capsys):
     assert len(rows) == 1 + FRAMES
 
 
+def test_eval_per_frame_csv_header_without_frames(dataset, tracked, tmp_path, capsys):
+    full = tmp_path / "full.csv"
+    assert main(["eval", str(dataset), str(tracked), "--per-frame", str(full)]) == 0
+    gt = tmp_path / "gt.jsonl"
+    gt.write_text("")
+    tracks = tmp_path / "tracks.jsonl"
+    tracks.write_text('{"format": "lidartrack-tracks", "version": 1}\n')
+    empty = tmp_path / "empty.csv"
+    assert main(["eval", str(gt), str(tracks), "--per-frame", str(empty)]) == 0
+    capsys.readouterr()
+    assert empty.read_text().splitlines() == full.read_text().splitlines()[:1]
+
+
 def test_plot_writes_svgs(dataset, tracked, tmp_path, capsys):
     out = tmp_path / "plots"
     assert main([
@@ -94,16 +108,21 @@ def test_plot_writes_svgs(dataset, tracked, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, flag",
+    "command, flag, value",
     [
-        pytest.param("plot", "--max-frames", id="plot"),
-        pytest.param("bench", "--max-frames", id="bench"),
-        pytest.param("bench", "--cluster-points", id="bench-cluster-points"),
+        pytest.param("plot", "--max-frames", "-1", id="plot"),
+        pytest.param("bench", "--max-frames", "-1", id="bench"),
+        pytest.param("synth", "--cars", "-1", id="synth-cars"),
+        pytest.param("synth", "--frames", "0", id="synth-frames"),
     ],
 )
-def test_negative_max_frames_is_a_usage_error(dataset, tmp_path, capsys, command, flag):
-    out = tmp_path / "plots"
-    argv = [command, str(dataset), flag, "-1"]
+def test_negative_max_frames_is_a_usage_error(dataset, tmp_path, capsys, command, flag, value):
+    # Every count flag is checked by argparse, before anything is read or written.
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = [command, str(out), flag, value]
+    else:
+        argv = [command, str(dataset), flag, value]
     if command == "plot":
         argv += ["--output", str(out)]
     assert main(argv) == 1
@@ -126,12 +145,10 @@ def test_nonpositive_workers_is_a_usage_error(tmp_path, capsys, workers):
 
 
 def test_bench_prints_stage_table(dataset, capsys):
-    assert main(["bench", str(dataset), "--max-frames", "2", "--cluster-points", "1500"]) == 0
+    assert main(["bench", str(dataset), "--max-frames", "2"]) == 0
     text = capsys.readouterr().out
     for stage in ("downsample", "ground_removal", "clustering", "tracker_step"):
         assert stage in text
-    assert "kdtree" in text
-    assert "brute" in text
 
 
 def test_print_config_roundtrips(capsys):
@@ -253,6 +270,25 @@ def test_unreadable_tracks_file_is_a_data_error(dataset, tmp_path, capsys):
     bad.write_text('{"frame": 0}\n')
     assert main(["eval", str(dataset), str(bad)]) == 2
     assert "bad.jsonl" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["tracks.jsonl", "gt.jsonl"])
+def test_non_finite_score_input_is_a_data_error(dataset, tracked, tmp_path, capsys, name):
+    paths = {"gt.jsonl": dataset / "gt.jsonl", "tracks.jsonl": tracked}
+    lines = paths[name].read_text().splitlines()
+    rec = json.loads(lines[1])  # the first record of either file
+    if name == "tracks.jsonl":
+        rec["x"] = math.nan
+    else:
+        rec["center"][0] = math.nan
+    lines[1] = json.dumps(rec)
+    paths[name] = tmp_path / name
+    paths[name].write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", str(paths["gt.jsonl"]), str(paths["tracks.jsonl"])]) == 2
+    captured = capsys.readouterr()
+    assert f"{name}:2" in captured.err
+    assert captured.out == ""
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

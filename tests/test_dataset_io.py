@@ -1,6 +1,8 @@
 """Sequence directory and tracks file round trips, plus malformed inputs."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -257,6 +259,22 @@ def test_gt_blank_lines_ignored(tmp_path):
     assert gt[3][0].track_id == "z"
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("center", [0.0, math.nan, 0.0]), ("length", math.inf), ("frame", math.nan)],
+)
+def test_gt_non_finite_number_rejected(tmp_path, key, value):
+    path = tmp_path / "gt.jsonl"
+    rec = {
+        "frame": 0, "track_id": "a", "center": [0, 0, 0],
+        "length": 4.0, "width": 2.0, "height": 1.5,
+    }
+    path.write_text(json.dumps(rec) + "\n" + json.dumps({**rec, key: value}) + "\n")
+    with pytest.raises(DatasetError, match=repr(key)) as err:
+        load_ground_truth(path)
+    assert "gt.jsonl:2" in str(err.value)
+
+
 def sample_records():
     return [
         TrackRecord(frame=0, track_id=0, x=1.0, y=2.0, z=-0.5, vx=5.0, vy=0.0,
@@ -305,6 +323,31 @@ def test_tracks_bad_record_line_number(tmp_path):
     with pytest.raises(DatasetError) as err:
         load_tracks(path)
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("x", math.nan), ("vx", math.inf), ("height", -math.inf), ("frame", math.inf)],
+)
+def test_tracks_non_finite_field_rejected(tmp_path, key, value):
+    path = tmp_path / "tracks.jsonl"
+    write_tracks(path, sample_records())
+    lines = path.read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), key: value})  # NaN/Infinity tokens
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match=repr(key)) as err:
+        load_tracks(path)
+    assert "tracks.jsonl:3" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["x", "vy", "length"])
+def test_write_tracks_refuses_non_finite_field(tmp_path, key):
+    records = sample_records()
+    records[1] = dataclasses.replace(records[1], **{key: math.nan})
+    path = tmp_path / "tracks.jsonl"
+    with pytest.raises(ValueError, match=repr(key)):
+        write_tracks(path, records)
+    assert not path.exists()
 
 
 def test_tracks_empty_file_rejected(tmp_path):

@@ -61,7 +61,7 @@ def test_fit_recovers_flat_plane_exactly():
     rng = np.random.default_rng(300)
     pts = flat_ground(rng, 200, z=-1.8)
     cfg = PreprocessConfig(min_plane_points=50)
-    plane = fit_ground_plane(pts, cfg, rng=np.random.default_rng(1))
+    plane = fit_ground_plane(pts, cfg, rng=np.random.default_rng(1)).plane
     assert np.allclose(plane.normal, [0, 0, 1], atol=1e-9)
     assert np.isclose(plane.offset, 1.8, atol=1e-9)
 
@@ -73,7 +73,7 @@ def test_fit_recovers_tilted_plane():
     pts = flat_ground(rng, 300, z=0.0)
     pts[:, 2] = -1.8 + slope * pts[:, 0] + rng.normal(scale=0.01, size=len(pts))
     cfg = PreprocessConfig()
-    plane = fit_ground_plane(pts, cfg, rng=np.random.default_rng(2))
+    plane = fit_ground_plane(pts, cfg, rng=np.random.default_rng(2)).plane
     true_normal = np.array([-slope, 0.0, 1.0])
     true_normal /= np.linalg.norm(true_normal)
     angle = np.degrees(np.arccos(np.clip(plane.normal @ true_normal, -1, 1)))
@@ -84,8 +84,8 @@ def test_fit_is_deterministic_for_a_seeded_rng():
     rng = np.random.default_rng(302)
     pts = flat_ground(rng, 150, sigma=0.02)
     cfg = PreprocessConfig()
-    p1 = fit_ground_plane(pts, cfg, rng=np.random.default_rng(7))
-    p2 = fit_ground_plane(pts, cfg, rng=np.random.default_rng(7))
+    p1 = fit_ground_plane(pts, cfg, rng=np.random.default_rng(7)).plane
+    p2 = fit_ground_plane(pts, cfg, rng=np.random.default_rng(7)).plane
     assert np.array_equal(p1.normal, p2.normal) and p1.offset == p2.offset
 
 
@@ -98,7 +98,7 @@ def test_fit_requires_minimum_candidates():
 def test_fit_normal_points_up():
     rng = np.random.default_rng(304)
     pts = flat_ground(rng, 120)
-    plane = fit_ground_plane(pts, PreprocessConfig(), rng=np.random.default_rng(3))
+    plane = fit_ground_plane(pts, PreprocessConfig(), rng=np.random.default_rng(3)).plane
     assert plane.normal[2] >= 0
 
 
@@ -249,9 +249,10 @@ def assert_fit_matches_reference(pts, cfg, seed):
         with pytest.raises(GroundPlaneError):
             fit_ground_plane(pts, cfg, rng=rng)
         return
-    got = fit_ground_plane(pts, cfg, rng=rng)
+    got, inliers = fit_ground_plane(pts, cfg, rng=rng)
     assert got.normal.tobytes() == want.normal.tobytes()
     assert np.float64(got.offset).tobytes() == np.float64(want.offset).tobytes()
+    assert np.array_equal(inliers, np.abs(want.signed_distance(pts)) <= cfg.ransac_inlier_tol)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -294,7 +295,7 @@ def test_fit_first_found_wins_a_tie_the_probe_ranks_second():
         + [(0.0, 0.0, -0.75 + 1e-10)]
     )
     cfg = PreprocessConfig(ransac_iterations=10, ransac_inlier_tol=0.25, min_plane_points=3)
-    plane = fit_ground_plane(pts, cfg, rng=np.random.default_rng(2))
+    plane = fit_ground_plane(pts, cfg, rng=np.random.default_rng(2)).plane
     assert plane.offset == 2.0
     assert_fit_matches_reference(pts, cfg, 2)
 

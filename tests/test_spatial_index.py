@@ -68,17 +68,6 @@ def test_single_point_tree():
     assert tree.radius_query([5.0, 5.0, 5.0], 1.0).shape == (0,)
 
 
-def test_leaf_size_does_not_change_results():
-    rng = np.random.default_rng(103)
-    pts = rng.uniform(-5, 5, size=(300, 3))
-    queries = [(rng.uniform(-5, 5, size=3), float(rng.uniform(0.5, 4.0))) for _ in range(20)]
-    trees = [KdTree(pts, leaf_size=ls) for ls in (1, 2, 16, 64, 500)]
-    for center, radius in queries:
-        ref = trees[0].radius_query(center, radius)
-        for tree in trees[1:]:
-            assert np.array_equal(tree.radius_query(center, radius), ref)
-
-
 def test_brute_force_index_matches_linear_scan():
     rng = np.random.default_rng(105)
     pts = rng.uniform(-10, 10, size=(150, 3))
@@ -119,8 +108,6 @@ def test_input_validation():
     bad[2, 1] = np.nan
     with pytest.raises(ValueError):
         KdTree(bad)
-    with pytest.raises(ValueError):
-        KdTree(np.zeros((5, 3)), leaf_size=0)
 
 
 def test_query_validation():

@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -243,6 +244,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout at the null device, so that output still buffered for a
+    closed pipe is not written to it again when the interpreter exits."""
+    devnull = open(os.devnull, "w")
+    try:
+        os.dup2(devnull.fileno(), sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):  # stdout has no descriptor
+        sys.stdout = devnull
+    else:
+        devnull.close()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -259,8 +272,15 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "print_config", False):
             print(dump_config(_effective_config(args)))
-            return 0
-        return args.func(args)
+            status = 0
+        else:
+            status = args.func(args)
+        sys.stdout.flush()  # a reader that left early shows up here at the latest
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`); nothing is wrong with the data.
+        _discard_stdout()
+        return 0
     except SystemExit as exc:
         # Raised by command bodies for missing positionals.
         if isinstance(exc.code, str):

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .spatial_index import KdTree, _check_points
 
@@ -86,20 +84,13 @@ def _label_pairs(n: int, i: np.ndarray, j: np.ndarray, min_points: int) -> np.nd
         return labels
 
     # Clusters: connected components of the core-core edges, over the core
-    # points renumbered 0..k-1 in index order.
+    # points renumbered 0..k-1 in index order. Each component is named by its
+    # lowest core rank, so ranking the roots numbers the clusters in scan order.
     core_i, core_j = core[i], core[j]
     both = core_i & core_j
-    k = core_idx.size
     rank = np.cumsum(core) - 1
-    graph = coo_matrix(
-        (np.ones(int(both.sum()), dtype=np.int8), (rank[i[both]], rank[j[both]])), shape=(k, k)
-    )
-    n_comp, comp = connected_components(graph, directed=False)
-    # Number the components by their lowest core index.
-    _, first = np.unique(comp, return_index=True)
-    comp_id = np.empty(n_comp, dtype=np.int64)
-    comp_id[np.argsort(first)] = np.arange(n_comp)
-    labels[core_idx] = comp_id[comp]
+    root = _min_roots(core_idx.size, rank[i[both]], rank[j[both]])
+    labels[core_idx] = np.unique(root, return_inverse=True)[1]
 
     # Border points: the lowest cluster id among adjacent core points.
     to_j = core_i & ~core_j
@@ -110,3 +101,31 @@ def _label_pairs(n: int, i: np.ndarray, j: np.ndarray, min_points: int) -> np.nd
     reached = best < n
     labels[reached] = best[reached]
     return labels
+
+
+def _min_roots(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The lowest vertex of each vertex's connected component, over k
+    vertices joined by the undirected edges (a, b).
+
+    Min-label hooking with pointer jumping (Shiloach-Vishkin): each round
+    hangs the root of every edge's higher-rooted end under the lower root,
+    then jumps every pointer to its root. Roots only ever decrease, and a
+    component's lowest vertex is never hung under anything, so at the fixed
+    point every vertex points at its component's lowest vertex.
+    """
+    root = np.arange(k)
+    while a.size:
+        ra, rb = root[a], root[b]
+        live = ra != rb
+        if not live.any():
+            break
+        # Edges inside one tree stay settled: roots only merge.
+        a, b, ra, rb = a[live], b[live], ra[live], rb[live]
+        lo = np.minimum(ra, rb)
+        np.minimum.at(root, np.maximum(ra, rb), lo)
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    return root

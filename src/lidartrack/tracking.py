@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .dataset_io import TrackRecord
 
@@ -157,21 +156,99 @@ class Assignment:
     unmatched_detections: list[int]
 
 
-def hungarian(cost: np.ndarray) -> Assignment:
-    """Minimum-total-cost one-to-one assignment on a rectangular matrix.
+def solve_lsap(cost: np.ndarray) -> tuple[list[int], list[int]]:
+    """Minimum-total-cost rectangular assignment: (rows, cols), rows ascending.
 
-    Solved with scipy's rectangular variant (equivalent to padding the
-    matrix square with zeros). Pairs whose entry carries GATE_SENTINEL are
-    stripped from the result and reported unmatched on both sides.
+    Shortest augmenting paths with dual updates (Crouse, "On implementing 2D
+    rectangular assignment algorithms", 2016), ported step for step from the
+    widely used C++ `linear_sum_assignment`, so ties resolve the same way:
+    columns are scanned from the highest index down, and among equally
+    short paths one ending at an unassigned column wins. A tall matrix is
+    solved transposed and the pairs re-sorted by row.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError("cost must be a 2-d matrix")
+    if np.isnan(cost).any() or (cost == -np.inf).any():
+        raise ValueError("cost matrix contains invalid numeric entries")
+    transpose = cost.shape[1] < cost.shape[0]
+    c = (cost.T if transpose else cost).tolist()
+    nr, nc = len(c), len(c[0]) if c else 0
+    inf = float("inf")
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur in range(nr):
+        # Dijkstra from row `cur` over reduced costs to the nearest free column.
+        spc = [inf] * nc
+        in_rows = [False] * nr
+        in_cols = [False] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        min_val = 0.0
+        i = cur
+        sink = -1
+        while sink == -1:
+            in_rows[i] = True
+            row, ui = c[i], u[i]
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest = spc[j]
+                    index = it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            in_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur] += min_val
+        for i in range(nr):
+            if in_rows[i] and i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in range(nc):
+            if in_cols[j]:
+                v[j] -= min_val - spc[j]
+
+        # Augment along the path back to `cur`.
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+
+    if transpose:
+        pairs = sorted(zip(col4row, range(nr)))
+        return [p[0] for p in pairs], [p[1] for p in pairs]
+    return list(range(nr)), col4row
+
+
+def hungarian(cost: np.ndarray) -> Assignment:
+    """Minimum-total-cost one-to-one assignment on a rectangular matrix.
+
+    Solved by `solve_lsap`, the rectangular variant (equivalent to padding
+    the matrix square with zeros), whose result matches the reference
+    `linear_sum_assignment` ties included; a generated test holds it to
+    that. Pairs whose entry carries GATE_SENTINEL are stripped from the
+    result and reported unmatched on both sides.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    rows, cols = solve_lsap(cost)
     n, m = cost.shape
-    if n == 0 or m == 0:
-        return Assignment([], list(range(n)), list(range(m)))
-    rows, cols = linear_sum_assignment(cost)
-    matches = [(int(i), int(j)) for i, j in zip(rows, cols) if cost[i, j] < GATE_SENTINEL]
+    matches = [(i, j) for i, j in zip(rows, cols) if cost[i, j] < GATE_SENTINEL]
     matched_t = {i for i, _ in matches}
     matched_d = {j for _, j in matches}
     return Assignment(

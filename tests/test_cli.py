@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +151,25 @@ def test_bench_prints_stage_table(dataset, capsys):
     text = capsys.readouterr().out
     for stage in ("downsample", "ground_removal", "clustering", "tracker_step"):
         assert stage in text
+
+
+class _ClosedPipe:
+    """A stdout whose reader has already gone away, as under `| head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_output_pipe_ends_quietly(dataset, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["bench", str(dataset), "--max-frames", "1"]) == 0
+    # With no descriptor to redirect, main() swaps in the null device itself.
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""
 
 
 def test_print_config_roundtrips(capsys):

@@ -214,3 +214,35 @@ def test_matches_reference_generated(case):
     params = ClusterParams(eps=eps, min_points=min_points)
     assert np.array_equal(dbscan(pts, params).labels, want)
     assert np.array_equal(dbscan(pts, params, index=BruteForceIndex(pts)).labels, want)
+
+
+@st.composite
+def chain_case(draw):
+    """Nearly straight chains whose steps are 0.55-0.9 eps, so only
+    consecutive points link and a cluster is hundreds of hops across. The
+    points are numbered along the chains, backwards (the lowest index at the
+    far end) or shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = 1.0
+    chains = []
+    for c in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(100, 400))
+        heading = rng.normal(size=3)
+        heading /= np.linalg.norm(heading)
+        steps = heading * rng.uniform(0.55, 0.9, size=(n, 1)) + rng.normal(scale=0.02, size=(n, 3))
+        chains.append(np.array([0.0, 10.0 * c, 0.0]) + np.cumsum(steps, axis=0))
+    pts = np.vstack(chains)
+    numbering = draw(st.sampled_from(("along", "backwards", "shuffled")))
+    if numbering == "backwards":
+        pts = pts[::-1]
+    elif numbering == "shuffled":
+        pts = pts[rng.permutation(len(pts))]
+    return np.ascontiguousarray(pts), eps, draw(st.integers(1, 3))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(chain_case())
+def test_long_chains_match_reference(case):
+    pts, eps, min_points = case
+    want = reference_dbscan(pts, eps, min_points)
+    assert np.array_equal(dbscan(pts, ClusterParams(eps=eps, min_points=min_points)).labels, want)

@@ -127,19 +127,45 @@ def test_query_validation():
 # --- generated inputs -----------------------------------------------------
 
 SPACINGS = (0.1, 0.25, 0.5, 0.7, 1.0)
+SHIFTS = (-1e5, 0.0, 1e5)
+TINY_RADII = (0.0, 1e-300, 1e-12, 1e-6)
 
 
 @st.composite
 def cloud_and_radius(draw):
     """Points on a lattice (exact and near-exact ties at r) or anywhere, with
     some points repeated; r is a multiple of the lattice spacing or falls
-    just short of it, so lattice neighbors sit a hair outside r."""
+    just short of it, so lattice neighbors sit a hair outside r.
+
+    The cloud is then used as drawn, shifted far from the origin, squashed
+    onto a line or a plane (many equal coordinates), or spread over +-1e5
+    with copies a tiny r apart, so the search meets far more cells per axis
+    than it may number and squares that underflow."""
     spacing = draw(st.sampled_from(SPACINGS))
     coord = st.integers(-3, 3).map(lambda k: k * spacing) | st.floats(-2.0, 2.0)
     pts = draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=60))
     repeats = draw(st.lists(st.integers(0, len(pts) - 1), max_size=10))
     pts = np.array(pts + [pts[k] for k in repeats], dtype=np.float64)
     r = spacing * draw(st.sampled_from((0.0, 0.5, 1.0, 1.0 - 1e-12, np.sqrt(2.0), 2.0, 3.0)))
+    layout = draw(st.sampled_from(("as drawn", "shifted", "line", "plane", "wide")))
+    if layout == "shifted":
+        pts += np.array(draw(st.tuples(*[st.sampled_from(SHIFTS)] * 3)))
+    elif layout in ("line", "plane"):
+        flat = draw(st.permutations(range(3)))[: 2 if layout == "line" else 1]
+        pts[:, flat] = 0.0
+    elif layout == "wide":
+        r = draw(st.sampled_from(TINY_RADII))
+        pts *= 1e5 / (3.0 * spacing)
+        # Pairs a fraction of r either side of it (a subnormal distance when
+        # r is 0, where the test passes because the square underflows), on
+        # an axis zeroed so the offset is not absorbed by a 1e5 coordinate.
+        step = max(r, 1e-300)
+        scales = st.sampled_from((0.5, 1.0, 1.5))
+        pick = st.tuples(st.integers(0, len(pts) - 1), st.integers(0, 2), scales)
+        for k, axis, scale in draw(st.lists(pick, max_size=5)):
+            base = pts[k].copy()
+            base[axis] = 0.0
+            pts = np.vstack([pts, base, base + scale * step * np.eye(3)[axis]])
     return pts, float(r)
 
 
@@ -154,7 +180,8 @@ def test_radius_query_matches_linear_scan_generated(case, data):
         assert np.array_equal(tree.radius_query(center, r), linear_scan(pts, center, r))
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@pytest.mark.filterwarnings("error")  # an overflowing cell key warns on its cast
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(cloud_and_radius())
 def test_radius_pairs_match_linear_scan_generated(case):
     pts, r = case

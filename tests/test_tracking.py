@@ -9,6 +9,10 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from lidartrack.detection import Detection3D
 from lidartrack.tracking import (
@@ -22,6 +26,7 @@ from lidartrack.tracking import (
     kalman_init,
     kalman_predict,
     kalman_update,
+    solve_lsap,
     transition_matrices,
 )
 
@@ -228,6 +233,40 @@ def test_hungarian_empty_inputs():
     assert out == Assignment([], [], [0, 1, 2])
     out = hungarian(np.zeros((2, 0)))
     assert out == Assignment([], [0, 1], [])
+
+
+ENTRIES = {
+    "uniform": st.floats(0.0, 20.0),
+    "integer": st.integers(0, 3).map(float),
+    "gated": st.integers(0, 3).map(float) | st.just(GATE_SENTINEL),
+}
+
+
+@st.composite
+def lsap_case(draw):
+    """Wide, tall, square and 1xN / Nx1 matrices; integer entries tie often,
+    and gated ones tie at GATE_SENTINEL."""
+    shape = draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    return draw(arrays(np.float64, shape, elements=ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(lsap_case())
+@example(np.full((1, 5), GATE_SENTINEL))
+@example(np.array([[2.0], [1.0], [1.0], [0.0]]))
+def test_lsap_matches_scipy_generated(cost):
+    """scipy is the oracle here only; the library never imports it."""
+    rows, cols = linear_sum_assignment(cost)
+    assert solve_lsap(cost) == (rows.tolist(), cols.tolist())
+
+
+def test_lsap_rejects_invalid_entries():
+    with pytest.raises(ValueError):
+        solve_lsap(np.array([[1.0, np.nan]]))
+    with pytest.raises(ValueError):
+        solve_lsap(np.array([[1.0, -np.inf]]))
+    with pytest.raises(ValueError, match="infeasible"):
+        solve_lsap(np.array([[np.inf, np.inf], [1.0, 2.0]]))
 
 
 def det_at(x, y, z=-0.5, length=4.4, width=1.9, height=1.6):

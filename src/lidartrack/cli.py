@@ -3,7 +3,8 @@
 Subcommands: track, eval, synth, plot, bench.
 
 Exit codes: 0 on success, 1 for usage or configuration problems, 2 when an
-input dataset or tracks file is missing or malformed.
+input dataset or tracks file is missing or malformed (a repeated id or frame
+index included). Only `eval` reads gt.jsonl.
 """
 
 from __future__ import annotations
@@ -187,7 +188,9 @@ def _positive_int(text: str) -> int:
 
 def _add_config_flags(sub, with_workers: bool = False) -> None:
     sub.add_argument("--config", help="JSON pipeline config file")
-    sub.add_argument("--seed", type=int, default=None, help="override the preprocessing RNG seed")
+    sub.add_argument(
+        "--seed", type=_non_negative_int, default=None, help="override the preprocessing RNG seed"
+    )
     sub.add_argument(
         "--print-config",
         action="store_true",
@@ -224,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cars", type=_non_negative_int, default=5)
     p.add_argument("--frames", type=_positive_int, default=50)
     p.add_argument("--ego-mode", choices=["line", "static"], default="line")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("plot", help="render per-frame BEV SVGs")
@@ -287,16 +290,10 @@ def main(argv=None) -> int:
             print(f"lidartrack: error: {exc.code}", file=sys.stderr)
             return 1
         raise
-    except (DatasetError, EvaluationError, FileNotFoundError) as exc:
+    except (DatasetError, EvaluationError, OSError) as exc:
         print(f"lidartrack: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"lidartrack: error: {exc}", file=sys.stderr)
-        return 2
-    except LidartrackError as exc:
-        print(f"lidartrack: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (LidartrackError, ValueError) as exc:
         print(f"lidartrack: error: {exc}", file=sys.stderr)
         return 1
 

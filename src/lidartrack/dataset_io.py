@@ -9,7 +9,8 @@ Layout of a sequence directory:
     drivable.json       grid header: origin, resolution, width, height
     drivable.bin        row-major drivable bits, packed 8 per byte
     masks/NNNNNN.json   optional per-frame image-space mask polygons
-    gt.jsonl            optional ground truth boxes, one JSON object per line
+    gt.jsonl            optional ground truth boxes, one JSON object per line;
+                        read only by load_ground_truth, never by load_sequence
 
 Track output is newline-delimited JSON: a header record first, then one
 record per (frame, track). All keys are documented in docs/dataset_format.md.
@@ -141,11 +142,11 @@ class Frame:
 
 @dataclass
 class Sequence:
+    """What tracking reads from a sequence directory: no ground truth."""
+
     frames: list[Frame]
     cameras: dict[str, CameraModel]
     drivable: Optional[DrivableGrid]
-    ground_truth: Optional[dict[int, list[GroundTruthBox]]]
-    path: Optional[Path] = None
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -310,8 +311,17 @@ def load_drivable(header_path: Path) -> DrivableGrid:
         raise DatasetError(header_path, f"bad drivable grid: {exc}") from exc
 
 
+def _claim(seen: set, key, path: Path, what: str, line=None) -> None:
+    """Record key as seen; a repeat is a DatasetError naming path."""
+    if key in seen:
+        raise DatasetError(path, f"duplicate {what}", line=line)
+    seen.add(key)
+
+
 def load_ground_truth(path: Path) -> dict[int, list[GroundTruthBox]]:
+    """Ground truth boxes by frame. A track_id may appear once per frame."""
     gt: dict[int, list[GroundTruthBox]] = {}
+    seen: set = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -332,6 +342,8 @@ def load_ground_truth(path: Path) -> dict[int, list[GroundTruthBox]]:
                 )
             except ValueError as exc:
                 raise DatasetError(path, f"bad ground truth record: {exc}", line=lineno) from exc
+            what = f"track_id {box.track_id!r} in frame {frame}"
+            _claim(seen, (frame, box.track_id), path, what, lineno)
             gt.setdefault(frame, []).append(box)
     return gt
 
@@ -355,16 +367,21 @@ def load_sequence(path) -> Sequence:
     poses_obj = _read_json(poses_path)
     poses = {}
     for rec in _require(poses_obj, "frames", poses_path, cast=list):
-        poses[_require(rec, "index", poses_path, cast=int)] = _pose_from_json(rec, poses_path)
+        index = _require(rec, "index", poses_path, cast=int)
+        if index in poses:
+            raise DatasetError(poses_path, f"duplicate frame index {index}")
+        poses[index] = _pose_from_json(rec, poses_path)
 
     drivable = None
     if (root / "drivable.json").is_file():
         drivable = load_drivable(root / "drivable.json")
 
     frames = []
+    indices: set[int] = set()
     prev_ts = None
     for rec in _require(manifest, "frames", manifest_path, cast=list):
         index = _require(rec, "index", manifest_path, cast=int)
+        _claim(indices, index, manifest_path, f"frame index {index}")
         ts = _require(rec, "timestamp", manifest_path, cast=_finite)
         if prev_ts is not None and ts <= prev_ts:
             raise DatasetError(
@@ -392,17 +409,7 @@ def load_sequence(path) -> Sequence:
             )
         )
 
-    ground_truth = None
-    if (root / "gt.jsonl").is_file():
-        ground_truth = load_ground_truth(root / "gt.jsonl")
-
-    return Sequence(
-        frames=frames,
-        cameras=cameras,
-        drivable=drivable,
-        ground_truth=ground_truth,
-        path=root,
-    )
+    return Sequence(frames=frames, cameras=cameras, drivable=drivable)
 
 
 def _pose_to_json(pose: RigidTransform) -> dict:
@@ -533,10 +540,12 @@ def write_tracks(path, records: list[TrackRecord]) -> Path:
 
 
 def load_tracks(path) -> list[TrackRecord]:
+    """Track records in file order. A track_id may appear once per frame."""
     p = Path(path)
     if not p.is_file():
         raise DatasetError(p, "tracks file is missing")
     records = []
+    seen: set = set()
     saw_header = False
     with open(p, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -558,7 +567,10 @@ def load_tracks(path) -> list[TrackRecord]:
                 saw_header = True
                 continue
             values = {k: _require(rec, k, p, lineno, cast) for k, cast in _TRACK_FIELDS.items()}
-            records.append(TrackRecord(**values))
+            record = TrackRecord(**values)
+            what = f"track_id {record.track_id} in frame {record.frame}"
+            _claim(seen, (record.frame, record.track_id), p, what, lineno)
+            records.append(record)
     if not saw_header:
         raise DatasetError(p, f"no header record with format {TRACKS_FORMAT!r} found")
     return records

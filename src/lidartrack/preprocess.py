@@ -290,15 +290,13 @@ def preprocess_frame(
     cfg: PreprocessConfig,
     cameras: dict[str, CameraModel] | None = None,
     drivable: DrivableGrid | None = None,
-    rng=None,
 ) -> tuple[PointCloud, PreprocessStats]:
     """Run the full reduction chain for one frame.
 
-    The RANSAC stream defaults to a per-frame child of cfg.rng_seed so frames
-    can be processed in any order (or in parallel) with identical results.
+    The RANSAC stream is a per-frame child of cfg.rng_seed, so frames can be
+    processed in any order (or in parallel) with identical results.
     """
-    if rng is None:
-        rng = np.random.default_rng([cfg.rng_seed, frame.index])
+    rng = np.random.default_rng([cfg.rng_seed, frame.index])
     cloud = frame.cloud
     n_raw = len(cloud)
     t0 = time.perf_counter()

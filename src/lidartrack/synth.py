@@ -184,8 +184,27 @@ def _default_camera() -> CameraModel:
     )
 
 
+def ground_truth(cfg: SynthConfig) -> dict[int, list[GroundTruthBox]]:
+    """Every car's exact box in every frame. The boxes follow from the scene
+    layout alone, so rng_seed plays no part."""
+    return {
+        fi: [
+            GroundTruthBox(
+                track_id=f"car-{car}",
+                center=car_center(cfg, car, fi * cfg.dt),
+                length=cfg.car_length,
+                width=cfg.car_width,
+                height=cfg.car_height,
+            )
+            for car in range(cfg.n_cars)
+        ]
+        for fi in range(cfg.n_frames)
+    }
+
+
 def generate(cfg: SynthConfig) -> Sequence:
-    """Build the scene in memory: frames, calibration, drivable grid, gt."""
+    """Build the scene in memory: frames, calibration, drivable grid.
+    Its ground truth is `ground_truth(cfg)`."""
     body_points = [
         _car_surface_points(cfg, np.random.default_rng([cfg.rng_seed, 1, car]))
         for car in range(cfg.n_cars)
@@ -195,7 +214,6 @@ def generate(cfg: SynthConfig) -> Sequence:
     clutter_hi = clutter_hi + 10.0
 
     frames = []
-    ground_truth: dict[int, list[GroundTruthBox]] = {}
     n_ground = int(round(cfg.ground_density * (2 * cfg.ground_extent) ** 2))
 
     for fi in range(cfg.n_frames):
@@ -210,25 +228,13 @@ def generate(cfg: SynthConfig) -> Sequence:
             gz = GROUND_Z + _clipped_noise(g_rng, cfg.noise_sigma, n_ground)
             parts.append(np.column_stack([gxy, gz]))
 
-        boxes = []
         for car in range(cfg.n_cars):
-            center = car_center(cfg, car, t)
             jitter = _clipped_noise(
                 np.random.default_rng([cfg.rng_seed, 4, fi, car]),
                 cfg.noise_sigma,
                 body_points[car].shape,
             )
-            parts.append(body_points[car] + center + jitter)
-            boxes.append(
-                GroundTruthBox(
-                    track_id=f"car-{car}",
-                    center=center,
-                    length=cfg.car_length,
-                    width=cfg.car_width,
-                    height=cfg.car_height,
-                )
-            )
-        ground_truth[fi] = boxes
+            parts.append(body_points[car] + car_center(cfg, car, t) + jitter)
 
         c_rng = np.random.default_rng([cfg.rng_seed, 3, fi])
         if cfg.clutter_points:
@@ -248,19 +254,15 @@ def generate(cfg: SynthConfig) -> Sequence:
         )
 
     return Sequence(
-        frames=frames,
-        cameras={"cam_front": _default_camera()},
-        drivable=make_drivable_grid(cfg),
-        ground_truth=ground_truth,
-        path=None,
+        frames=frames, cameras={"cam_front": _default_camera()}, drivable=make_drivable_grid(cfg)
     )
 
 
 def generate_to(path, cfg: SynthConfig) -> Path:
-    """Generate and write a sequence directory; returns its path."""
+    """Generate and write a sequence directory with its gt.jsonl; returns its path."""
     seq = generate(cfg)
     return write_sequence(
-        path, seq.frames, seq.cameras, drivable=seq.drivable, ground_truth=seq.ground_truth
+        path, seq.frames, seq.cameras, drivable=seq.drivable, ground_truth=ground_truth(cfg)
     )
 
 
@@ -283,10 +285,4 @@ def bake_ego_motion(seq: Sequence) -> Sequence:
                 masks=fr.masks,
             )
         )
-    return Sequence(
-        frames=frames,
-        cameras=seq.cameras,
-        drivable=seq.drivable,
-        ground_truth=seq.ground_truth,
-        path=None,
-    )
+    return Sequence(frames=frames, cameras=seq.cameras, drivable=seq.drivable)

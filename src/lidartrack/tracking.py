@@ -5,21 +5,22 @@ all: ego motion is removed before the tracker ever sees a detection, so the
 filter only has to explain how the cars move, not how the sensor does.
 
 One track per object: a constant-velocity Kalman filter over the
-bird's-eye-view state [x, y, vx, vy], box z and extents carried along
-unfiltered. Association is min-cost assignment on BEV centroid distance
-with a gate; lifecycle is hit/miss counting (tentative until enough hits,
-deleted after enough consecutive misses). Track ids are never reused.
+bird's-eye-view state [x, y, vx, vy] plus the latest matched box, whose z
+and extents are reported unfiltered. Association is min-cost assignment on
+BEV centroid distance with a gate; lifecycle is hit/miss counting
+(confirmed once enough hits, deleted after enough consecutive misses).
+Track ids are never reused.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .dataset_io import TrackRecord
+from .detection import Detection3D
 
 
 # Cost assigned to gated-out pairs. Any pair carrying this cost is reported
@@ -69,16 +70,10 @@ def transition_matrices(dt: float, q_accel: float):
 
 @dataclass(frozen=True)
 class KalmanCV:
-    """BEV position/velocity estimate plus carried box geometry.
-
-    state is [x, y, vx, vy]. Box z and extents ride along from the latest
-    matched detection; they are copied, never filtered.
-    """
+    """BEV position/velocity estimate; state is [x, y, vx, vy]."""
 
     state: np.ndarray
     covariance: np.ndarray
-    z: float = 0.0
-    dims: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         s = np.asarray(self.state, dtype=np.float64).reshape(-1)
@@ -99,18 +94,13 @@ class KalmanCV:
         return self.state[2:4]
 
 
-def kalman_init(
-    xy: np.ndarray,
-    cfg: TrackerConfig,
-    z: float = 0.0,
-    dims: tuple[float, float, float] = (0.0, 0.0, 0.0),
-) -> KalmanCV:
+def kalman_init(xy: np.ndarray, cfg: TrackerConfig) -> KalmanCV:
     """Fresh estimate at a detection: zero velocity, inflated velocity variance."""
     state = np.zeros(4)
     state[:2] = xy
     r2 = cfg.measurement_noise_pos**2
     v2 = cfg.initial_velocity_std**2
-    return KalmanCV(state, np.diag([r2, r2, v2, v2]), z=z, dims=dims)
+    return KalmanCV(state, np.diag([r2, r2, v2, v2]))
 
 
 def kalman_predict(k: KalmanCV, dt: float, q_accel: float) -> KalmanCV:
@@ -121,7 +111,7 @@ def kalman_predict(k: KalmanCV, dt: float, q_accel: float) -> KalmanCV:
     state = F @ k.state
     cov = F @ k.covariance @ F.T + Q
     cov = (cov + cov.T) / 2.0
-    return replace(k, state=state, covariance=cov)
+    return KalmanCV(state, cov)
 
 
 def kalman_update(k: KalmanCV, z_xy, r_pos: float) -> KalmanCV:
@@ -135,7 +125,7 @@ def kalman_update(k: KalmanCV, z_xy, r_pos: float) -> KalmanCV:
     state = k.state + K @ innovation
     cov = (np.eye(4) - K @ H) @ k.covariance
     cov = (cov + cov.T) / 2.0
-    return replace(k, state=state, covariance=cov)
+    return KalmanCV(state, cov)
 
 
 def cost_matrix(track_xy: np.ndarray, det_xy: np.ndarray, gate: float) -> np.ndarray:
@@ -258,34 +248,34 @@ def hungarian(cost: np.ndarray) -> Assignment:
     )
 
 
-class TrackStatus(enum.Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
-    DELETED = "deleted"
-
-
 @dataclass
 class Track:
+    """A filter, the latest matched box and two counters. hits never goes
+    down, so a track stays confirmed once it has enough of them."""
+
     track_id: int
     kalman: KalmanCV
+    box: Detection3D
     hits: int = 1
     consecutive_misses: int = 0
-    status: TrackStatus = TrackStatus.TENTATIVE
 
 
 def _record(tr: Track, frame: int) -> TrackRecord:
-    k = tr.kalman
-    x, y, vx, vy = (float(v) for v in k.state)
-    return TrackRecord(frame, tr.track_id, x, y, float(k.z), vx, vy, *k.dims)
+    x, y, vx, vy = (float(v) for v in tr.kalman.state)
+    b = tr.box
+    z = float(b.center[2])
+    return TrackRecord(frame, tr.track_id, x, y, z, vx, vy, b.length, b.width, b.height)
 
 
 class Tracker:
     """Multi-object tracker consuming city-frame detections frame by frame.
 
-    Tentative and confirmed tracks associate identically; the status only
-    controls what step() returns. Records reflect the post-update state of
-    this frame, so a confirmed track coasting through a missed frame still
-    reports its predicted position.
+    Tentative and confirmed tracks associate identically; confirmation
+    (hits >= hit_confirm_threshold) only controls what step() returns.
+    Records reflect the post-update state of this frame, so a confirmed
+    track coasting through a missed frame still reports its predicted
+    position. A track is dropped in the step that brings its consecutive
+    misses to miss_delete_threshold.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
@@ -313,38 +303,22 @@ class Tracker:
 
         for ti, di in assignment.matches:
             tr = self.tracks[ti]
-            det = detections[di]
-            k = kalman_update(tr.kalman, det.center[:2], cfg.measurement_noise_pos)
-            tr.kalman = replace(
-                k, z=float(det.center[2]), dims=(det.length, det.width, det.height)
-            )
+            tr.box = detections[di]
+            tr.kalman = kalman_update(tr.kalman, tr.box.center[:2], cfg.measurement_noise_pos)
             tr.hits += 1
             tr.consecutive_misses = 0
-            if tr.status is TrackStatus.TENTATIVE and tr.hits >= cfg.hit_confirm_threshold:
-                tr.status = TrackStatus.CONFIRMED
 
         for ti in assignment.unmatched_tracks:
-            tr = self.tracks[ti]
-            tr.consecutive_misses += 1
-            if tr.consecutive_misses >= cfg.miss_delete_threshold:
-                tr.status = TrackStatus.DELETED
-
-        self.tracks = [tr for tr in self.tracks if tr.status is not TrackStatus.DELETED]
+            self.tracks[ti].consecutive_misses += 1
+        self.tracks = [
+            tr for tr in self.tracks if tr.consecutive_misses < cfg.miss_delete_threshold
+        ]
 
         for di in assignment.unmatched_detections:
             det = detections[di]
-            track = Track(
-                track_id=self._next_id,
-                kalman=kalman_init(
-                    det.center[:2],
-                    cfg,
-                    z=float(det.center[2]),
-                    dims=(det.length, det.width, det.height),
-                ),
-            )
+            self.tracks.append(Track(self._next_id, kalman_init(det.center[:2], cfg), det))
             self._next_id += 1
-            if cfg.hit_confirm_threshold <= 1:
-                track.status = TrackStatus.CONFIRMED
-            self.tracks.append(track)
 
-        return [_record(tr, frame) for tr in self.tracks if tr.status is TrackStatus.CONFIRMED]
+        return [
+            _record(tr, frame) for tr in self.tracks if tr.hits >= cfg.hit_confirm_threshold
+        ]

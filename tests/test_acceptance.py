@@ -19,7 +19,7 @@ from lidartrack.evaluation import gt_to_eval_frames, mota, tracks_to_eval_frames
 from lidartrack.pipeline import run_tracking
 from lidartrack.preprocess import PreprocessConfig, fit_ground_plane
 from lidartrack.spatial_index import BruteForceIndex, KdTree
-from lidartrack.synth import SynthConfig, bake_ego_motion, car_center, generate
+from lidartrack.synth import SynthConfig, bake_ego_motion, car_center, generate, ground_truth
 from lidartrack.tracking import (
     Tracker,
     TrackerConfig,
@@ -307,7 +307,7 @@ def test_golden_run():
     elapsed = time.perf_counter() - t0
 
     result, _ = mota(
-        gt_to_eval_frames(seq.ground_truth),
+        gt_to_eval_frames(ground_truth(GOLDEN)),
         tracks_to_eval_frames(out.records),
         cfg.eval.match_distance,
     )

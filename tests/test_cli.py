@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 
 import numpy as np
@@ -116,6 +117,8 @@ def test_plot_writes_svgs(dataset, tracked, tmp_path, capsys):
         pytest.param("bench", "--max-frames", "-1", id="bench"),
         pytest.param("synth", "--cars", "-1", id="synth-cars"),
         pytest.param("synth", "--frames", "0", id="synth-frames"),
+        pytest.param("track", "--seed", "-1", id="track-seed"),
+        pytest.param("synth", "--seed", "-3", id="synth-seed"),
     ],
 )
 def test_negative_max_frames_is_a_usage_error(dataset, tmp_path, capsys, command, flag, value):
@@ -125,7 +128,7 @@ def test_negative_max_frames_is_a_usage_error(dataset, tmp_path, capsys, command
         argv = [command, str(out), flag, value]
     else:
         argv = [command, str(dataset), flag, value]
-    if command == "plot":
+    if command in ("plot", "track"):
         argv += ["--output", str(out)]
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -144,6 +147,38 @@ def test_nonpositive_workers_is_a_usage_error(tmp_path, capsys, workers):
     assert "--workers" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_broken_gt_stops_only_eval(dataset, tracked, tmp_path, capsys):
+    # gt.jsonl is read by eval alone; track, plot and bench never open it.
+    root = tmp_path / "seq"
+    shutil.copytree(dataset, root)
+    with open(root / "gt.jsonl", "a") as fh:
+        fh.write('{"frame": 0, "track_id": "car-0", "cen\n')
+    line = len((root / "gt.jsonl").read_text().splitlines())
+    out = tmp_path / "tracks.jsonl"
+    assert main(["track", str(root), "--output", str(out)]) == 0
+    assert out.read_bytes() == tracked.read_bytes()
+    plots = tmp_path / "plots"
+    assert main(["plot", str(root), str(out), "--output", str(plots), "--max-frames", "2"]) == 0
+    assert main(["bench", str(root), "--max-frames", "2"]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(root), str(out)]) == 2
+    assert f"gt.jsonl:{line}: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["gt.jsonl", "tracks.jsonl"])
+def test_repeated_id_in_a_frame_is_a_data_error(dataset, tracked, tmp_path, capsys, name):
+    paths = {"gt.jsonl": dataset / "gt.jsonl", "tracks.jsonl": tracked}
+    lines = paths[name].read_text().splitlines()
+    lines.append(lines[1])  # a record of either file, again
+    paths[name] = tmp_path / name
+    paths[name].write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", str(paths["gt.jsonl"]), str(paths["tracks.jsonl"])]) == 2
+    captured = capsys.readouterr()
+    assert f"{name}:{len(lines)}: duplicate track_id" in captured.err
+    assert captured.out == ""
 
 
 def test_bench_prints_stage_table(dataset, capsys):
@@ -239,6 +274,7 @@ CAMERA_FX = ["cameras", "cam_front", "intrinsics", "fx"]
         pytest.param("poses.json", ["frames"], 5, id="pose-frames-not-a-list"),
         pytest.param("calibration.json", ["cameras"], 5, id="cameras-not-an-object"),
         pytest.param("calibration.json", CAMERA_FX, None, id="null-focal-length"),
+        pytest.param("manifest.json", ["frames", 1, "index"], 0, id="repeated-frame-index"),
         # Already a data error before loader values were checked; the control.
         pytest.param("manifest.json", ["frames", 0], "frames/000000.bin", id="frame-is-a-string"),
     ],

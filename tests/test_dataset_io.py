@@ -112,8 +112,27 @@ def test_sequence_roundtrip(tmp_path):
     assert cam.fx == 900.0 and cam.width == 1280
     assert np.array_equal(seq.drivable.bits, make_drivable().bits)
     assert seq.drivable.resolution == 0.5
-    assert set(seq.ground_truth) == {0, 1}
-    assert seq.ground_truth[1][1].track_id == "car_1"
+    gt = load_ground_truth(root / "gt.jsonl")
+    want = make_gt()
+    assert sorted(gt) == sorted(want)
+    for frame, boxes in want.items():
+        assert [b.track_id for b in gt[frame]] == [b.track_id for b in boxes]
+        for got, box in zip(gt[frame], boxes):
+            assert np.array_equal(got.center, box.center)
+            assert (got.length, got.width, got.height) == (box.length, box.width, box.height)
+
+
+def test_load_sequence_never_reads_gt(tmp_path):
+    """Tracking input is everything but gt.jsonl, so a broken one cannot stop it."""
+    root, _ = write_full(tmp_path)
+    clean = load_sequence(root)
+    with open(root / "gt.jsonl", "a") as fh:
+        fh.write('{"frame": 0, "track_id": "car_0", "cen\n')
+    seq = load_sequence(root)
+    assert [f.index for f in seq.frames] == [f.index for f in clean.frames]
+    assert [f.name for f in dataclasses.fields(seq)] == ["frames", "cameras", "drivable"]
+    with pytest.raises(DatasetError, match="invalid JSON"):
+        load_ground_truth(root / "gt.jsonl")
 
 
 def test_masks_roundtrip(tmp_path):
@@ -130,7 +149,7 @@ def test_sequence_without_optional_parts(tmp_path):
     root = write_sequence(tmp_path / "bare", make_frames(rng), {"cam_front": make_camera()})
     seq = load_sequence(root)
     assert seq.drivable is None
-    assert seq.ground_truth is None
+    assert not (root / "gt.jsonl").exists()
     assert seq.frames[0].masks == []
 
 
@@ -215,6 +234,28 @@ def test_missing_pose_for_frame(tmp_path):
         load_sequence(root)
 
 
+def _reindex_frame_1(frames):
+    frames[1]["index"] = 0  # tracked as frame 0 twice
+
+
+def _append_pose_for_frame_0(frames):
+    frames.append({**frames[2], "index": 0})  # would replace frame 0's pose
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [("manifest.json", _reindex_frame_1), ("poses.json", _append_pose_for_frame_0)],
+)
+def test_repeated_frame_index_names_the_file(tmp_path, name, edit):
+    root, _ = write_full(tmp_path)
+    obj = json.loads((root / name).read_text())
+    edit(obj["frames"])
+    (root / name).write_text(json.dumps(obj))
+    with pytest.raises(DatasetError, match="duplicate frame index 0") as err:
+        load_sequence(root)
+    assert err.value.path == str(root / name)
+
+
 def test_mask_referencing_unknown_camera(tmp_path):
     root, _ = write_full(tmp_path, with_masks=True)
     mask_path = root / "masks" / "000000.json"
@@ -257,6 +298,20 @@ def test_gt_blank_lines_ignored(tmp_path):
     gt = load_ground_truth(path)
     assert list(gt) == [3]
     assert gt[3][0].track_id == "z"
+
+
+def test_gt_repeated_id_in_a_frame_names_file_and_line(tmp_path):
+    path = tmp_path / "gt.jsonl"
+    rec = {
+        "frame": 0, "track_id": "a", "center": [0, 0, 0],
+        "length": 4.0, "width": 2.0, "height": 1.5,
+    }
+    lines = [rec, {**rec, "frame": 1}, {**rec, "track_id": "b"}, {**rec, "center": [5, 0, 0]}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    with pytest.raises(DatasetError, match="duplicate track_id 'a' in frame 0") as err:
+        load_ground_truth(path)
+    assert err.value.line == 4
+    assert "gt.jsonl:4" in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -325,6 +380,17 @@ def test_tracks_bad_record_line_number(tmp_path):
     assert err.value.line == 3
 
 
+def test_tracks_repeated_id_in_a_frame_names_file_and_line(tmp_path):
+    path = tmp_path / "tracks.jsonl"
+    records = sample_records()
+    # Id 0 again in frame 1, after id 3; the same id in another frame is fine.
+    write_tracks(path, records + [dataclasses.replace(records[1], x=9.0)])
+    with pytest.raises(DatasetError, match="duplicate track_id 0 in frame 1") as err:
+        load_tracks(path)
+    assert err.value.line == 5
+    assert "tracks.jsonl:5" in str(err.value)
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("x", math.nan), ("vx", math.inf), ("height", -math.inf), ("frame", math.inf)],
@@ -365,7 +431,7 @@ def test_write_read_write_is_stable(tmp_path):
     seq = load_sequence(root)
     again = write_sequence(
         tmp_path / "copy", seq.frames, seq.cameras,
-        drivable=seq.drivable, ground_truth=seq.ground_truth,
+        drivable=seq.drivable, ground_truth=load_ground_truth(root / "gt.jsonl"),
     )
     for rel in ["manifest.json", "poses.json", "calibration.json",
                 "drivable.json", "drivable.bin", "gt.jsonl",

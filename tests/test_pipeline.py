@@ -6,7 +6,7 @@ import pytest
 from lidartrack.config import PipelineConfig
 from lidartrack.evaluation import gt_to_eval_frames, mota, tracks_to_eval_frames
 from lidartrack.pipeline import run_tracking
-from lidartrack.synth import SynthConfig, generate
+from lidartrack.synth import SynthConfig, generate, ground_truth
 
 CFG = PipelineConfig()
 SCENE = SynthConfig(n_cars=3, n_frames=14, rng_seed=11)
@@ -52,10 +52,10 @@ def test_workers_validated():
 
 
 def test_tracks_score_well_against_gt():
-    seq = generate(SynthConfig(n_cars=3, n_frames=25, rng_seed=5))
-    out = run_tracking(seq, CFG)
+    scene = SynthConfig(n_cars=3, n_frames=25, rng_seed=5)
+    out = run_tracking(generate(scene), CFG)
     result, _ = mota(
-        gt_to_eval_frames(seq.ground_truth),
+        gt_to_eval_frames(ground_truth(scene)),
         tracks_to_eval_frames(out.records),
         CFG.eval.match_distance,
     )

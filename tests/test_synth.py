@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lidartrack.dataset_io import load_sequence
+from lidartrack.dataset_io import load_ground_truth, load_sequence
 from lidartrack.errors import ConfigError
 from lidartrack.geometry import transform_points
 from lidartrack.synth import (
@@ -17,6 +17,7 @@ from lidartrack.synth import (
     ego_pose,
     generate,
     generate_to,
+    ground_truth,
     make_drivable_grid,
     synth_config_from_dict,
 )
@@ -46,6 +47,7 @@ def test_different_seed_changes_clouds(tmp_path):
     b = generate_to(tmp_path / "b", SynthConfig(**{**vars(SMALL), "rng_seed": 9}))
     da, db = tree_digest(a), tree_digest(b)
     assert da["frames/000000.bin"] != db["frames/000000.bin"]
+    assert da["gt.jsonl"] == db["gt.jsonl"]  # the boxes do not depend on the seed
 
 
 def test_car_center_constant_velocity():
@@ -78,9 +80,9 @@ def test_ego_pose_modes():
 
 def test_gt_has_one_box_per_car_per_frame():
     cfg = SynthConfig(n_cars=4, n_frames=5, points_per_car=100, ground_density=0.5, clutter_points=0)
-    seq = generate(cfg)
-    assert sorted(seq.ground_truth) == list(range(5))
-    for fi, boxes in seq.ground_truth.items():
+    gt = ground_truth(cfg)
+    assert sorted(gt) == list(range(5))
+    for fi, boxes in gt.items():
         assert len(boxes) == 4
         assert sorted(b.track_id for b in boxes) == [f"car-{c}" for c in range(4)]
         for c, box in enumerate(boxes):
@@ -98,7 +100,7 @@ def test_car_points_stay_inside_inflated_box():
     for fr in seq.frames:
         city = transform_points(fr.ego_pose, fr.cloud.points)
         covered = np.zeros(len(city), dtype=bool)
-        for box in seq.ground_truth[fr.index]:
+        for box in ground_truth(cfg)[fr.index]:
             inside = np.all(np.abs(city - box.center) <= half, axis=1)
             covered |= inside
         assert covered.all(), f"frame {fr.index}: {np.count_nonzero(~covered)} strays"
@@ -134,7 +136,6 @@ def test_bake_ego_motion_preserves_city_geometry():
         want = transform_points(orig.ego_pose, orig.cloud.points)
         got = transform_points(flat.ego_pose, flat.cloud.points)
         assert np.allclose(got, want, atol=1e-12)
-    assert baked.ground_truth == seq.ground_truth
 
 
 def test_moving_ego_shifts_stored_clouds():
@@ -152,8 +153,9 @@ def test_written_sequence_loads_back(tmp_path):
     seq = load_sequence(root)
     assert len(seq.frames) == SMALL.n_frames
     assert seq.drivable is not None
-    assert seq.ground_truth is not None
-    assert len(seq.ground_truth[0]) == SMALL.n_cars
+    gt = load_ground_truth(root / "gt.jsonl")
+    assert sorted(gt) == list(range(SMALL.n_frames))
+    assert len(gt[0]) == SMALL.n_cars
     assert "cam_front" in seq.cameras
     for fr in seq.frames:
         assert fr.cloud.points.dtype == np.float64
@@ -162,8 +164,7 @@ def test_written_sequence_loads_back(tmp_path):
 
 def test_zero_cars_yields_empty_gt_lists():
     cfg = SynthConfig(n_cars=0, n_frames=2, ground_density=0.5, clutter_points=5)
-    seq = generate(cfg)
-    assert all(boxes == [] for boxes in seq.ground_truth.values())
+    assert ground_truth(cfg) == {0: [], 1: []}
 
 
 def test_config_from_dict_rejects_unknown_keys():

@@ -59,11 +59,10 @@ def test_cv_transition_matrices_hand_values():
 
 def test_kalman_init_prior():
     cfg = TrackerConfig(measurement_noise_pos=0.5, initial_velocity_std=10.0)
-    k = kalman_init(np.array([3.0, -4.0]), cfg, z=-0.7, dims=(4.0, 2.0, 1.5))
+    k = kalman_init(np.array([3.0, -4.0]), cfg)
     assert np.array_equal(k.position, [3.0, -4.0])
     assert np.array_equal(k.velocity, [0.0, 0.0])
     assert np.allclose(np.diag(k.covariance), [0.25, 0.25, 100.0, 100.0])
-    assert k.z == -0.7 and k.dims == (4.0, 2.0, 1.5)
 
 
 def test_kalman_state_is_position_and_velocity_only():

@@ -89,7 +89,7 @@ def load_config(path) -> PipelineConfig:
     try:
         with open(p, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
     return config_from_dict(data)
 

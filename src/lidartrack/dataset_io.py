@@ -40,10 +40,9 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Immutable (N, 3) float64 point array tagged with its frame name."""
+    """Immutable (N, 3) float64 point array."""
 
     points: np.ndarray
-    frame: str = "ego"
 
     def __post_init__(self):
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
@@ -189,7 +188,7 @@ def _read_json(path: Path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise DatasetError(path, f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DatasetError(path, f"top level must be a JSON object, got {type(obj).__name__}")
@@ -209,6 +208,13 @@ def _require(record: dict, key: str, path: Path, line=None, cast=None):
         raise DatasetError(path, f"bad value for {key!r}: {exc}", line=line) from exc
 
 
+def _path_string(value) -> str:
+    """A file path relative to the JSON file that names it."""
+    if not isinstance(value, str) or not value:
+        raise TypeError(f"expected a non-empty path string, got {value!r}")
+    return value
+
+
 def _floats(value) -> np.ndarray:
     numbers = np.asarray(value, dtype=np.float64)
     if not np.isfinite(numbers).all():
@@ -216,7 +222,7 @@ def _floats(value) -> np.ndarray:
     return numbers
 
 
-def _pose_from_json(obj: dict, path: Path, to_frame: str = "city") -> RigidTransform:
+def _pose_from_json(obj: dict, path: Path) -> RigidTransform:
     rot = _require(obj, "rotation", path, cast=_floats)
     tr = _require(obj, "translation", path, cast=_floats)
     if rot.shape != (4,):
@@ -224,7 +230,7 @@ def _pose_from_json(obj: dict, path: Path, to_frame: str = "city") -> RigidTrans
     if tr.shape != (3,):
         raise DatasetError(path, f"translation must be a 3-vector, got {tr.tolist()}")
     try:
-        return RigidTransform(rot, tr, "ego", to_frame)
+        return RigidTransform(rot, tr)
     except ValueError as exc:
         raise DatasetError(path, f"bad pose: {exc}") from exc
 
@@ -270,7 +276,7 @@ def load_calibration(path: Path) -> dict[str, CameraModel]:
     cameras = {}
     for cam_id, rec in sorted(_require(obj, "cameras", path, cast=dict).items()):
         intr = _require(rec, "intrinsics", path)
-        pose = _pose_from_json(_require(rec, "ego_to_camera", path), path, f"cam:{cam_id}")
+        pose = _pose_from_json(_require(rec, "ego_to_camera", path), path)
         try:
             cameras[cam_id] = CameraModel(
                 camera_id=cam_id,
@@ -291,7 +297,7 @@ def load_drivable(header_path: Path) -> DrivableGrid:
     obj = _read_json(header_path)
     width = _require(obj, "width", header_path, cast=int)
     height = _require(obj, "height", header_path, cast=int)
-    bits_file = header_path.parent / _require(obj, "file", header_path)
+    bits_file = header_path.parent / _require(obj, "file", header_path, cast=_path_string)
     if not bits_file.is_file():
         raise DatasetError(bits_file, "drivable bitmask file is missing")
     packed = np.frombuffer(bits_file.read_bytes(), dtype=np.uint8)
@@ -322,14 +328,14 @@ def load_ground_truth(path: Path) -> dict[int, list[GroundTruthBox]]:
     """Ground truth boxes by frame. A track_id may appear once per frame."""
     gt: dict[int, list[GroundTruthBox]] = {}
     seen: set = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # json.loads decodes each line itself
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or not UTF-8 text
                 raise DatasetError(path, f"invalid JSON: {exc}", line=lineno) from exc
             frame = _require(rec, "frame", path, lineno, cast=int)
             try:
@@ -391,19 +397,19 @@ def load_sequence(path) -> Sequence:
             )
         prev_ts = ts
         n_points = _require(rec, "points", manifest_path, cast=int)
-        cloud_file = root / _require(rec, "file", manifest_path, cast=str)
+        cloud_file = root / _require(rec, "file", manifest_path, cast=_path_string)
         pts = _load_cloud(cloud_file, n_points, index)
         if index not in poses:
             raise DatasetError(poses_path, f"no ego pose for frame {index}")
         masks: list[MaskRegion] = []
-        mask_rel = rec.get("masks")
-        if mask_rel:
+        if rec.get("masks") is not None:
+            mask_rel = _require(rec, "masks", manifest_path, cast=_path_string)
             masks = _load_masks(root / mask_rel, cameras)
         frames.append(
             Frame(
                 index=index,
                 timestamp=ts,
-                cloud=PointCloud(pts, frame="ego"),
+                cloud=PointCloud(pts),
                 ego_pose=poses[index],
                 masks=masks,
             )
@@ -547,14 +553,14 @@ def load_tracks(path) -> list[TrackRecord]:
     records = []
     seen: set = set()
     saw_header = False
-    with open(p, "r", encoding="utf-8") as fh:
+    with open(p, "rb") as fh:  # json.loads decodes each line itself
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or not UTF-8 text
                 raise DatasetError(p, f"invalid JSON: {exc}", line=lineno) from exc
             if not saw_header:
                 found = rec.get("format") if isinstance(rec, dict) else rec

@@ -23,10 +23,6 @@ class DatasetError(LidartrackError):
         super().__init__(f"{where}: {message}")
 
 
-class FrameMismatchError(LidartrackError):
-    """Two transforms were chained across incompatible coordinate frames."""
-
-
 class GroundPlaneError(LidartrackError):
     """RANSAC could not produce a ground plane from the candidate points."""
 

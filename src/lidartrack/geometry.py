@@ -1,9 +1,10 @@
-"""Rigid transforms between labeled frames and pinhole camera projection.
+"""Rigid transforms and pinhole camera projection.
 
-Rotations are unit quaternions in scalar-first order (w, x, y, z).  Every
-transform carries the names of the frames it maps between, and composition
-refuses to chain transforms whose frame labels do not line up.  That check has
-caught more bugs than any other assert in this codebase; do not remove it.
+Rotations are unit quaternions in scalar-first order (w, x, y, z). A
+transform is a rotation and a translation; which frames it maps between is
+said by the name it is stored under, as in the sequence format: a frame's
+`ego_pose` (`poses.json`) maps ego to city, and a camera's `extrinsics`
+(`ego_to_camera` in `calibration.json`) maps ego to that camera.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import FrameMismatchError
-
 _QUAT_NORM_TOL = 1e-9
 
 
@@ -23,20 +22,6 @@ def _as_vec3(p) -> np.ndarray:
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
     return v
-
-
-def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """Hamilton product of two (w, x, y, z) quaternions."""
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
-    )
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
@@ -95,12 +80,10 @@ def quat_from_yaw(yaw: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """SE(3) map taking points expressed in `from_frame` into `to_frame`."""
+    """SE(3) map: p -> R(rotation) p + translation."""
 
     rotation: np.ndarray  # unit quaternion (w, x, y, z)
     translation: np.ndarray  # (3,)
-    from_frame: str = "ego"
-    to_frame: str = "city"
 
     def __post_init__(self):
         q = np.asarray(self.rotation, dtype=np.float64)
@@ -117,37 +100,15 @@ class RigidTransform:
         object.__setattr__(self, "rotation", q)
         object.__setattr__(self, "translation", t)
 
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous matrix form."""
-        m = np.eye(4)
-        m[:3, :3] = quat_to_matrix(self.rotation)
-        m[:3, 3] = self.translation
-        return m
 
-
-def identity_transform(from_frame: str = "ego", to_frame: str = "ego") -> RigidTransform:
-    return RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), from_frame, to_frame)
-
-
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """Transform applying `b` first, then `a`.
-
-    Frame labels must chain: b maps X->Y, a maps Y->Z, result maps X->Z.
-    """
-    if a.from_frame != b.to_frame:
-        raise FrameMismatchError(
-            f"cannot compose: left expects points in '{a.from_frame}' "
-            f"but right produces '{b.to_frame}'"
-        )
-    q = quat_multiply(a.rotation, b.rotation)
-    t = quat_to_matrix(a.rotation) @ b.translation + a.translation
-    return RigidTransform(q, t, b.from_frame, a.to_frame)
+def identity_transform() -> RigidTransform:
+    return RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
 
 
 def invert(t: RigidTransform) -> RigidTransform:
     q_inv = quat_conjugate(t.rotation)
     t_inv = -(quat_to_matrix(q_inv) @ t.translation)
-    return RigidTransform(q_inv, t_inv, t.to_frame, t.from_frame)
+    return RigidTransform(q_inv, t_inv)
 
 
 def transform_point(t: RigidTransform, p) -> np.ndarray:
@@ -183,9 +144,7 @@ class CameraModel:
     cy: float
     width: int
     height: int
-    extrinsics: RigidTransform = field(
-        default_factory=lambda: identity_transform("ego", "camera")
-    )
+    extrinsics: RigidTransform = field(default_factory=identity_transform)
 
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0:

@@ -88,7 +88,7 @@ def downsample_stride(cloud: PointCloud, stride: int) -> PointCloud:
         raise ValueError("stride must be >= 1")
     if stride == 1:
         return cloud
-    return PointCloud(cloud.points[::stride], cloud.frame)
+    return PointCloud(cloud.points[::stride])
 
 
 # Candidates every hypothesis is scored on before any full count: the half
@@ -208,7 +208,7 @@ def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng=None) -> PointCl
         return cloud
     keep = np.ones(len(pts), dtype=bool)
     keep[lower_idx[fit.inliers]] = False
-    return PointCloud(pts[keep], cloud.frame)
+    return PointCloud(pts[keep])
 
 
 def filter_drivable(cloud: PointCloud, grid: DrivableGrid, ego_pose: RigidTransform) -> PointCloud:
@@ -217,7 +217,7 @@ def filter_drivable(cloud: PointCloud, grid: DrivableGrid, ego_pose: RigidTransf
         return cloud
     city = transform_points(ego_pose, cloud.points)
     keep = grid.contains(city[:, :2])
-    return PointCloud(cloud.points[keep], cloud.frame)
+    return PointCloud(cloud.points[keep])
 
 
 def _points_in_polygon(uv: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -282,7 +282,7 @@ def filter_by_masks(
             idx = np.nonzero(visible)[0][hit]
             in_mask[idx] = True
     keep = in_mask if strict else (in_mask | ~visible_any)
-    return PointCloud(cloud.points[keep], cloud.frame)
+    return PointCloud(cloud.points[keep])
 
 
 def preprocess_frame(

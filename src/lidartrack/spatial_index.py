@@ -14,8 +14,9 @@ unordered pair proposed at most once, so the result does not depend on how
 cells and windows round. The index is rebuilt per frame (clouds change
 completely between sweeps, so incremental updates buy nothing).
 
-Single-centre queries (`radius_query`) are a linear scan with the same test;
-only tests and the brute-force oracle ask for them.
+`BruteForceIndex`, the oracle `KdTree` is tested against, answers the same
+pair question by a linear scan per point, through `radius_query`, the one
+single-centre query here.
 """
 
 from __future__ import annotations
@@ -142,8 +143,13 @@ def _cell_candidates(cols: np.ndarray, h: float):
     return order, np.repeat(src, counts), second
 
 
-class _LinearScan:
-    """Points, their count and single-centre queries, by one linear scan."""
+class KdTree:
+    """Exact radius search over (N, 3) points by a sorted-cell sweep.
+
+    There is no tree any more; the name and the `KdTree(points)` signature
+    stay because callers bind them: the detection stage and the benchmark's
+    tracer, which wraps `detection.KdTree` and reads its `points` argument.
+    """
 
     def __init__(self, points):
         self.points = _check_points(points)
@@ -153,27 +159,12 @@ class _LinearScan:
     def n(self) -> int:
         return len(self.points)
 
-    def radius_query(self, center, r: float) -> np.ndarray:
-        """Ascending int64 indices of every point within distance r (inclusive)."""
-        r = _check_radius(r)
-        c = _check_center(center)
-        return np.flatnonzero(_within(self.points, c, r)).astype(np.int64)
-
-
-class KdTree(_LinearScan):
-    """Exact radius search over (N, 3) points by a sorted-cell sweep.
-
-    There is no tree any more; the name and the `KdTree(points)` signature
-    stay because callers bind them: the detection stage and the benchmark's
-    tracer, which wraps `detection.KdTree` and reads its `points` argument.
-    """
-
     def radius_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Every pair (i, j), i < j, of points within distance r of each other.
 
-        Returns two int64 arrays in no particular order. The test is the one
-        `radius_query` uses: for i != j, j is in radius_query(points[i], r)
-        exactly when (min(i, j), max(i, j)) is a pair here.
+        Returns two int64 arrays in no particular order. The test is the
+        module's inclusive one on points[j] - points[i], so the pairs are
+        exactly those of `BruteForceIndex.radius_pairs`.
         """
         r = _check_radius(r)
         if self.n == 0:
@@ -192,8 +183,22 @@ class KdTree(_LinearScan):
         return np.minimum(a, b), np.maximum(a, b)
 
 
-class BruteForceIndex(_LinearScan):
+class BruteForceIndex:
     """Linear-scan radius search; the reference `KdTree` is tested against."""
+
+    def __init__(self, points):
+        self.points = _check_points(points)
+        self.points.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return len(self.points)
+
+    def radius_query(self, center, r: float) -> np.ndarray:
+        """Ascending int64 indices of every point within distance r (inclusive)."""
+        r = _check_radius(r)
+        c = _check_center(center)
+        return np.flatnonzero(_within(self.points, c, r)).astype(np.int64)
 
     def radius_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Same contract as `KdTree.radius_pairs`, by one linear scan per point."""

@@ -96,13 +96,8 @@ def car_center(cfg: SynthConfig, car: int, t: float) -> np.ndarray:
 
 def ego_pose(cfg: SynthConfig, t: float) -> RigidTransform:
     if cfg.ego_mode == "static":
-        return identity_transform("ego", "city")
-    return RigidTransform(
-        np.array([1.0, 0.0, 0.0, 0.0]),
-        np.array([cfg.ego_speed * t, 0.0, 0.0]),
-        "ego",
-        "city",
-    )
+        return identity_transform()
+    return RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.array([cfg.ego_speed * t, 0.0, 0.0]))
 
 
 def _car_surface_points(cfg: SynthConfig, rng) -> np.ndarray:
@@ -180,7 +175,7 @@ def _default_camera() -> CameraModel:
         cy=600.0,
         width=1600,
         height=1200,
-        extrinsics=RigidTransform(rot, np.zeros(3), "ego", "cam:cam_front"),
+        extrinsics=RigidTransform(rot, np.zeros(3)),
     )
 
 
@@ -248,7 +243,7 @@ def generate(cfg: SynthConfig) -> Sequence:
             Frame(
                 index=fi,
                 timestamp=t,
-                cloud=PointCloud(ego_pts, frame="ego"),
+                cloud=PointCloud(ego_pts),
                 ego_pose=pose,
             )
         )
@@ -280,8 +275,8 @@ def bake_ego_motion(seq: Sequence) -> Sequence:
             Frame(
                 index=fr.index,
                 timestamp=fr.timestamp,
-                cloud=PointCloud(city_pts, frame="ego"),
-                ego_pose=identity_transform("ego", "city"),
+                cloud=PointCloud(city_pts),
+                ego_pose=identity_transform(),
                 masks=fr.masks,
             )
         )

@@ -149,6 +149,15 @@ def test_nonpositive_workers_is_a_usage_error(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+def test_eval_takes_no_seed(dataset, tracked, capsys):
+    # Scoring draws no random numbers, so there is no seed for eval to take.
+    capsys.readouterr()
+    assert main(["eval", str(dataset), str(tracked), "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err
+    assert captured.out == ""
+
+
 def test_broken_gt_stops_only_eval(dataset, tracked, tmp_path, capsys):
     # gt.jsonl is read by eval alone; track, plot and bench never open it.
     root = tmp_path / "seq"
@@ -275,6 +284,14 @@ CAMERA_FX = ["cameras", "cam_front", "intrinsics", "fx"]
         pytest.param("calibration.json", ["cameras"], 5, id="cameras-not-an-object"),
         pytest.param("calibration.json", CAMERA_FX, None, id="null-focal-length"),
         pytest.param("manifest.json", ["frames", 1, "index"], 0, id="repeated-frame-index"),
+        # Path fields are relative path strings; anything else names its file.
+        pytest.param("manifest.json", ["frames", 0, "masks"], 5, id="masks-is-a-number"),
+        pytest.param("manifest.json", ["frames", 0, "masks"], True, id="masks-is-true"),
+        pytest.param("manifest.json", ["frames", 0, "masks"], ["m.json"], id="masks-is-a-list"),
+        pytest.param("manifest.json", ["frames", 0, "file"], None, id="null-frame-file"),
+        pytest.param("drivable.json", ["file"], None, id="null-drivable-file"),
+        pytest.param("drivable.json", ["file"], 5, id="drivable-file-is-a-number"),
+        pytest.param("drivable.json", ["file"], ["drivable.bin"], id="drivable-file-is-a-list"),
         # Already a data error before loader values were checked; the control.
         pytest.param("manifest.json", ["frames", 0], "frames/000000.bin", id="frame-is-a-string"),
     ],

@@ -28,8 +28,6 @@ def make_camera(cam_id="cam_front"):
     ext = RigidTransform(
         rotation=np.array([0.5, -0.5, 0.5, -0.5]),
         translation=np.array([1.2, 0.0, 1.5]),
-        from_frame="ego",
-        to_frame=f"cam:{cam_id}",
     )
     return CameraModel(
         camera_id=cam_id, fx=900.0, fy=900.0, cx=640.0, cy=400.0, width=1280, height=800,
@@ -44,8 +42,6 @@ def make_frames(rng, n_frames=3, n_points=50, with_masks=False):
         pose = RigidTransform(
             rotation=quat_from_yaw(0.02 * i),
             translation=np.array([2.0 * i, 0.5 * i, 0.0]),
-            from_frame="ego",
-            to_frame="city",
         )
         masks = []
         if with_masks:
@@ -59,7 +55,7 @@ def make_frames(rng, n_frames=3, n_points=50, with_masks=False):
             Frame(
                 index=i,
                 timestamp=0.1 * i,
-                cloud=PointCloud(pts, "ego"),
+                cloud=PointCloud(pts),
                 ego_pose=pose,
                 masks=masks,
             )
@@ -286,6 +282,23 @@ def test_gt_error_carries_line_number(tmp_path):
         load_ground_truth(path)
     assert err.value.line == 2
     assert "gt.jsonl:2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "loader, first_line",
+    [
+        pytest.param(load_ground_truth, b'{"frame": 0, "track_id": "a", "center": [0, 0, 0], '
+                     b'"length": 4.0, "width": 2.0, "height": 1.5}', id="gt"),
+        pytest.param(load_tracks, b'{"format": "lidartrack-tracks", "version": 1}', id="tracks"),
+    ],
+)
+def test_bytes_that_are_not_utf8_name_file_and_line(tmp_path, loader, first_line):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(first_line + b'\n{"track_id": "\xff"}\n')
+    with pytest.raises(DatasetError) as err:
+        loader(path)
+    assert err.value.line == 2
+    assert "records.jsonl:2: invalid JSON" in str(err.value)
 
 
 def test_gt_blank_lines_ignored(tmp_path):

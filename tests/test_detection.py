@@ -106,11 +106,9 @@ def make_frame(points, yaw=0.0, shift=(0.0, 0.0)):
     pose = RigidTransform(
         rotation=quat_from_yaw(yaw),
         translation=np.array([shift[0], shift[1], 0.0]),
-        from_frame="ego",
-        to_frame="city",
     )
     return Frame(
-        index=0, timestamp=0.0, cloud=PointCloud(points, "ego"), ego_pose=pose, masks=[]
+        index=0, timestamp=0.0, cloud=PointCloud(points), ego_pose=pose, masks=[]
     )
 
 

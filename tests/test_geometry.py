@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from lidartrack.errors import FrameMismatchError
 from lidartrack.geometry import (
     CameraModel,
     RigidTransform,
-    compose,
     identity_transform,
     invert,
     project_points,
@@ -15,7 +13,6 @@ from lidartrack.geometry import (
     quat_conjugate,
     quat_from_matrix,
     quat_from_yaw,
-    quat_multiply,
     quat_to_matrix,
     transform_point,
     transform_points,
@@ -27,13 +24,8 @@ def random_quat(rng):
     return q / np.linalg.norm(q)
 
 
-def random_transform(rng, src="a", dst="b"):
-    return RigidTransform(
-        rotation=random_quat(rng),
-        translation=rng.uniform(-10, 10, size=3),
-        from_frame=src,
-        to_frame=dst,
-    )
+def random_transform(rng):
+    return RigidTransform(rotation=random_quat(rng), translation=rng.uniform(-10, 10, size=3))
 
 
 def test_quat_to_matrix_identity():
@@ -61,22 +53,11 @@ def test_quat_matrix_roundtrip_randomized():
         assert np.allclose(q, q2, atol=1e-9) or np.allclose(q, -q2, atol=1e-9)
 
 
-def test_quat_multiply_matches_matrix_product():
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        qa, qb = random_quat(rng), random_quat(rng)
-        left = quat_to_matrix(quat_multiply(qa, qb))
-        right = quat_to_matrix(qa) @ quat_to_matrix(qb)
-        assert np.allclose(left, right, atol=1e-12)
-
-
 def test_quat_conjugate_inverts_rotation():
     rng = np.random.default_rng(13)
-    q = random_quat(rng)
-    qq = quat_multiply(q, quat_conjugate(q))
-    assert np.allclose(qq, [1.0, 0.0, 0.0, 0.0], atol=1e-12) or np.allclose(
-        qq, [-1.0, 0.0, 0.0, 0.0], atol=1e-12
-    )
+    for _ in range(50):
+        q = random_quat(rng)
+        assert np.allclose(quat_to_matrix(quat_conjugate(q)), quat_to_matrix(q).T, atol=1e-12)
 
 
 def test_transform_point_matches_matrix_form():
@@ -97,59 +78,23 @@ def test_transform_points_vectorized_matches_scalar():
         assert np.allclose(batch[i], transform_point(t, pts[i]), atol=1e-12)
 
 
-def test_compose_is_matrix_composition():
-    rng = np.random.default_rng(16)
-    t_ab = random_transform(rng, "a", "b")
-    t_bc = random_transform(rng, "b", "c")
-    t_ac = compose(t_bc, t_ab)
-    assert t_ac.from_frame == "a" and t_ac.to_frame == "c"
-    p = rng.uniform(-3, 3, size=3)
-    assert np.allclose(
-        transform_point(t_ac, p), transform_point(t_bc, transform_point(t_ab, p)), atol=1e-10
-    )
-
-
-def test_compose_rejects_frame_mismatch():
-    rng = np.random.default_rng(17)
-    t_ab = random_transform(rng, "a", "b")
-    t_cd = random_transform(rng, "c", "d")
-    with pytest.raises(FrameMismatchError):
-        compose(t_cd, t_ab)
-
-
 def test_invert_roundtrip():
     rng = np.random.default_rng(18)
     for _ in range(50):
         t = random_transform(rng)
         inv = invert(t)
-        assert inv.from_frame == t.to_frame and inv.to_frame == t.from_frame
         p = rng.uniform(-5, 5, size=3)
         assert np.allclose(transform_point(inv, transform_point(t, p)), p, atol=1e-10)
 
 
 def test_identity_transform_is_noop():
-    t = identity_transform("ego", "ego")
+    t = identity_transform()
     p = np.array([1.0, -2.0, 3.0])
     assert np.array_equal(transform_point(t, p), p)
 
 
-def test_matrix_property_matches_transform():
-    rng = np.random.default_rng(19)
-    t = random_transform(rng)
-    M = t.matrix()
-    p = rng.uniform(-5, 5, size=3)
-    hom = M @ np.append(p, 1.0)
-    assert np.allclose(hom[:3], transform_point(t, p), atol=1e-12)
-    assert np.allclose(M[3], [0, 0, 0, 1])
-
-
 def test_rotation_is_normalized_on_construction():
-    t = RigidTransform(
-        rotation=np.array([2.0, 0.0, 0.0, 0.0]),
-        translation=np.zeros(3),
-        from_frame="a",
-        to_frame="b",
-    )
+    t = RigidTransform(rotation=np.array([2.0, 0.0, 0.0, 0.0]), translation=np.zeros(3))
     assert np.isclose(np.linalg.norm(t.rotation), 1.0)
 
 
@@ -169,7 +114,7 @@ def simple_camera(width=640, height=480, fx=500.0, fy=500.0):
         cy=height / 2,
         width=width,
         height=height,
-        extrinsics=identity_transform("ego", "camera"),
+        extrinsics=identity_transform(),
     )
 
 

@@ -29,7 +29,7 @@ from lidartrack.preprocess import (
 
 
 def make_cloud(points):
-    return PointCloud(np.asarray(points, dtype=np.float64), "ego")
+    return PointCloud(np.asarray(points, dtype=np.float64))
 
 
 def flat_ground(rng, n, z=-1.8, extent=20.0, sigma=0.0):
@@ -316,7 +316,7 @@ def test_filter_drivable_keeps_inside_cells():
             [10.1, 5.0, 0.0],  # outside east
         ]
     )
-    out = filter_drivable(make_cloud(pts), grid, identity_transform("ego", "city"))
+    out = filter_drivable(make_cloud(pts), grid, identity_transform())
     assert np.array_equal(out.points, pts[:2])
 
 
@@ -326,8 +326,6 @@ def test_filter_drivable_respects_ego_pose():
     pose = RigidTransform(
         rotation=quat_from_yaw(np.pi / 2),
         translation=np.array([20.0, 0.0, 0.0]),
-        from_frame="ego",
-        to_frame="city",
     )
     pts = np.array(
         [
@@ -345,7 +343,7 @@ def test_filter_drivable_false_cells_drop():
     bits[0:5, :] = False  # southern half off (rows index y)
     grid = square_grid(bits=bits)
     pts = np.array([[2.0, 2.0, 0.0], [2.0, 7.0, 0.0]])
-    out = filter_drivable(make_cloud(pts), grid, identity_transform("ego", "city"))
+    out = filter_drivable(make_cloud(pts), grid, identity_transform())
     assert np.array_equal(out.points, pts[1:])
 
 
@@ -390,8 +388,6 @@ def camera_looking_forward(cam_id="cam_front"):
     ext = RigidTransform(
         rotation=quat_from_matrix(rot),
         translation=np.zeros(3),
-        from_frame="ego",
-        to_frame="camera",
     )
     return CameraModel(
         camera_id=cam_id, fx=400.0, fy=400.0, cx=320.0, cy=240.0, width=640, height=480,
@@ -471,7 +467,7 @@ def build_frame(rng, index=0, n_ground=400, n_car=80):
         index=index,
         timestamp=0.1 * index,
         cloud=make_cloud(points),
-        ego_pose=identity_transform("ego", "city"),
+        ego_pose=identity_transform(),
         masks=[],
     )
 

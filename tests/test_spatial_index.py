@@ -1,4 +1,5 @@
-"""KD-tree radius queries checked point for point against a linear scan."""
+"""Radius search: `KdTree.radius_pairs` checked pair for pair against a
+linear scan, and the `BruteForceIndex` oracle against its own formula."""
 
 import numpy as np
 import pytest
@@ -15,90 +16,84 @@ def linear_scan(points, center, radius):
     return np.nonzero(d2 <= radius * radius)[0].astype(np.int64)
 
 
-def test_radius_query_randomized_exact():
+def sorted_pairs(index, r):
+    i, j = index.radius_pairs(r)
+    assert i.dtype == np.int64 and j.dtype == np.int64
+    return sorted(zip(i.tolist(), j.tolist()))
+
+
+def test_brute_force_index_matches_linear_scan():
     rng = np.random.default_rng(100)
     for trial in range(60):
         n = int(rng.integers(1, 400))
         pts = rng.uniform(-20, 20, size=(n, 3))
-        tree = KdTree(pts)
+        idx = BruteForceIndex(pts)
         for _ in range(5):
             center = rng.uniform(-22, 22, size=3)
             radius = float(rng.uniform(0.1, 12.0))
-            got = tree.radius_query(center, radius)
+            got = idx.radius_query(center, radius)
             want = linear_scan(pts, center, radius)
-            assert np.array_equal(got, want), (
-                f"trial {trial}: KD-tree disagrees with linear scan "
-                f"(n={n}, r={radius:.3f})"
-            )
+            assert np.array_equal(got, want), f"trial {trial} (n={n}, r={radius:.3f})"
 
 
 def test_radius_query_results_sorted():
     rng = np.random.default_rng(101)
     pts = rng.uniform(0, 10, size=(200, 3))
-    tree = KdTree(pts)
-    idx = tree.radius_query(pts[17], 3.0)
+    idx = BruteForceIndex(pts).radius_query(pts[17], 3.0)
     assert np.array_equal(idx, np.sort(idx))
 
 
 def test_boundary_point_included():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    tree = KdTree(pts)
     # Distance exactly equal to the radius counts as inside.
-    assert np.array_equal(tree.radius_query([0.0, 0.0, 0.0], 1.0), [0, 1])
+    assert sorted_pairs(KdTree(pts), 1.0) == [(0, 1), (1, 2)]
+    assert np.array_equal(BruteForceIndex(pts).radius_query([0.0, 0.0, 0.0], 1.0), [0, 1])
 
 
 def test_duplicate_points_all_returned():
     pts = np.zeros((7, 3))
-    tree = KdTree(pts)
-    assert np.array_equal(tree.radius_query([0, 0, 0], 0.5), np.arange(7))
+    every_pair = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+    assert sorted_pairs(KdTree(pts), 0.5) == every_pair
+    assert sorted_pairs(KdTree(pts), 0.0) == every_pair
+    assert np.array_equal(BruteForceIndex(pts).radius_query([0, 0, 0], 0.5), np.arange(7))
 
 
 def test_empty_result():
-    rng = np.random.default_rng(102)
-    pts = rng.uniform(0, 1, size=(50, 3))
-    tree = KdTree(pts)
-    out = tree.radius_query([100.0, 100.0, 100.0], 1.0)
+    # A unit lattice has no two points closer than 1.
+    pts = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), axis=-1).reshape(-1, 3)
+    assert sorted_pairs(KdTree(pts), 0.99) == []
+    out = BruteForceIndex(pts).radius_query([100.0, 100.0, 100.0], 1.0)
     assert out.shape == (0,)
     assert out.dtype == np.int64
 
 
 def test_single_point_tree():
     tree = KdTree(np.array([[1.0, 2.0, 3.0]]))
-    assert np.array_equal(tree.radius_query([1.0, 2.0, 3.0], 0.0), [0])
-    assert tree.radius_query([5.0, 5.0, 5.0], 1.0).shape == (0,)
-
-
-def test_brute_force_index_matches_linear_scan():
-    rng = np.random.default_rng(105)
-    pts = rng.uniform(-10, 10, size=(150, 3))
-    idx = BruteForceIndex(pts)
-    for _ in range(30):
-        center = rng.uniform(-10, 10, size=3)
-        radius = float(rng.uniform(0.5, 8.0))
-        assert np.array_equal(idx.radius_query(center, radius), linear_scan(pts, center, radius))
+    assert tree.n == 1
+    assert sorted_pairs(tree, 0.0) == []
+    assert sorted_pairs(tree, 10.0) == []
 
 
 def test_points_are_read_only():
     pts = np.random.default_rng(106).uniform(0, 1, size=(10, 3))
-    tree = KdTree(pts)
-    with pytest.raises(ValueError):
-        tree.points[0, 0] = 99.0
+    for index in (KdTree(pts), BruteForceIndex(pts)):
+        with pytest.raises(ValueError):
+            index.points[0, 0] = 99.0
 
 
 def test_mutating_input_after_build_does_not_affect_tree():
     rng = np.random.default_rng(107)
     pts = rng.uniform(0, 1, size=(100, 3))
     tree = KdTree(pts)
-    before = tree.radius_query([0.5, 0.5, 0.5], 0.3)
+    before = sorted_pairs(tree, 0.3)
     pts[:] = 1000.0
-    assert np.array_equal(tree.radius_query([0.5, 0.5, 0.5], 0.3), before)
+    assert sorted_pairs(tree, 0.3) == before
 
 
 def test_empty_tree_allowed():
     tree = KdTree(np.zeros((0, 3)))
     assert tree.n == 0
-    out = tree.radius_query([0.0, 0.0, 0.0], 5.0)
-    assert out.shape == (0,) and out.dtype == np.int64
+    assert sorted_pairs(tree, 5.0) == []
 
 
 def test_input_validation():
@@ -112,16 +107,18 @@ def test_input_validation():
 
 def test_query_validation():
     tree = KdTree(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        tree.radius_query([0.0, 0.0, 0.0], -1.0)
-    with pytest.raises(ValueError):
-        tree.radius_query([0.0, 0.0], 1.0)
-    for index in (tree, BruteForceIndex(np.zeros((3, 3)))):
+    for r in (-1.0, np.nan):
         with pytest.raises(ValueError):
-            index.radius_query([np.nan, 0.0, 0.0], 1.0)
-        with pytest.raises(ValueError):
-            index.radius_query([0.0, 0.0, 0.0], np.nan)
-
+            tree.radius_pairs(r)
+    brute = BruteForceIndex(np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        brute.radius_query([0.0, 0.0, 0.0], -1.0)
+    with pytest.raises(ValueError):
+        brute.radius_query([0.0, 0.0], 1.0)
+    with pytest.raises(ValueError):
+        brute.radius_query([np.nan, 0.0, 0.0], 1.0)
+    with pytest.raises(ValueError):
+        brute.radius_query([0.0, 0.0, 0.0], np.nan)
 
 
 # --- generated inputs -----------------------------------------------------
@@ -173,11 +170,11 @@ def cloud_and_radius(draw):
 @given(cloud_and_radius(), st.data())
 def test_radius_query_matches_linear_scan_generated(case, data):
     pts, r = case
-    tree = KdTree(pts)
+    index = BruteForceIndex(pts)
     # Centres on the cloud's own points put neighbors at exactly r.
     k = data.draw(st.integers(0, len(pts) - 1))
     for center in (pts[k], pts[k] + r * np.array([1.0, 0.0, 0.0])):
-        assert np.array_equal(tree.radius_query(center, r), linear_scan(pts, center, r))
+        assert np.array_equal(index.radius_query(center, r), linear_scan(pts, center, r))
 
 
 @pytest.mark.filterwarnings("error")  # an overflowing cell key warns on its cast
@@ -185,7 +182,5 @@ def test_radius_query_matches_linear_scan_generated(case, data):
 @given(cloud_and_radius())
 def test_radius_pairs_match_linear_scan_generated(case):
     pts, r = case
-    i, j = KdTree(pts).radius_pairs(r)
-    got = sorted(zip(i.tolist(), j.tolist()))
     want = [(a, b) for a in range(len(pts)) for b in linear_scan(pts, pts[a], r) if b > a]
-    assert got == want
+    assert sorted_pairs(KdTree(pts), r) == want

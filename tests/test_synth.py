@@ -75,7 +75,6 @@ def test_ego_pose_modes():
     p = ego_pose(cfg, 2.0)
     assert np.allclose(p.translation, [16.0, 0.0, 0.0])
     assert np.array_equal(p.rotation, [1.0, 0.0, 0.0, 0.0])
-    assert p.from_frame == "ego" and p.to_frame == "city"
 
 
 def test_gt_has_one_box_per_car_per_frame():

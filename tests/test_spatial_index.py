@@ -22,7 +22,7 @@ def sorted_pairs(index, r):
     return sorted(zip(i.tolist(), j.tolist()))
 
 
-def test_brute_force_index_matches_linear_scan():
+def test_radius_query_randomized_exact():
     rng = np.random.default_rng(100)
     for trial in range(60):
         n = int(rng.integers(1, 400))
@@ -34,6 +34,18 @@ def test_brute_force_index_matches_linear_scan():
             got = idx.radius_query(center, radius)
             want = linear_scan(pts, center, radius)
             assert np.array_equal(got, want), f"trial {trial} (n={n}, r={radius:.3f})"
+        want_pairs = [(a, b) for a in range(n) for b in linear_scan(pts, pts[a], radius) if b > a]
+        assert sorted_pairs(KdTree(pts), radius) == want_pairs, f"trial {trial} (n={n})"
+
+
+def test_brute_force_index_matches_linear_scan():
+    rng = np.random.default_rng(105)
+    pts = rng.uniform(-10, 10, size=(150, 3))
+    idx = BruteForceIndex(pts)
+    for _ in range(30):
+        center = rng.uniform(-10, 10, size=3)
+        radius = float(rng.uniform(0.5, 8.0))
+        assert np.array_equal(idx.radius_query(center, radius), linear_scan(pts, center, radius))
 
 
 def test_radius_query_results_sorted():

@@ -168,6 +168,25 @@ class TrackRecord:
     height: float
 
 
+def _integer(value) -> int:
+    """A count or an index: a JSON integer, never a float, a bool or a string."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _array(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _finite(value) -> float:
     number = float(value)
     if not math.isfinite(number):
@@ -177,7 +196,7 @@ def _finite(value) -> float:
 
 # Key -> cast of every track-record field, in the order a tracks file lists them.
 _TRACK_FIELDS = {
-    f.name: {int: int, float: _finite}[get_type_hints(TrackRecord)[f.name]]
+    f.name: {int: _integer, float: _finite}[get_type_hints(TrackRecord)[f.name]]
     for f in dataclasses.fields(TrackRecord)
 }
 
@@ -246,8 +265,9 @@ def _load_cloud(path: Path, expected_points: int, frame_index: int) -> np.ndarra
         raise DatasetError(
             path, f"manifest promises {expected_points} points but file holds {len(pts)}"
         )
-    bad = int(np.count_nonzero(~np.isfinite(pts).all(axis=1)))
-    if bad:
+    # One pass over the flat array; the bad rows are counted only for the message.
+    if not np.isfinite(pts).all():
+        bad = int(np.count_nonzero(~np.isfinite(pts).all(axis=1)))
         raise DatasetError(
             path, f"frame {frame_index}: {bad} point(s) have NaN or infinite coordinates"
         )
@@ -257,7 +277,7 @@ def _load_cloud(path: Path, expected_points: int, frame_index: int) -> np.ndarra
 def _load_masks(path: Path, cameras: dict[str, CameraModel]) -> list[MaskRegion]:
     obj = _read_json(path)
     regions = []
-    for i, rec in enumerate(_require(obj, "regions", path, cast=list)):
+    for i, rec in enumerate(_require(obj, "regions", path, cast=_array)):
         cam_id = _require(rec, "camera_id", path, cast=str)
         if cam_id not in cameras:
             raise DatasetError(
@@ -274,7 +294,7 @@ def _load_masks(path: Path, cameras: dict[str, CameraModel]) -> list[MaskRegion]
 def load_calibration(path: Path) -> dict[str, CameraModel]:
     obj = _read_json(path)
     cameras = {}
-    for cam_id, rec in sorted(_require(obj, "cameras", path, cast=dict).items()):
+    for cam_id, rec in sorted(_require(obj, "cameras", path, cast=_object).items()):
         intr = _require(rec, "intrinsics", path)
         pose = _pose_from_json(_require(rec, "ego_to_camera", path), path)
         try:
@@ -284,8 +304,8 @@ def load_calibration(path: Path) -> dict[str, CameraModel]:
                 fy=_require(intr, "fy", path, cast=_finite),
                 cx=_require(intr, "cx", path, cast=_finite),
                 cy=_require(intr, "cy", path, cast=_finite),
-                width=_require(intr, "width", path, cast=int),
-                height=_require(intr, "height", path, cast=int),
+                width=_require(intr, "width", path, cast=_integer),
+                height=_require(intr, "height", path, cast=_integer),
                 extrinsics=pose,
             )
         except ValueError as exc:
@@ -295,8 +315,8 @@ def load_calibration(path: Path) -> dict[str, CameraModel]:
 
 def load_drivable(header_path: Path) -> DrivableGrid:
     obj = _read_json(header_path)
-    width = _require(obj, "width", header_path, cast=int)
-    height = _require(obj, "height", header_path, cast=int)
+    width = _require(obj, "width", header_path, cast=_integer)
+    height = _require(obj, "height", header_path, cast=_integer)
     bits_file = header_path.parent / _require(obj, "file", header_path, cast=_path_string)
     if not bits_file.is_file():
         raise DatasetError(bits_file, "drivable bitmask file is missing")
@@ -337,7 +357,7 @@ def load_ground_truth(path: Path) -> dict[int, list[GroundTruthBox]]:
                 rec = json.loads(line)
             except ValueError as exc:  # not JSON, or not UTF-8 text
                 raise DatasetError(path, f"invalid JSON: {exc}", line=lineno) from exc
-            frame = _require(rec, "frame", path, lineno, cast=int)
+            frame = _require(rec, "frame", path, lineno, cast=_integer)
             try:
                 box = GroundTruthBox(
                     track_id=_require(rec, "track_id", path, lineno, cast=str),
@@ -372,8 +392,8 @@ def load_sequence(path) -> Sequence:
     poses_path = root / "poses.json"
     poses_obj = _read_json(poses_path)
     poses = {}
-    for rec in _require(poses_obj, "frames", poses_path, cast=list):
-        index = _require(rec, "index", poses_path, cast=int)
+    for rec in _require(poses_obj, "frames", poses_path, cast=_array):
+        index = _require(rec, "index", poses_path, cast=_integer)
         if index in poses:
             raise DatasetError(poses_path, f"duplicate frame index {index}")
         poses[index] = _pose_from_json(rec, poses_path)
@@ -385,8 +405,8 @@ def load_sequence(path) -> Sequence:
     frames = []
     indices: set[int] = set()
     prev_ts = None
-    for rec in _require(manifest, "frames", manifest_path, cast=list):
-        index = _require(rec, "index", manifest_path, cast=int)
+    for rec in _require(manifest, "frames", manifest_path, cast=_array):
+        index = _require(rec, "index", manifest_path, cast=_integer)
         _claim(indices, index, manifest_path, f"frame index {index}")
         ts = _require(rec, "timestamp", manifest_path, cast=_finite)
         if prev_ts is not None and ts <= prev_ts:
@@ -396,7 +416,7 @@ def load_sequence(path) -> Sequence:
                 f"{ts} after {prev_ts}",
             )
         prev_ts = ts
-        n_points = _require(rec, "points", manifest_path, cast=int)
+        n_points = _require(rec, "points", manifest_path, cast=_integer)
         cloud_file = root / _require(rec, "file", manifest_path, cast=_path_string)
         pts = _load_cloud(cloud_file, n_points, index)
         if index not in poses:

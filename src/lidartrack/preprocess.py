@@ -97,9 +97,12 @@ def downsample_stride(cloud: PointCloud, stride: int) -> PointCloud:
 _PROBE_POINTS = 1024
 
 
-def _proven_outliers(pts: np.ndarray, planes: list[Plane], tol: float) -> np.ndarray:
-    """Per plane, the probe points whose |distance| exceeds tol however the
-    distance is rounded: a lower bound on the plane's outliers in pts."""
+def _proven_outliers(
+    pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray, tol: float
+) -> np.ndarray:
+    """Per plane (a row of normals and its offset), the probe points whose
+    |distance| exceeds tol however the distance is rounded: a lower bound on
+    the plane's outliers in pts."""
     n = len(pts)
     if n > _PROBE_POINTS:
         half = _PROBE_POINTS // 2
@@ -107,8 +110,6 @@ def _proven_outliers(pts: np.ndarray, planes: list[Plane], tol: float) -> np.nda
         probe = pts[np.concatenate((order[:half], order[n - half :]))]
     else:
         probe = pts
-    normals = np.array([p.normal for p in planes])
-    offsets = np.array([p.offset for p in planes])
     # Any order of evaluating |n . p + offset| errs by a few ulps of
     # 3 max|p| + |offset|; the margin is some 1e6 times that.
     limit = tol + 1e-9 * (3.0 * float(np.abs(probe).max()) + np.abs(offsets) + tol)
@@ -126,6 +127,14 @@ def fit_ground_plane(points, cfg: PreprocessConfig, rng=None) -> GroundFit:
     normal is oriented with a non-negative z component. The inlier mask is
     the winner's full count, |plane.signed_distance(points)| <= tol.
 
+    All draws come from one rng.integers call of shape (iterations, 3),
+    which yields the same triples, and leaves the generator in the same
+    state, as one size-3 call per iteration. Draws with a repeated index
+    or a cross product of norm below 1e-12 are dropped. Every hypothesis
+    is built in whole-array steps that round as the per-draw loop does:
+    the cross product column by column, and the norm and the offset with
+    np.vecdot, the per-row BLAS dot that x.dot(x) and normal @ p also run.
+
     The plane is the one a loop that counts every hypothesis's inliers over
     all points would pick, bit for bit, ties included, but most hypotheses
     are never counted in full. Each is first scored on a probe of at most
@@ -136,7 +145,7 @@ def fit_ground_plane(points, cfg: PreprocessConfig, rng=None) -> GroundFit:
     Hypotheses are counted in full in order of that bound, and one that
     cannot beat the best so far (a lower bound, or an equal bound and a
     later draw) is never counted. A full count is the loop's own expression,
-    Plane.signed_distance over all candidates.
+    points @ normal + offset over all candidates.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -150,45 +159,45 @@ def fit_ground_plane(points, cfg: PreprocessConfig, rng=None) -> GroundFit:
         rng = np.random.default_rng(cfg.rng_seed)
     tol = cfg.ransac_inlier_tol
 
-    planes = []
-    for _ in range(cfg.ransac_iterations):
-        i, j, k = rng.integers(0, n, size=3).tolist()
-        if i == j or i == k or j == k:
-            continue
-        xi, yi, zi = pts[i].tolist()
-        xj, yj, zj = pts[j].tolist()
-        xk, yk, zk = pts[k].tolist()
-        ax, ay, az = xj - xi, yj - yi, zj - zi
-        bx, by, bz = xk - xi, yk - yi, zk - zi
-        # Each component rounds exactly as np.cross does; norm and the
-        # offset stay on numpy's BLAS dot, which scalar sums do not match.
-        normal = np.array((ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx))
-        norm = np.linalg.norm(normal)
-        if norm < 1e-12:
-            continue
-        normal = normal / norm
-        offset = -float(normal @ pts[i])
-        if normal[2] < 0:
-            normal = -normal
-            offset = -offset
-        planes.append(Plane(normal, offset))
-    if not planes:
+    draws = rng.integers(0, n, size=(cfg.ransac_iterations, 3))
+    i, j, k = draws.T
+    draws = draws[(i != j) & (i != k) & (j != k)]
+    p0 = pts[draws[:, 0]]
+    a = pts[draws[:, 1]] - p0
+    b = pts[draws[:, 2]] - p0
+    # Each component rounds exactly as np.cross does on one draw.
+    normals = np.stack(
+        (
+            a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+            a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+            a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0],
+        ),
+        axis=1,
+    )
+    norms = np.sqrt(np.vecdot(normals, normals))
+    keep = ~(norms < 1e-12)  # the loop's skip test: a NaN norm is kept, as there
+    normals = normals[keep] / norms[keep, None]
+    offsets = -np.vecdot(normals, p0[keep])
+    down = normals[:, 2] < 0
+    normals[down] = -normals[down]
+    offsets[down] = -offsets[down]
+    if not len(normals):
         raise GroundPlaneError("no non-degenerate 3-point sample found")
 
-    min_outliers = _proven_outliers(pts, planes, tol)
+    min_outliers = _proven_outliers(pts, normals, offsets, tol)
     best, best_count, best_inliers = -1, 0, None
     for h in np.argsort(min_outliers, kind="stable").tolist():
         bound = n - int(min_outliers[h])
         # Visited in falling bound, then rising h: nothing after this can win.
         if bound < best_count or (bound == best_count and h > best):
             break
-        inliers = np.abs(planes[h].signed_distance(pts)) <= tol
+        inliers = np.abs(pts @ normals[h] + offsets[h]) <= tol
         count = int(np.count_nonzero(inliers))
         if count > best_count or (count == best_count and h < best):
             best, best_count, best_inliers = h, count, inliers
     if best < 0:
         raise GroundPlaneError("no non-degenerate 3-point sample found")
-    return GroundFit(planes[best], best_inliers)
+    return GroundFit(Plane(normals[best], float(offsets[best])), best_inliers)
 
 
 def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng=None) -> PointCloud:

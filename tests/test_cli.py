@@ -292,6 +292,10 @@ CAMERA_FX = ["cameras", "cam_front", "intrinsics", "fx"]
         pytest.param("drivable.json", ["file"], None, id="null-drivable-file"),
         pytest.param("drivable.json", ["file"], 5, id="drivable-file-is-a-number"),
         pytest.param("drivable.json", ["file"], ["drivable.bin"], id="drivable-file-is-a-list"),
+        # A container of the wrong JSON type is not read as an empty one.
+        pytest.param("manifest.json", ["frames"], {}, id="manifest-frames-is-an-object"),
+        pytest.param("manifest.json", ["frames"], "", id="manifest-frames-is-a-string"),
+        pytest.param("calibration.json", ["cameras"], [], id="cameras-is-a-list"),
         # Already a data error before loader values were checked; the control.
         pytest.param("manifest.json", ["frames", 0], "frames/000000.bin", id="frame-is-a-string"),
     ],
@@ -299,21 +303,86 @@ CAMERA_FX = ["cameras", "cam_front", "intrinsics", "fx"]
 def test_malformed_sequence_file_is_a_data_error(tmp_path, capsys, name, keys, value):
     root = tmp_path / "seq"
     assert main(["synth", str(root), "--cars", "1", "--frames", "2"]) == 0
-    obj = json.loads((root / name).read_text())
+    edit_json(root / name, keys, lambda _: value)
+    capsys.readouterr()
+    assert main(["track", str(root)]) == 2
+    assert name in capsys.readouterr().err
+
+
+def edit_json(path, keys, change):
+    """Replace the value at keys in a JSON file with change(old value);
+    DELETE removes the key, and empty keys replace the whole document."""
+    obj = json.loads(path.read_text())
     if not keys:
-        obj = value
+        obj = change(obj)
     else:
         parent = obj
         for key in keys[:-1]:
             parent = parent[key]
+        old = parent.get(keys[-1]) if isinstance(parent, dict) else parent[keys[-1]]
+        value = change(old)
         if value is DELETE:
             del parent[keys[-1]]
         else:
             parent[keys[-1]] = value
-    (root / name).write_text(json.dumps(obj))
+    path.write_text(json.dumps(obj))
+
+
+# A JSON integer written as a float a little above it, as a bool, and as a
+# numeric string: int() accepted all three.
+NOT_AN_INTEGER = {
+    "float": lambda n: n + 0.6,
+    "bool": bool,
+    "string": str,
+}
+CAMERA_INTRINSICS = ["cameras", "cam_front", "intrinsics"]
+
+
+@pytest.mark.parametrize("kind", list(NOT_AN_INTEGER))
+@pytest.mark.parametrize(
+    "name, keys",
+    [
+        pytest.param("manifest.json", ["frames", 0, "index"], id="frame-index"),
+        pytest.param("manifest.json", ["frames", 0, "points"], id="frame-points"),
+        pytest.param("poses.json", ["frames", 0, "index"], id="pose-index"),
+        pytest.param("calibration.json", CAMERA_INTRINSICS + ["width"], id="camera-width"),
+        pytest.param("calibration.json", CAMERA_INTRINSICS + ["height"], id="camera-height"),
+        pytest.param("drivable.json", ["width"], id="drivable-width"),
+        pytest.param("drivable.json", ["height"], id="drivable-height"),
+    ],
+)
+def test_sequence_count_or_index_must_be_an_integer(tmp_path, capsys, name, keys, kind):
+    root = tmp_path / "seq"
+    assert main(["synth", str(root), "--cars", "1", "--frames", "2"]) == 0
+    edit_json(root / name, keys, NOT_AN_INTEGER[kind])
     capsys.readouterr()
     assert main(["track", str(root)]) == 2
-    assert name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert name in err
+    assert "expected an integer" in err
+
+
+@pytest.mark.parametrize("kind", list(NOT_AN_INTEGER))
+@pytest.mark.parametrize(
+    "name, key",
+    [("gt.jsonl", "frame"), ("tracks.jsonl", "frame"), ("tracks.jsonl", "track_id")],
+)
+def test_score_input_frame_or_id_must_be_an_integer(
+    dataset, tracked, tmp_path, capsys, name, key, kind
+):
+    paths = {"gt.jsonl": dataset / "gt.jsonl", "tracks.jsonl": tracked}
+    lines = paths[name].read_text().splitlines()
+    row = 0 if name == "gt.jsonl" else 1  # the first record; tracks files open with a header
+    rec = json.loads(lines[row])
+    rec[key] = NOT_AN_INTEGER[kind](rec[key])
+    lines[row] = json.dumps(rec)
+    paths[name] = tmp_path / name
+    paths[name].write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", str(paths["gt.jsonl"]), str(paths["tracks.jsonl"])]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}:{row + 1}" in err
+    assert "expected an integer" in err
 
 
 @pytest.mark.parametrize(
@@ -323,6 +392,9 @@ def test_malformed_sequence_file_is_a_data_error(tmp_path, capsys, name, keys, v
         # Already a data error when the polygon was not cast; the control.
         pytest.param({"regions": [{"camera_id": "cam_front", "polygon": None}]}, id="null-polygon"),
         pytest.param({"regions": 5}, id="regions-not-a-list"),
+        # list() read these as no regions.
+        pytest.param({"regions": {}}, id="regions-is-an-object"),
+        pytest.param({"regions": ""}, id="regions-is-a-string"),
         pytest.param({"regions": [{"camera_id": [1], "polygon": [[0, 0]] * 3}]}, id="list-camera"),
     ],
 )

@@ -300,6 +300,50 @@ def test_fit_first_found_wins_a_tie_the_probe_ranks_second():
     assert_fit_matches_reference(pts, cfg, 2)
 
 
+@st.composite
+def degenerate_case(draw):
+    """3-6 candidates on one line, with up to two moved off it. On an
+    integer line every collinear triple has a zero cross product; on a
+    line through float points rounding leaves a cross product far below
+    the 1e-12 norm floor but not zero. Repeated points and collinear
+    triples make most draws, or all of them, degenerate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        origin, direction = rng.integers(-5, 6, size=3), rng.integers(-2, 3, size=3)
+    else:
+        origin, direction = rng.uniform(-5.0, 5.0, size=3), rng.uniform(-1.0, 1.0, size=3)
+    pts = (origin + np.outer(rng.integers(-3, 4, size=n), direction)).astype(np.float64)
+    off = draw(st.sampled_from((0, 1, 1, 2)))
+    pts[:off] = rng.uniform(-5.0, 5.0, size=(off, 3))
+    cfg = PreprocessConfig(
+        ransac_iterations=draw(st.sampled_from((1, 2, 5, 20, 100, 300))),
+        ransac_inlier_tol=draw(st.sampled_from((0.15, 0.5))),
+        min_plane_points=3,
+    )
+    return rng.permutation(pts), cfg, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(degenerate_case())
+def test_fit_matches_per_sample_loop_on_degenerate_draws(case):
+    assert_fit_matches_reference(*case)
+
+
+@pytest.mark.parametrize("iterations", [1, 7, 300])
+def test_fit_with_only_degenerate_draws_raises(iterations):
+    # Three points on one line and a repeat of one of them: every triple
+    # repeats an index or has a zero cross product.
+    pts = np.array([[0.0, 0.0, -2.0], [1.0, 2.0, -2.0], [2.0, 4.0, -2.0], [1.0, 2.0, -2.0]])
+    cfg = PreprocessConfig(ransac_iterations=iterations, min_plane_points=3)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    with pytest.raises(GroundPlaneError, match="no non-degenerate"):
+        fit_ground_plane(pts, cfg, rng=rng)
+    with pytest.raises(GroundPlaneError):
+        reference_fit_ground_plane(pts, cfg, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def square_grid(x0=0.0, y0=0.0, size=10, resolution=1.0, bits=None):
     if bits is None:
         bits = np.ones((size, size), dtype=bool)

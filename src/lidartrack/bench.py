@@ -1,33 +1,132 @@
-"""Timing harness: per-stage medians of the tracking run."""
+"""Timing harness: end-to-end and per-stage medians of the tracking run.
+
+One call of `bench_entry` times `load_sequence`, `run_tracking` and
+`write_tracks` over some repeats and takes the stage medians from the
+timings every tracking run records per frame (`FrameResult.stage_seconds`).
+The entry is plain JSON data; `append_run` adds it to the `runs` list of a
+BENCH file, so one file holds a trajectory of measurements.
+"""
 
 from __future__ import annotations
 
+import json
+import os
+import platform
 import statistics
-from dataclasses import dataclass, replace
+import tempfile
+import time
+from dataclasses import replace
+from pathlib import Path
 
-from .config import PipelineConfig
-from .dataset_io import Sequence
+import numpy as np
+
+from .config import PipelineConfig, config_to_dict
+from .dataset_io import load_sequence, write_tracks
+from .errors import DatasetError
 from .pipeline import run_tracking
 
 
-@dataclass(frozen=True)
-class StageTiming:
-    stage: str
-    median_ms: float
-    runs: int
+def git_commit(start: Path) -> str | None:
+    """The commit checked out in the git work tree that holds start, read
+    from its .git directory without running git; None outside a work tree,
+    in a linked one (where .git is a file) or when .git cannot be read."""
+    for folder in (start, *start.parents):
+        git = folder / ".git"
+        if not git.exists():
+            continue
+        try:
+            head = (git / "HEAD").read_text().strip()
+            if not head.startswith("ref: "):
+                return head or None  # a detached HEAD holds the commit itself
+            ref = head[len("ref: ") :]
+            if (git / ref).is_file():
+                return (git / ref).read_text().strip()
+            packed = git / "packed-refs"
+            if packed.is_file():
+                for line in packed.read_text().splitlines():
+                    commit, _, name = line.partition(" ")
+                    if name == ref:
+                        return commit
+        except (OSError, UnicodeDecodeError):
+            pass
+        return None
+    return None
 
 
-def time_stages(seq: Sequence, cfg: PipelineConfig, max_frames: int | None = None) -> list[StageTiming]:
-    """Per-stage median wall times of `run_tracking` over the first
-    max_frames frames (all of them by default), in pipeline order."""
-    if max_frames is not None:
-        seq = replace(seq, frames=seq.frames[:max_frames])
-    samples: dict[str, list[float]] = {}
-    for fr in run_tracking(seq, cfg).frames:
-        for stage, seconds in fr.stage_seconds.items():
-            samples.setdefault(stage, []).append(seconds)
-    return [
-        StageTiming(stage, statistics.median(runs) * 1000.0, len(runs))
-        for stage, runs in samples.items()
-    ]
+def bench_entry(
+    dataset,
+    cfg: PipelineConfig,
+    max_frames: int | None = None,
+    repeats: int = 1,
+    workers: int = 1,
+    label: str | None = None,
+) -> dict:
+    """Time the tracking path `repeats` times over the first max_frames
+    frames of the sequence directory (all of them by default).
 
+    `wall_ms` holds the median of each end-to-end step: load_sequence (the
+    whole sequence), run_tracking and write_tracks (to a temporary file).
+    `stage_ms` holds the median of each pipeline stage over every frame of
+    every repeat, in pipeline order.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    walls: dict[str, list[float]] = {"load_sequence": [], "run_tracking": [], "write_tracks": []}
+    stages: dict[str, list[float]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            seq = load_sequence(dataset)
+            t1 = time.perf_counter()
+            if max_frames is not None:
+                seq = replace(seq, frames=seq.frames[:max_frames])
+            result = run_tracking(seq, cfg, workers=workers)
+            t2 = time.perf_counter()
+            write_tracks(Path(tmp) / "tracks.jsonl", result.records)
+            t3 = time.perf_counter()
+            for step, seconds in zip(walls, (t1 - t0, t2 - t1, t3 - t2)):
+                walls[step].append(seconds)
+            for fr in result.frames:
+                for stage, seconds in fr.stage_seconds.items():
+                    stages.setdefault(stage, []).append(seconds)
+    return {
+        "label": label,
+        "dataset": Path(dataset).resolve().name,
+        "frames": len(seq.frames),
+        "repeats": repeats,
+        "workers": workers,
+        "config": config_to_dict(cfg),
+        "wall_ms": {step: _median_ms(runs) for step, runs in walls.items()},
+        "stage_ms": {stage: _median_ms(runs) for stage, runs in stages.items()},
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "nproc": (
+                len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity")
+                else os.cpu_count()
+            ),
+        },
+        "commit": git_commit(Path(__file__).resolve().parent),
+    }
+
+
+def _median_ms(seconds: list[float]) -> float:
+    return round(statistics.median(seconds) * 1000.0, 4)
+
+
+def append_run(path, entry: dict) -> Path:
+    """Add entry to the `runs` list of the JSON file at path, creating the
+    file if it does not exist."""
+    p = Path(path)
+    doc: dict = {"runs": []}
+    if p.exists():
+        try:
+            doc = json.loads(p.read_text(encoding="utf-8"))
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise DatasetError(p, f"invalid JSON: {exc}") from exc
+        if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
+            raise DatasetError(p, 'expected a JSON object with a "runs" list')
+    doc["runs"].append(entry)
+    p.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return p

@@ -156,15 +156,25 @@ def cmd_plot(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .bench import time_stages
+    from .bench import append_run, bench_entry
 
     cfg = _effective_config(args)
     if args.dataset is None:
         raise SystemExit("bench: dataset directory is required")
-    seq = load_sequence(args.dataset)
-    print(f"{'stage':<16} {'median_ms':>10} {'runs':>5}")
-    for st in time_stages(seq, cfg, max_frames=args.max_frames):
-        print(f"{st.stage:<16} {st.median_ms:>10.3f} {st.runs:>5}")
+    entry = bench_entry(
+        args.dataset,
+        cfg,
+        max_frames=args.max_frames,
+        repeats=args.repeats,
+        workers=args.workers,
+        label=args.label,
+    )
+    print(f"{'step':<16} {'median_ms':>10}")
+    for step, ms in (*entry["stage_ms"].items(), *entry["wall_ms"].items()):
+        print(f"{step:<16} {ms:>10.3f}")
+    print(f"frames={entry['frames']} repeats={entry['repeats']} workers={entry['workers']}")
+    if args.json:
+        print(f"-> {append_run(args.json, entry)}")
     return 0
 
 
@@ -242,10 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_plot)
 
-    p = subs.add_parser("bench", help="print the median time of each pipeline stage")
+    p = subs.add_parser(
+        "bench", help="print the median time of each pipeline stage and end-to-end step"
+    )
     p.add_argument("dataset", nargs="?", help="sequence directory")
     p.add_argument("--max-frames", type=_non_negative_int, default=None)
-    _add_config_flags(p)
+    p.add_argument("--repeats", type=_positive_int, default=1, help="timed runs (default 1)")
+    p.add_argument("--json", metavar="PATH", help="also add the timings to the runs list in PATH")
+    p.add_argument("--label", help="free text stored with the --json entry")
+    _add_config_flags(p, with_workers=True)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -187,8 +187,22 @@ def _object(value) -> dict:
     return value
 
 
+def _string(value) -> str:
+    """An id: a JSON string, never a number or null."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _number(value):
+    """A JSON number: an int or a float, never a bool or a string."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
 def _finite(value) -> float:
-    number = float(value)
+    number = float(_number(value))
     if not math.isfinite(number):
         raise ValueError(f"{number} is not a finite number")
     return number
@@ -235,6 +249,14 @@ def _path_string(value) -> str:
 
 
 def _floats(value) -> np.ndarray:
+    """A JSON array, nested or not, of finite numbers."""
+    pending = [_array(value)]
+    while pending:  # no recursion: the nesting depth is the file's to choose
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        else:
+            _number(item)
     numbers = np.asarray(value, dtype=np.float64)
     if not np.isfinite(numbers).all():
         raise ValueError("not every number is finite")
@@ -278,7 +300,7 @@ def _load_masks(path: Path, cameras: dict[str, CameraModel]) -> list[MaskRegion]
     obj = _read_json(path)
     regions = []
     for i, rec in enumerate(_require(obj, "regions", path, cast=_array)):
-        cam_id = _require(rec, "camera_id", path, cast=str)
+        cam_id = _require(rec, "camera_id", path, cast=_string)
         if cam_id not in cameras:
             raise DatasetError(
                 path, f"region {i} references camera {cam_id!r} not present in calibration"
@@ -360,7 +382,7 @@ def load_ground_truth(path: Path) -> dict[int, list[GroundTruthBox]]:
             frame = _require(rec, "frame", path, lineno, cast=_integer)
             try:
                 box = GroundTruthBox(
-                    track_id=_require(rec, "track_id", path, lineno, cast=str),
+                    track_id=_require(rec, "track_id", path, lineno, cast=_string),
                     center=_require(rec, "center", path, lineno, cast=_floats),
                     length=_require(rec, "length", path, lineno, cast=_finite),
                     width=_require(rec, "width", path, lineno, cast=_finite),

@@ -95,21 +95,42 @@ def downsample_stride(cloud: PointCloud, stride: int) -> PointCloud:
 # with the lowest z and the half with the highest z, where a plane that is
 # not the ground leaves the most points off it.
 _PROBE_POINTS = 1024
+# Above this many candidates the probe's z thresholds come from every
+# (n // _SAMPLED_PROBE_ABOVE)-th candidate, not from all of them.
+_SAMPLED_PROBE_ABOVE = 8192
+
+
+def _probe_rows(z: np.ndarray, rows: np.ndarray, cand) -> np.ndarray:
+    """Candidate rows to score every hypothesis on: about _PROBE_POINTS of
+    those with the lowest and highest z, or all of them when there are no
+    more than that. z is the cloud's z column, rows lists the candidate rows
+    in order and cand is their mask, or None when every row is one. Any
+    subset keeps the fit exact; the z extremes make it fast."""
+    n = len(rows)
+    if n <= _PROBE_POINTS:
+        return rows
+    half = _PROBE_POINTS // 2
+    if n > _SAMPLED_PROBE_ABOVE:
+        sample = z[rows[:: n // _SAMPLED_PROBE_ABOVE]]
+        k = -(-half * len(sample) // n)
+        sample.partition((k - 1, len(sample) - k))
+        near = (z <= sample[k - 1]) | (z >= sample[len(sample) - k])
+        if cand is not None:
+            near &= cand
+        probe = np.flatnonzero(near)
+        # Many candidates tied at a threshold make a large probe; pick exactly.
+        if len(probe) <= 2 * _PROBE_POINTS:
+            return probe
+    order = np.argpartition(z[rows], (half - 1, n - half))
+    return rows[np.concatenate((order[:half], order[n - half :]))]
 
 
 def _proven_outliers(
-    pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray, tol: float
+    probe: np.ndarray, normals: np.ndarray, offsets: np.ndarray, tol: float
 ) -> np.ndarray:
     """Per plane (a row of normals and its offset), the probe points whose
     |distance| exceeds tol however the distance is rounded: a lower bound on
-    the plane's outliers in pts."""
-    n = len(pts)
-    if n > _PROBE_POINTS:
-        half = _PROBE_POINTS // 2
-        order = np.argpartition(pts[:, 2], (half - 1, n - half))
-        probe = pts[np.concatenate((order[:half], order[n - half :]))]
-    else:
-        probe = pts
+    the plane's outliers among the candidates the probe was taken from."""
     # Any order of evaluating |n . p + offset| errs by a few ulps of
     # 3 max|p| + |offset|; the margin is some 1e6 times that.
     limit = tol + 1e-9 * (3.0 * float(np.abs(probe).max()) + np.abs(offsets) + tol)
@@ -119,38 +140,15 @@ def _proven_outliers(
     return np.count_nonzero(dist > limit, axis=0)
 
 
-def fit_ground_plane(points, cfg: PreprocessConfig, rng=None) -> GroundFit:
-    """RANSAC plane fit over candidate ground points.
-
-    Returns the sample plane with the most inliers over cfg.ransac_iterations
-    3-point draws (first-found wins ties); no least-squares refinement. The
-    normal is oriented with a non-negative z component. The inlier mask is
-    the winner's full count, |plane.signed_distance(points)| <= tol.
-
-    All draws come from one rng.integers call of shape (iterations, 3),
-    which yields the same triples, and leaves the generator in the same
-    state, as one size-3 call per iteration. Draws with a repeated index
-    or a cross product of norm below 1e-12 are dropped. Every hypothesis
-    is built in whole-array steps that round as the per-draw loop does:
-    the cross product column by column, and the norm and the offset with
-    np.vecdot, the per-row BLAS dot that x.dot(x) and normal @ p also run.
-
-    The plane is the one a loop that counts every hypothesis's inliers over
-    all points would pick, bit for bit, ties included, but most hypotheses
-    are never counted in full. Each is first scored on a probe of at most
-    _PROBE_POINTS candidates, where only proven outliers count: a point
-    whose |distance| exceeds the tolerance by a rounding margin far larger
-    than any difference between two evaluation orders of the same sum. So
-    n minus the probe count bounds the hypothesis's inlier count from above.
-    Hypotheses are counted in full in order of that bound, and one that
-    cannot beat the best so far (a lower bound, or an equal bound and a
-    later draw) is never counted. A full count is the loop's own expression,
-    points @ normal + offset over all candidates.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) points, got shape {pts.shape}")
-    n = len(pts)
+def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit:
+    """The RANSAC fit of fit_ground_plane over the rows of the contiguous
+    (N, 3) array pts with z < below (every row if below is None). The inlier
+    mask covers all N rows and is False off the candidates. No candidate is
+    copied out of pts."""
+    z = pts[:, 2].copy()  # comparisons over a strided column run 10x slower
+    cand = None if below is None else z < below
+    rows = np.arange(len(pts)) if cand is None else np.flatnonzero(cand)
+    n = len(rows)
     if n < max(3, cfg.min_plane_points):
         raise GroundPlaneError(
             f"insufficient ground candidates: {n} < {max(3, cfg.min_plane_points)}"
@@ -162,9 +160,10 @@ def fit_ground_plane(points, cfg: PreprocessConfig, rng=None) -> GroundFit:
     draws = rng.integers(0, n, size=(cfg.ransac_iterations, 3))
     i, j, k = draws.T
     draws = draws[(i != j) & (i != k) & (j != k)]
-    p0 = pts[draws[:, 0]]
-    a = pts[draws[:, 1]] - p0
-    b = pts[draws[:, 2]] - p0
+    sample = np.take(pts, rows[draws], axis=0)
+    p0 = sample[:, 0]
+    a = sample[:, 1] - p0
+    b = sample[:, 2] - p0
     # Each component rounds exactly as np.cross does on one draw.
     normals = np.stack(
         (
@@ -184,20 +183,67 @@ def fit_ground_plane(points, cfg: PreprocessConfig, rng=None) -> GroundFit:
     if not len(normals):
         raise GroundPlaneError("no non-degenerate 3-point sample found")
 
-    min_outliers = _proven_outliers(pts, normals, offsets, tol)
+    probe = np.take(pts, _probe_rows(z, rows, cand), axis=0)
+    min_outliers = _proven_outliers(probe, normals, offsets, tol)
     best, best_count, best_inliers = -1, 0, None
     for h in np.argsort(min_outliers, kind="stable").tolist():
         bound = n - int(min_outliers[h])
         # Visited in falling bound, then rising h: nothing after this can win.
         if bound < best_count or (bound == best_count and h > best):
             break
+        # Row by row, (pts @ normal)[rows] is bitwise pts[rows] @ normal.
         inliers = np.abs(pts @ normals[h] + offsets[h]) <= tol
+        if cand is not None:
+            inliers &= cand
         count = int(np.count_nonzero(inliers))
         if count > best_count or (count == best_count and h < best):
             best, best_count, best_inliers = h, count, inliers
     if best < 0:
         raise GroundPlaneError("no non-degenerate 3-point sample found")
     return GroundFit(Plane(normals[best], float(offsets[best])), best_inliers)
+
+
+def fit_ground_plane(points, cfg: PreprocessConfig, rng=None) -> GroundFit:
+    """RANSAC plane fit over candidate ground points.
+
+    Returns the sample plane with the most inliers over cfg.ransac_iterations
+    3-point draws (first-found wins ties); no least-squares refinement. The
+    normal is oriented with a non-negative z component. The inlier mask is
+    the winner's full count, |plane.signed_distance(points)| <= tol.
+
+    All draws come from one rng.integers call of shape (iterations, 3),
+    which yields the same triples, and leaves the generator in the same
+    state, as one size-3 call per iteration. Draws with a repeated index
+    or a cross product of norm below 1e-12 are dropped. Every hypothesis
+    is built in whole-array steps that round as the per-draw loop does:
+    the cross product column by column, and the norm and the offset with
+    np.vecdot, the per-row BLAS dot that x.dot(x) and normal @ p also run.
+    Only the 3 x iterations sample points are gathered.
+
+    The plane is the one a loop that counts every hypothesis's inliers over
+    all points would pick, bit for bit, ties included, but most hypotheses
+    are never counted in full. Each is first scored on a probe of the
+    candidates, where only proven outliers count: a point whose |distance|
+    exceeds the tolerance by a rounding margin far larger than any
+    difference between two evaluation orders of the same sum. So n minus
+    the probe count bounds the hypothesis's inlier count from above, for a
+    probe of any subset of the candidates. Hypotheses are counted in full in
+    order of that bound, and one that cannot beat the best so far (a lower
+    bound, or an equal bound and a later draw) is never counted. A full
+    count is the loop's own expression, points @ normal + offset.
+
+    The probe holds the candidates of lowest and highest z, where a plane
+    that is not the ground leaves the most points off it. Up to
+    _SAMPLED_PROBE_ABOVE candidates, np.argpartition picks the _PROBE_POINTS
+    / 2 lowest and highest (all candidates, at most _PROBE_POINTS of them).
+    Above that, a partition of every (n // _SAMPLED_PROBE_ABOVE)-th
+    candidate's z gives a low and a high threshold, and one comparison pass
+    keeps the candidates at or beyond them, about _PROBE_POINTS points.
+    """
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"expected (N, 3) points, got shape {pts.shape}")
+    return _ransac(pts, None, cfg, rng)
 
 
 def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng=None) -> PointCloud:
@@ -207,17 +253,20 @@ def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng=None) -> PointCl
     points that sit off the fitted plane (walls, tires, curbs) are kept, in
     their original order. If the fit fails the cloud comes back unchanged and
     a GroundFitWarning is emitted.
+
+    The fit is fit_ground_plane's over the candidates below the split height,
+    the same plane and the same generator state, but no candidate is copied
+    out of the cloud: the full count runs over the whole cloud under the
+    candidate mask, which gives the same bits row by row as a count over
+    the gathered candidates, and the kept rows are gathered once.
     """
     pts = cloud.points
-    lower_idx = np.flatnonzero(pts[:, 2] < -cfg.ground_split_height)
     try:
-        fit = fit_ground_plane(pts[lower_idx], cfg, rng=rng)
+        fit = _ransac(pts, -cfg.ground_split_height, cfg, rng)
     except GroundPlaneError as exc:
         warnings.warn(f"ground fit skipped: {exc}", GroundFitWarning, stacklevel=2)
         return cloud
-    keep = np.ones(len(pts), dtype=bool)
-    keep[lower_idx[fit.inliers]] = False
-    return PointCloud(pts[keep])
+    return PointCloud(np.take(pts, np.flatnonzero(~fit.inliers), axis=0))
 
 
 def filter_drivable(cloud: PointCloud, grid: DrivableGrid, ego_pose: RigidTransform) -> PointCloud:

@@ -1,25 +1,92 @@
-"""Benchmark helpers: stage timings come from the tracking run."""
+"""Benchmark helpers: one timing loop, one JSON entry per run."""
 
-from lidartrack.bench import time_stages
-from lidartrack.config import PipelineConfig
+import json
+
+import pytest
+
+from lidartrack.bench import append_run, bench_entry, git_commit
+from lidartrack.cli import main
+from lidartrack.config import PipelineConfig, config_to_dict
+from lidartrack.dataset_io import write_sequence
+from lidartrack.errors import DatasetError
 from lidartrack.pipeline import run_tracking
 from lidartrack.synth import SynthConfig, generate
 
+STAGES = [
+    "downsample", "ground_removal", "drivable_filter", "mask_filter",
+    "kdtree_build", "clustering", "box_fit", "tracker_step",
+]
 
-def test_time_stages_buckets():
+
+@pytest.fixture(scope="module")
+def sequence(tmp_path_factory):
     seq = generate(SynthConfig(n_cars=1, n_frames=3, points_per_car=600,
                                ground_density=1.0, clutter_points=20))
-    rows = time_stages(seq, PipelineConfig(), max_frames=2)
-    stages = [r.stage for r in rows]
-    assert stages == [
-        "downsample", "ground_removal", "drivable_filter", "mask_filter",
-        "kdtree_build", "clustering", "box_fit", "tracker_step",
+    root = tmp_path_factory.mktemp("bench") / "seq3"
+    write_sequence(root, seq.frames, seq.cameras, drivable=seq.drivable)
+    return seq, root
+
+
+def test_bench_entry_schema(sequence):
+    seq, root = sequence
+    entry = bench_entry(root, PipelineConfig(), max_frames=2, repeats=2, workers=2, label="x")
+    assert list(entry) == [
+        "label", "dataset", "frames", "repeats", "workers", "config",
+        "wall_ms", "stage_ms", "environment", "commit",
     ]
-    assert all(r.runs == 2 for r in rows)
-    assert all(r.median_ms >= 0 for r in rows)
+    assert entry["label"] == "x" and entry["dataset"] == "seq3"
+    assert (entry["frames"], entry["repeats"], entry["workers"]) == (2, 2, 2)
+    assert entry["config"] == config_to_dict(PipelineConfig())
+    assert list(entry["wall_ms"]) == ["load_sequence", "run_tracking", "write_tracks"]
+    assert list(entry["stage_ms"]) == STAGES
+    assert all(ms >= 0 for ms in [*entry["wall_ms"].values(), *entry["stage_ms"].values()])
+    assert list(entry["environment"]) == ["python", "numpy", "nproc"]
+    assert entry["commit"] is None or len(entry["commit"]) == 40
     # The medians come from the timings every tracking run records per frame.
-    frames = run_tracking(seq, PipelineConfig()).frames
-    assert len(frames) == 3
-    for fr in frames:
-        assert list(fr.stage_seconds) == stages
-        assert all(s >= 0 for s in fr.stage_seconds.values())
+    for fr in run_tracking(seq, PipelineConfig()).frames:
+        assert list(fr.stage_seconds) == STAGES
+
+
+def test_bench_json_appends_one_entry_per_call(sequence, tmp_path, capsys):
+    _, root = sequence
+    out = tmp_path / "BENCH.json"
+    for label in ("before", "after"):
+        assert main(["bench", str(root), "--max-frames", "1", "--json", str(out),
+                     "--label", label]) == 0
+        table = dict(line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:12])
+        run = json.loads(out.read_text())["runs"][-1]
+        assert run["label"] == label
+        # The printed table is made from the same entry.
+        timed = {**run["stage_ms"], **run["wall_ms"]}
+        assert list(table) == list(timed) == STAGES + ["load_sequence", "run_tracking", "write_tracks"]
+        assert table == {step: f"{ms:.3f}" for step, ms in timed.items()}
+    assert len(json.loads(out.read_text())["runs"]) == 2
+
+
+@pytest.mark.parametrize("text", ["[]", '{"runs": {}}', "{", "\xff"])
+def test_bench_json_refuses_a_file_without_a_runs_list(tmp_path, text):
+    path = tmp_path / "BENCH.json"
+    path.write_text(text, encoding="latin-1")
+    with pytest.raises(DatasetError, match="BENCH.json"):
+        append_run(path, {})
+    assert path.read_text(encoding="latin-1") == text
+
+
+def test_git_commit_follows_branches_and_packed_refs(tmp_path):
+    sha = "0123456789abcdef0123456789abcdef01234567"
+    git = tmp_path / "repo" / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    inside = tmp_path / "repo" / "src" / "pkg"
+    inside.mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    assert git_commit(inside) is None  # an unborn branch
+    (git / "packed-refs").write_text(f"# pack-refs with: peeled\n{sha} refs/heads/main\n")
+    assert git_commit(inside) == sha
+    (git / "refs" / "heads" / "main").write_text(sha[::-1] + "\n")
+    assert git_commit(inside) == sha[::-1]
+    (git / "HEAD").write_text(sha + "\n")  # detached
+    assert git_commit(inside) == sha
+    (tmp_path / "linked").mkdir()
+    (tmp_path / "linked" / ".git").write_text(f"gitdir: {git}\n")  # a linked work tree
+    assert git_commit(tmp_path / "linked") is None
+    assert git_commit(tmp_path) is None

@@ -385,6 +385,136 @@ def test_score_input_frame_or_id_must_be_an_integer(
     assert "expected an integer" in err
 
 
+# A JSON number written as a bool, as a numeric string and as null: float()
+# and np.asarray(dtype=float64) accepted the first two.
+NOT_A_NUMBER = {"bool": lambda x: True, "string": str, "null": lambda x: None}
+POSE = ["frames", 0]
+CAMERA_POSE = ["cameras", "cam_front", "ego_to_camera"]
+MASK_FILE = "masks/000000.json"
+
+
+def with_mask_file(root):
+    """Point frame 0 at a mask file covering the front camera's image."""
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["frames"][0]["masks"] = MASK_FILE
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    (root / "masks").mkdir()
+    polygon = [[0.0, 0.0], [1600.0, 0.0], [800.0, 1200.0]]
+    region = {"camera_id": "cam_front", "polygon": polygon}
+    (root / MASK_FILE).write_text(json.dumps({"regions": [region]}))
+
+
+@pytest.mark.parametrize("kind", list(NOT_A_NUMBER))
+@pytest.mark.parametrize(
+    "name, keys",
+    [
+        pytest.param("manifest.json", ["frames", 0, "timestamp"], id="timestamp"),
+        pytest.param("poses.json", POSE + ["rotation", 0], id="pose-rotation"),
+        pytest.param("poses.json", POSE + ["translation", 2], id="pose-translation"),
+        *(
+            pytest.param("calibration.json", CAMERA_INTRINSICS + [key], id=f"camera-{key}")
+            for key in ("fx", "fy", "cx", "cy")
+        ),
+        pytest.param("calibration.json", CAMERA_POSE + ["rotation", 3], id="camera-rotation"),
+        pytest.param("calibration.json", CAMERA_POSE + ["translation", 1], id="camera-translation"),
+        pytest.param("drivable.json", ["origin_xy", 1], id="drivable-origin"),
+        pytest.param("drivable.json", ["resolution"], id="drivable-resolution"),
+        pytest.param(MASK_FILE, ["regions", 0, "polygon", 2, 0], id="mask-polygon"),
+    ],
+)
+def test_sequence_number_must_be_a_json_number(tmp_path, capsys, name, keys, kind):
+    root = tmp_path / "seq"
+    assert main(["synth", str(root), "--cars", "1", "--frames", "2"]) == 0
+    with_mask_file(root)
+    edit_json(root / name, keys, NOT_A_NUMBER[kind])
+    capsys.readouterr()
+    assert main(["track", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert name in err
+    assert "expected a number" in err
+
+
+@pytest.mark.parametrize(
+    "name, keys, value",
+    [
+        pytest.param("poses.json", POSE + ["rotation"], True, id="pose-rotation-true"),
+        pytest.param("drivable.json", ["origin_xy"], 5.0, id="drivable-origin-a-number"),
+        pytest.param(MASK_FILE, ["regions", 0, "polygon"], "[[0, 0]]", id="polygon-a-string"),
+        pytest.param(MASK_FILE, ["regions", 0, "camera_id"], None, id="null-camera"),
+        pytest.param(MASK_FILE, ["regions", 0, "camera_id"], 5, id="numeric-camera"),
+        pytest.param(MASK_FILE, ["regions", 0, "camera_id"], True, id="bool-camera"),
+    ],
+)
+def test_sequence_array_or_id_of_the_wrong_json_type(tmp_path, capsys, name, keys, value):
+    root = tmp_path / "seq"
+    assert main(["synth", str(root), "--cars", "1", "--frames", "2"]) == 0
+    with_mask_file(root)
+    edit_json(root / name, keys, lambda _: value)
+    capsys.readouterr()
+    assert main(["track", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert name in err
+    assert "expected a" in err
+
+
+# What a gt track id was written as instead of a string; str() accepted all.
+NOT_A_STRING = {"bool": lambda x: True, "number": lambda x: 5, "null": lambda x: None}
+
+
+@pytest.mark.parametrize(
+    "name, keys, kind",
+    [
+        *(
+            pytest.param("gt.jsonl", keys, kind, id=f"gt-{'-'.join(map(str, keys))}-{kind}")
+            for keys in (["center", 0], ["length"], ["width"], ["height"])
+            for kind in NOT_A_NUMBER
+        ),
+        *(
+            pytest.param("tracks.jsonl", [key], kind, id=f"tracks-{key}-{kind}")
+            for key in ("x", "y", "z", "vx", "vy", "length", "width", "height")
+            for kind in NOT_A_NUMBER
+        ),
+        *(
+            pytest.param("gt.jsonl", ["track_id"], kind, id=f"gt-track_id-{kind}")
+            for kind in NOT_A_STRING
+        ),
+    ],
+)
+def test_score_input_of_the_wrong_json_type_is_a_data_error(
+    dataset, tracked, tmp_path, capsys, name, keys, kind
+):
+    paths = {"gt.jsonl": dataset / "gt.jsonl", "tracks.jsonl": tracked}
+    lines = paths[name].read_text().splitlines()
+    row = 0 if name == "gt.jsonl" else 1  # the first record; tracks files open with a header
+    rec = json.loads(lines[row])
+    change = NOT_A_STRING[kind] if keys == ["track_id"] else NOT_A_NUMBER[kind]
+    parent = rec
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = change(parent[keys[-1]])
+    lines[row] = json.dumps(rec)
+    paths[name] = tmp_path / name
+    paths[name].write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", str(paths["gt.jsonl"]), str(paths["tracks.jsonl"])]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}:{row + 1}" in err
+    assert "expected a string" in err if keys == ["track_id"] else "expected a number" in err
+
+
+def test_every_file_synth_writes_loads(tmp_path, capsys):
+    root = tmp_path / "seq"
+    assert main(["synth", str(root), "--cars", "2", "--frames", "3"]) == 0
+    with_mask_file(root)
+    written = sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+    assert [p for p in written if not p.startswith("frames/")] == [
+        "calibration.json", "drivable.bin", "drivable.json", "gt.jsonl",
+        "manifest.json", MASK_FILE, "poses.json",
+    ]
+    assert main(["track", str(root)]) == 0
+    assert main(["eval", str(root), str(root / "tracks.jsonl")]) == 0
+
+
 @pytest.mark.parametrize(
     "mask",
     [

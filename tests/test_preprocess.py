@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lidartrack.dataset_io import DrivableGrid, Frame, MaskRegion, PointCloud
 from lidartrack.errors import ConfigError, GroundPlaneError
+from lidartrack.synth import SynthConfig, generate
 from lidartrack.geometry import (
     CameraModel,
     RigidTransform,
@@ -15,10 +16,12 @@ from lidartrack.geometry import (
 )
 from lidartrack.preprocess import (
     _PROBE_POINTS,
+    _SAMPLED_PROBE_ABOVE,
     GroundFitWarning,
     Plane,
     PreprocessConfig,
     _points_in_polygon,
+    _probe_rows,
     downsample_stride,
     filter_by_masks,
     filter_drivable,
@@ -342,6 +345,125 @@ def test_fit_with_only_degenerate_draws_raises(iterations):
     with pytest.raises(GroundPlaneError):
         reference_fit_ground_plane(pts, cfg, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# --- ground removal without copying the candidates out ---------------------
+
+
+def remove_ground_by_gather(pts, cfg, rng):
+    """Ground removal as a fit over the gathered candidates: the path
+    remove_ground must match bit for bit."""
+    lower_idx = np.flatnonzero(pts[:, 2] < -cfg.ground_split_height)
+    fit = fit_ground_plane(pts[lower_idx], cfg, rng=rng)
+    keep = np.ones(len(pts), dtype=bool)
+    keep[lower_idx[fit.inliers]] = False
+    return pts[keep]
+
+
+@st.composite
+def split_cloud(draw):
+    """Ground, flat or sloped across the split height, with noise or on a
+    coarse z grid (many ties at the probe thresholds). The candidates below
+    the split are interleaved with rows at or above it: ground that the
+    plane's tolerance covers but the split excludes, and clutter. The
+    candidate count straddles the probe size and the sampled-probe
+    threshold, and the total row count takes every value mod 8."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_cand = draw(st.sampled_from(
+        [base + d for base in (_PROBE_POINTS, _SAMPLED_PROBE_ABOVE) for d in (-1, 0, 1)]
+    ))
+    n_high = 8 * draw(st.integers(1, 40)) + draw(st.integers(0, 7))
+    ground = rng.uniform(-30.0, 30.0, size=(3 * n_cand, 3))
+    sx, sy = draw(st.sampled_from(((0.0, 0.0), (0.02, -0.01))))
+    ground[:, 2] = -1.8 + sx * ground[:, 0] + sy * ground[:, 1]
+    if draw(st.booleans()):
+        ground[:, 2] += rng.normal(scale=0.05, size=len(ground))
+    else:
+        ground[:, 2] = np.round(ground[:, 2], 1)
+    below = ground[:, 2] < -1.5
+    cand = ground[below][:n_cand]
+    # Curbs, tires and walls below the split height: candidates off the plane.
+    bumps = n_cand // 20
+    cand[:bumps, 2] = np.minimum(cand[:bumps, 2] + 0.25, -1.5 - 1e-9)
+    high = rng.uniform(-30.0, 30.0, size=(n_high, 3))
+    high[:, 2] = rng.uniform(-1.5, 1.0, size=n_high)
+    high[0, 2] = -1.5  # exactly at the split: never a candidate
+    above = ground[~below][: n_high // 2]
+    high[1 : 1 + len(above)] = above
+    pts = np.vstack([cand, high])[rng.permutation(n_cand + n_high)]
+    assert np.count_nonzero(pts[:, 2] < -1.5) == n_cand
+    cfg = PreprocessConfig(ransac_iterations=draw(st.sampled_from((1, 30, 100))))
+    return pts, cfg, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(split_cloud())
+def test_remove_ground_matches_the_gather_path_bit_for_bit(case):
+    pts, cfg, seed = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = remove_ground_by_gather(pts, cfg, ref_rng)
+    got = remove_ground(make_cloud(pts), cfg, rng=rng).points
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def loop_hypotheses(cand, cfg, rng):
+    """Every non-degenerate hypothesis plane, built one draw at a time."""
+    for _ in range(cfg.ransac_iterations):
+        i, j, k = rng.integers(0, len(cand), size=3)
+        if i == j or i == k or j == k:
+            continue
+        normal = np.cross(cand[j] - cand[i], cand[k] - cand[i])
+        norm = np.linalg.norm(normal)
+        if norm < 1e-12:
+            continue
+        normal = normal / norm
+        yield -normal if normal[2] < 0 else normal
+
+
+@pytest.mark.parametrize("scene", ["golden-seed1-frame0", "stride1-frame0"])
+def test_distances_over_the_cloud_equal_distances_over_the_candidates(scene):
+    # remove_ground counts inliers over the whole cloud under the candidate
+    # mask. That is exact only because a row's product with the normal does
+    # not depend on the rows around it.
+    if scene == "golden-seed1-frame0":
+        frame, stride = generate(SynthConfig(rng_seed=1)).frames[0], 10
+    else:
+        frame = generate(SynthConfig(n_cars=3, n_frames=1, points_per_car=600,
+                                     ground_density=18.0, ground_extent=40.0,
+                                     clutter_points=200, rng_seed=1)).frames[0]
+        stride = 1
+    cfg = PreprocessConfig(stride=stride)
+    pts = downsample_stride(frame.cloud, stride).points
+    rows = np.flatnonzero(pts[:, 2] < -cfg.ground_split_height)
+    assert len(rows) > (_SAMPLED_PROBE_ABOVE if stride == 1 else _PROBE_POINTS)
+    cand = pts[rows]
+    normals = list(loop_hypotheses(cand, cfg, np.random.default_rng([cfg.rng_seed, 0])))
+    assert len(normals) > 90
+    for normal in normals:
+        assert (pts @ normal)[rows].tobytes() == (cand @ normal).tobytes()
+
+
+def test_probe_rows_samples_the_z_extremes_and_falls_back_on_ties():
+    rng = np.random.default_rng(11)
+    z = rng.normal(size=40_000)
+    z[::3] = 5.0  # not candidates
+    cand = z < 4.0
+    rows = np.flatnonzero(cand)
+    probe = _probe_rows(z, rows, cand)
+    assert np.isin(probe, rows).all() and np.all(np.diff(probe) > 0)
+    assert _PROBE_POINTS // 2 <= len(probe) <= 2 * _PROBE_POINTS
+    order = rows[np.argsort(z[rows])]
+    assert np.isin(order[:200], probe).all() and np.isin(order[-200:], probe).all()
+    # On a z grid most candidates tie at the thresholds; the exact pick is used.
+    z = np.round(z, 0)
+    probe = _probe_rows(z, rows, cand)
+    assert len(probe) == _PROBE_POINTS
+    assert np.isin(probe, rows).all()
+    # Up to the sampled-probe threshold the pick is always exact.
+    few = rows[:_SAMPLED_PROBE_ABOVE]
+    assert len(_probe_rows(z, few, None)) == _PROBE_POINTS
+    assert np.array_equal(_probe_rows(z, few[:_PROBE_POINTS], None), few[:_PROBE_POINTS])
 
 
 def square_grid(x0=0.0, y0=0.0, size=10, resolution=1.0, bits=None):

@@ -3,8 +3,9 @@
 One call of `bench_entry` times `load_sequence`, `run_tracking` and
 `write_tracks` over some repeats and takes the stage medians from the
 timings every tracking run records per frame (`FrameResult.stage_seconds`).
-The entry is plain JSON data; `append_run` adds it to the `runs` list of a
-BENCH file, so one file holds a trajectory of measurements.
+The entry also holds the memory the loaded clouds take and the process's
+peak resident set size. It is plain JSON data; `append_run` adds it to the
+`runs` list of a BENCH file, so one file holds a trajectory of measurements.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import platform
 import statistics
+import sys
 import tempfile
 import time
 from dataclasses import replace
@@ -67,7 +69,10 @@ def bench_entry(
     `wall_ms` holds the median of each end-to-end step: load_sequence (the
     whole sequence), run_tracking and write_tracks (to a temporary file).
     `stage_ms` holds the median of each pipeline stage over every frame of
-    every repeat, in pipeline order.
+    every repeat, in pipeline order. `memory_mb` holds, in MiB, `clouds`:
+    the sum of `points.nbytes` over every frame load_sequence returned, and
+    `peak_rss`: the process's peak resident set size after the repeats, or
+    None where the `resource` module is missing.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -78,6 +83,7 @@ def bench_entry(
             t0 = time.perf_counter()
             seq = load_sequence(dataset)
             t1 = time.perf_counter()
+            clouds = sum(fr.cloud.points.nbytes for fr in seq.frames)
             if max_frames is not None:
                 seq = replace(seq, frames=seq.frames[:max_frames])
             result = run_tracking(seq, cfg, workers=workers)
@@ -98,6 +104,7 @@ def bench_entry(
         "config": config_to_dict(cfg),
         "wall_ms": {step: _median_ms(runs) for step, runs in walls.items()},
         "stage_ms": {stage: _median_ms(runs) for stage, runs in stages.items()},
+        "memory_mb": {"clouds": round(clouds / 2**20, 4), "peak_rss": _peak_rss_mb()},
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -113,6 +120,16 @@ def bench_entry(
 
 def _median_ms(seconds: list[float]) -> float:
     return round(statistics.median(seconds) * 1000.0, 4)
+
+
+def _peak_rss_mb() -> float | None:
+    try:
+        import resource
+    except ImportError:  # not on Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts bytes on macOS and KiB on Linux.
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 4)
 
 
 def append_run(path, entry: dict) -> Path:

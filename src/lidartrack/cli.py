@@ -173,6 +173,8 @@ def cmd_bench(args) -> int:
     for step, ms in (*entry["stage_ms"].items(), *entry["wall_ms"].items()):
         print(f"{step:<16} {ms:>10.3f}")
     print(f"frames={entry['frames']} repeats={entry['repeats']} workers={entry['workers']}")
+    memory = {key: "n/a" if mb is None else f"{mb:.1f}" for key, mb in entry["memory_mb"].items()}
+    print(f"clouds_mb={memory['clouds']} peak_rss_mb={memory['peak_rss']}")
     if args.json:
         print(f"-> {append_run(args.json, entry)}")
     return 0

@@ -40,12 +40,20 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Immutable (N, 3) float64 point array."""
+    """Immutable, C-contiguous (N, 3) point array.
+
+    A float32 array stays float32: a loaded frame keeps the file's values as
+    stored, at 12 bytes per point. Any other array becomes float64. The
+    preprocess stages widen a float32 cloud to float64, which is exact, so
+    every stage after the first sees float64 points.
+    """
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
+        pts = np.asarray(self.points)
+        dtype = np.float32 if pts.dtype == np.float32 else np.float64
+        pts = np.ascontiguousarray(pts, dtype=dtype)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"expected (N, 3) points, got shape {pts.shape}")
         pts.flags.writeable = False
@@ -293,7 +301,8 @@ def _load_cloud(path: Path, expected_points: int, frame_index: int) -> np.ndarra
         raise DatasetError(
             path, f"frame {frame_index}: {bad} point(s) have NaN or infinite coordinates"
         )
-    return pts.astype(np.float64)
+    # A native-order copy: the file's bytes are freed here, not held by a view.
+    return pts.astype(np.float32)
 
 
 def _load_masks(path: Path, cameras: dict[str, CameraModel]) -> list[MaskRegion]:

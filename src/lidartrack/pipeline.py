@@ -28,6 +28,8 @@ class FrameResult:
     n_detections: int
     # downsample, ground_removal, drivable_filter, mask_filter, kdtree_build,
     # clustering, box_fit, tracker_step: wall time of each, in that order.
+    # downsample includes widening the loaded float32 points it keeps to
+    # float64.
     stage_seconds: dict[str, float]
     n_tracks: int  # confirmed tracks reported this frame
 

@@ -3,7 +3,10 @@
 Stage order is fixed: stride downsample, ground removal, drivable-area
 filter, camera-mask filter. Every stage returns a subset of its input rows;
 coordinates are never modified, so a point surviving to the end is the same
-float triple that came off the sensor.
+float triple that came off the sensor. A loaded frame's cloud is float32, as
+stored; the downsample widens the rows it keeps to float64, which is exact,
+and every stage returns float64 points. A stage called on a float32 cloud
+widens it on entry, so it gives the same answer as on the widened cloud.
 """
 
 from __future__ import annotations
@@ -79,16 +82,28 @@ class PreprocessStats:
     n_after_masks: int
     # Wall time of each stage, in stage order: downsample, ground_removal,
     # drivable_filter, mask_filter. A disabled filter still gets its entry.
+    # downsample includes widening the kept rows of a float32 cloud.
     stage_seconds: dict[str, float]
 
 
+def _float64(cloud: PointCloud) -> PointCloud:
+    """The cloud itself if its points are float64, else a widened copy."""
+    if cloud.points.dtype == np.float64:
+        return cloud
+    return PointCloud(cloud.points.astype(np.float64))
+
+
 def downsample_stride(cloud: PointCloud, stride: int) -> PointCloud:
-    """Keep every stride-th point starting at index 0."""
+    """Keep every stride-th point starting at index 0, as float64.
+
+    Only the kept rows of a float32 cloud are widened. A float64 cloud at
+    stride 1 comes back as the same object.
+    """
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if stride == 1:
-        return cloud
-    return PointCloud(cloud.points[::stride])
+        return _float64(cloud)
+    return PointCloud(cloud.points[::stride].astype(np.float64))
 
 
 # Candidates every hypothesis is scored on before any full count: the half
@@ -251,8 +266,8 @@ def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng=None) -> PointCl
 
     Points at or above z = -ground_split_height never count as ground. Lower
     points that sit off the fitted plane (walls, tires, curbs) are kept, in
-    their original order. If the fit fails the cloud comes back unchanged and
-    a GroundFitWarning is emitted.
+    their original order. If the fit fails the cloud comes back unchanged
+    (widened to float64 if it was float32) and a GroundFitWarning is emitted.
 
     The fit is fit_ground_plane's over the candidates below the split height,
     the same plane and the same generator state, but no candidate is copied
@@ -260,6 +275,7 @@ def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng=None) -> PointCl
     candidate mask, which gives the same bits row by row as a count over
     the gathered candidates, and the kept rows are gathered once.
     """
+    cloud = _float64(cloud)
     pts = cloud.points
     try:
         fit = _ransac(pts, -cfg.ground_split_height, cfg, rng)
@@ -271,6 +287,7 @@ def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng=None) -> PointCl
 
 def filter_drivable(cloud: PointCloud, grid: DrivableGrid, ego_pose: RigidTransform) -> PointCloud:
     """Keep ego-frame points whose city-frame x/y falls on a drivable cell."""
+    cloud = _float64(cloud)
     if len(cloud) == 0:
         return cloud
     city = transform_points(ego_pose, cloud.points)
@@ -316,6 +333,7 @@ def filter_by_masks(
     visible in no camera is kept by default (the masks say nothing about
     it); strict=True drops those too, keeping only mask-confirmed points.
     """
+    cloud = _float64(cloud)
     if len(cloud) == 0 or (not masks and not strict):
         return cloud
     by_camera: dict[str, list[MaskRegion]] = {}

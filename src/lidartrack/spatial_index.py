@@ -1,7 +1,8 @@
 """Exact radius search over a fixed point set, in numpy alone.
 
-"Within r" always means the documented test ``(d * d).sum(axis=1) <= r * r``
-on float64 coordinate differences, with the boundary inclusive.
+"Within r" always means the documented test ``(dx*dx + dy*dy) + dz*dz <= r*r``
+on float64 coordinate differences, summed in that order (the order of
+``(d * d).sum(axis=1)``), with the boundary inclusive.
 
 `KdTree.radius_pairs`, the all-pairs search DBSCAN asks for once per frame,
 is a sorted-cell sweep. Points are bucketed into rows of (y, z) cells whose
@@ -15,8 +16,8 @@ cells and windows round. The index is rebuilt per frame (clouds change
 completely between sweeps, so incremental updates buy nothing).
 
 `BruteForceIndex`, the oracle `KdTree` is tested against, answers the same
-pair question by a linear scan per point, through `radius_query`, the one
-single-centre query here.
+pair question by testing every pair, a block of rows at a time, with the
+same expression as `radius_query`, the one single-centre query here.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ _ROW_STRIDE = 2**31
 # other four neighbours find the point from their side.
 _FORWARD_ROWS = (1, _ROW_STRIDE - 1, _ROW_STRIDE, _ROW_STRIDE + 1)
 
+# Pairs `BruteForceIndex.radius_pairs` tests in one block of rows; each of
+# the test's (rows, points) temporaries takes 8 bytes a pair, 2 MiB here.
+_SCAN_PAIRS = 2**18
+
 
 def _check_points(points) -> np.ndarray:
     # Always copy: the index must not alias caller memory (later mutation of
@@ -70,10 +75,22 @@ def _check_center(center) -> np.ndarray:
     return c
 
 
-def _within(points: np.ndarray, center: np.ndarray, r: float) -> np.ndarray:
-    """The inclusive distance test every index answers with."""
-    d = points - center
-    return (d * d).sum(axis=1) <= r * r
+def _within(cols, center, r: float) -> np.ndarray:
+    """The inclusive distance test every index answers with.
+
+    cols holds the points' x, y and z columns and center the centre's x, y
+    and z, each of which broadcasts against its column: scalars test one
+    centre, (B, 1) columns test B centres at once and give a (B, N) mask
+    whose rows are bitwise the masks of one centre each.
+    """
+    dx, dy, dz = (p - c for p, c in zip(cols, center))
+    # (dx*dx + dy*dy) + dz*dz, in place: a third faster on large blocks.
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dz *= dz
+    dx += dz
+    return dx <= r * r
 
 
 def _candidate_radius(r: float) -> float:
@@ -198,14 +215,28 @@ class BruteForceIndex:
         """Ascending int64 indices of every point within distance r (inclusive)."""
         r = _check_radius(r)
         c = _check_center(center)
-        return np.flatnonzero(_within(self.points, c, r)).astype(np.int64)
+        return np.flatnonzero(_within(self.points.T, c, r)).astype(np.int64)
 
     def radius_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """Same contract as `KdTree.radius_pairs`, by one linear scan per point."""
+        """Same contract as `KdTree.radius_pairs`, by testing every pair.
+
+        Each block of rows i is tested against the points after its first
+        row with `_within`, so row i's pairs are those of `radius_query`
+        from points[i], bit for bit. Pairs come sorted by i, then j.
+        """
+        r = _check_radius(r)
         firsts, seconds = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for i, p in enumerate(self.points):
-            nbrs = self.radius_query(p, r)
-            nbrs = nbrs[nbrs > i]
-            firsts.append(np.full(nbrs.size, i, dtype=np.int64))
-            seconds.append(nbrs)
+        cols = self.points.T.copy()  # contiguous columns scan several times faster
+        n = self.n
+        start = 0
+        while start < n - 1:
+            stop = min(n, start + max(1, _SCAN_PAIRS // (n - start)))
+            hit = _within(cols[:, start + 1 :], cols[:, start:stop, None], r)
+            i, j = np.nonzero(hit)
+            i += start
+            j += start + 1
+            keep = j > i
+            firsts.append(i[keep])
+            seconds.append(j[keep])
+            start = stop
         return np.concatenate(firsts), np.concatenate(seconds)

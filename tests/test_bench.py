@@ -7,7 +7,7 @@ import pytest
 from lidartrack.bench import append_run, bench_entry, git_commit
 from lidartrack.cli import main
 from lidartrack.config import PipelineConfig, config_to_dict
-from lidartrack.dataset_io import write_sequence
+from lidartrack.dataset_io import load_sequence, write_sequence
 from lidartrack.errors import DatasetError
 from lidartrack.pipeline import run_tracking
 from lidartrack.synth import SynthConfig, generate
@@ -32,7 +32,7 @@ def test_bench_entry_schema(sequence):
     entry = bench_entry(root, PipelineConfig(), max_frames=2, repeats=2, workers=2, label="x")
     assert list(entry) == [
         "label", "dataset", "frames", "repeats", "workers", "config",
-        "wall_ms", "stage_ms", "environment", "commit",
+        "wall_ms", "stage_ms", "memory_mb", "environment", "commit",
     ]
     assert entry["label"] == "x" and entry["dataset"] == "seq3"
     assert (entry["frames"], entry["repeats"], entry["workers"]) == (2, 2, 2)
@@ -40,6 +40,12 @@ def test_bench_entry_schema(sequence):
     assert list(entry["wall_ms"]) == ["load_sequence", "run_tracking", "write_tracks"]
     assert list(entry["stage_ms"]) == STAGES
     assert all(ms >= 0 for ms in [*entry["wall_ms"].values(), *entry["stage_ms"].values()])
+    # Every loaded frame counts, max_frames or not: float32, 12 bytes a point.
+    n_points = sum(len(fr.cloud) for fr in load_sequence(root).frames)
+    assert list(entry["memory_mb"]) == ["clouds", "peak_rss"]
+    assert entry["memory_mb"]["clouds"] == round(12 * n_points / 2**20, 4)
+    peak = entry["memory_mb"]["peak_rss"]
+    assert peak is None or peak > entry["memory_mb"]["clouds"]
     assert list(entry["environment"]) == ["python", "numpy", "nproc"]
     assert entry["commit"] is None or len(entry["commit"]) == 40
     # The medians come from the timings every tracking run records per frame.

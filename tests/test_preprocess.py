@@ -1,11 +1,25 @@
 """Downsampling, RANSAC ground removal, drivable and mask filters."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidartrack.dataset_io import DrivableGrid, Frame, MaskRegion, PointCloud
+from lidartrack import preprocess
+from lidartrack.clustering import dbscan
+from lidartrack.config import PipelineConfig
+from lidartrack.dataset_io import (
+    DrivableGrid,
+    Frame,
+    MaskRegion,
+    PointCloud,
+    load_sequence,
+    write_sequence,
+)
+from lidartrack.detection import detect
+from lidartrack.spatial_index import KdTree
 from lidartrack.errors import ConfigError, GroundPlaneError
 from lidartrack.synth import SynthConfig, generate
 from lidartrack.geometry import (
@@ -674,3 +688,144 @@ def test_preprocess_config_validation():
         PreprocessConfig(ransac_iterations=0)
     with pytest.raises(ValueError):
         PreprocessConfig(ransac_inlier_tol=0.0)
+
+
+# --- float32 clouds, as loaded ---------------------------------------------
+
+# One frame of perfbench's sweep scene (117k points, run at stride 1).
+SWEEP_FRAME = SynthConfig(n_cars=3, n_frames=1, points_per_car=600, ground_density=18.0,
+                          ground_extent=40.0, clutter_points=200, rng_seed=1)
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """Golden seed 0 (its first two frames) and one sweep frame, written and
+    loaded back, so every cloud is float32 as stored. Each frame gets a mask
+    over the left half of the front camera's image."""
+    scenes = {}
+    for name, cfg in (("golden-seed0", SynthConfig(rng_seed=0)), ("sweep", SWEEP_FRAME)):
+        seq = generate(cfg)
+        root = tmp_path_factory.mktemp(name)
+        write_sequence(root, seq.frames[:2], seq.cameras, drivable=seq.drivable)
+        seq = load_sequence(root)
+        cam = seq.cameras["cam_front"]
+        half = MaskRegion("cam_front", [[0, 0], [cam.width / 2, 0],
+                                        [cam.width / 2, cam.height], [0, cam.height]])
+        scenes[name] = replace(seq, frames=[replace(fr, masks=[half]) for fr in seq.frames])
+    return scenes
+
+
+def widened(frame):
+    """The frame as the float64 loader gave it: every point widened up front."""
+    return replace(frame, cloud=PointCloud(frame.cloud.points.astype(np.float64)))
+
+
+def counts(stats):
+    """The stats without their timings."""
+    return replace(stats, stage_seconds={})
+
+
+def assert_same_float64(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "scene, stride",
+    [("golden-seed0", 1), ("golden-seed0", 2), ("golden-seed0", 10), ("sweep", 1)],
+)
+def test_loaded_float32_frame_detects_as_the_float64_frame(loaded, monkeypatch, scene, stride):
+    """preprocess_frame and detect give the same bits on a loaded float32
+    frame as on the frame widened up front: the points after every stage,
+    the stats, the DBSCAN labels and the detections."""
+    seq = loaded[scene]
+    cfg = PipelineConfig()
+    pre = replace(cfg.preprocess, stride=stride, mask_filter_enabled=True)
+    stages = []
+    for name in ("downsample_stride", "remove_ground", "filter_drivable", "filter_by_masks"):
+        def recorded(*args, _stage=getattr(preprocess, name), **kwargs):
+            out = _stage(*args, **kwargs)
+            stages.append(out.points)
+            return out
+        monkeypatch.setattr(preprocess, name, recorded)
+
+    for frame in seq.frames:
+        assert frame.cloud.points.dtype == np.float32
+        runs = []
+        for fr in (frame, widened(frame)):
+            del stages[:]
+            found = detect(fr, pre, cfg.clustering, cfg.box_limits,
+                           cameras=seq.cameras, drivable=seq.drivable)
+            runs.append((list(stages), found))
+        (stages32, got), (stages64, want) = runs
+        assert len(stages32) == len(stages64) == 4
+        for a, b in zip(stages32, stages64):
+            assert_same_float64(a, b)
+        assert counts(got.stats) == counts(want.stats)
+        assert_same_float64(got.points, want.points)
+        assert got.n_clusters == want.n_clusters
+        labels = [dbscan(f.points, cfg.clustering, KdTree(f.points)).labels for f in (got, want)]
+        assert np.array_equal(*labels)
+        assert len(got.detections) == len(want.detections)
+        for a, b in zip(got.detections, want.detections):
+            assert a.center.tobytes() == b.center.tobytes()
+            assert (a.length, a.width, a.height, a.n_points) == (b.length, b.width, b.height, b.n_points)
+
+        cloud32, stats32 = preprocess.preprocess_frame(frame, pre, seq.cameras, seq.drivable)
+        cloud64, stats64 = preprocess.preprocess_frame(widened(frame), pre, seq.cameras, seq.drivable)
+        assert_same_float64(cloud32.points, cloud64.points)
+        assert counts(stats32) == counts(stats64)
+
+
+@pytest.mark.parametrize("scene", ["golden-seed0", "sweep"])
+def test_stages_called_on_a_float32_cloud_give_the_float64_answers(loaded, scene):
+    seq = loaded[scene]
+    frame = seq.frames[0]
+    c32 = frame.cloud
+    c64 = widened(frame).cloud
+    cfg = PreprocessConfig()
+
+    for stride in (1, 2, 10):
+        assert_same_float64(downsample_stride(c32, stride).points,
+                            downsample_stride(c64, stride).points)
+
+    rngs = [np.random.default_rng(5) for _ in range(2)]
+    out32, out64 = (remove_ground(c, cfg, rng=rng) for c, rng in zip((c32, c64), rngs))
+    assert_same_float64(out32.points, out64.points)
+    assert len(out32) < len(c32)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    below = c32.points[:, 2] < -cfg.ground_split_height
+    fit32 = fit_ground_plane(c32.points[below], cfg, rng=np.random.default_rng(6))
+    fit64 = fit_ground_plane(c64.points[below], cfg, rng=np.random.default_rng(6))
+    assert_same_float64(fit32.plane.normal, fit64.plane.normal)
+    assert fit32.plane.offset == fit64.plane.offset
+    assert np.array_equal(fit32.inliers, fit64.inliers)
+
+    # A skipped fit hands back the cloud widened, not the float32 one.
+    with pytest.warns(GroundFitWarning):
+        skipped = remove_ground(c32, replace(cfg, ground_split_height=1e3))
+    assert_same_float64(skipped.points, c64.points)
+
+    assert_same_float64(filter_drivable(c32, seq.drivable, frame.ego_pose).points,
+                        filter_drivable(c64, seq.drivable, frame.ego_pose).points)
+    for strict in (False, True):
+        kept = [filter_by_masks(c, seq.cameras, frame.masks, strict=strict).points
+                for c in (c32, c64)]
+        assert_same_float64(*kept)
+        assert 0 < len(kept[0]) < len(c32)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2, 10])
+@pytest.mark.parametrize("n", [0, 1, 25])
+def test_downsample_always_returns_float64(dtype, stride, n):
+    pts = np.random.default_rng(n).uniform(-50, 50, size=(n, 3)).astype(dtype)
+    cloud = PointCloud(pts)
+    assert cloud.points.dtype == dtype
+    out = downsample_stride(cloud, stride)
+    assert out.points.dtype == np.float64
+    assert out.points.flags.c_contiguous and not out.points.flags.writeable
+    assert np.array_equal(out.points, pts[::stride].astype(np.float64))
+    if dtype == np.float64 and stride == 1:
+        assert out is cloud

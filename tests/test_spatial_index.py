@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lidartrack import spatial_index
 from lidartrack.spatial_index import BruteForceIndex, KdTree
 
 
@@ -196,3 +197,33 @@ def test_radius_pairs_match_linear_scan_generated(case):
     pts, r = case
     want = [(a, b) for a in range(len(pts)) for b in linear_scan(pts, pts[a], r) if b > a]
     assert sorted_pairs(KdTree(pts), r) == want
+
+
+def per_row_pairs(index, r):
+    """Reference for `BruteForceIndex.radius_pairs`: one `radius_query` per
+    point, keeping the neighbours after it."""
+    firsts, seconds = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for i, p in enumerate(index.points):
+        nbrs = index.radius_query(p, r)
+        nbrs = nbrs[nbrs > i]
+        firsts.append(np.full(nbrs.size, i, dtype=np.int64))
+        seconds.append(nbrs)
+    return np.concatenate(firsts), np.concatenate(seconds)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(cloud_and_radius(), st.sampled_from((1, 7, 64, spatial_index._SCAN_PAIRS)))
+def test_brute_radius_pairs_match_per_row_scan_generated(case, block_pairs):
+    """The block scan gives the per-row scan's pairs, in its order, for
+    blocks of one row up to the whole cloud."""
+    pts, r = case
+    index = BruteForceIndex(pts)
+    old = spatial_index._SCAN_PAIRS
+    spatial_index._SCAN_PAIRS = block_pairs
+    try:
+        got = index.radius_pairs(r)
+    finally:
+        spatial_index._SCAN_PAIRS = old
+    want = per_row_pairs(index, r)
+    assert all(a.dtype == np.int64 for a in got)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -3,7 +3,7 @@
 One call of `bench_entry` times `load_sequence`, `run_tracking` and
 `write_tracks` over some repeats and takes the stage medians from the
 timings every tracking run records per frame (`FrameResult.stage_seconds`).
-The entry also holds the memory the loaded clouds take and the process's
+The entry also holds the memory one frame's cloud takes and the process's
 peak resident set size. It is plain JSON data; `append_run` adds it to the
 `runs` list of a BENCH file, so one file holds a trajectory of measurements.
 """
@@ -67,10 +67,12 @@ def bench_entry(
     frames of the sequence directory (all of them by default).
 
     `wall_ms` holds the median of each end-to-end step: load_sequence (the
-    whole sequence), run_tracking and write_tracks (to a temporary file).
-    `stage_ms` holds the median of each pipeline stage over every frame of
-    every repeat, in pipeline order. `memory_mb` holds, in MiB, `clouds`:
-    the sum of `points.nbytes` over every frame load_sequence returned, and
+    whole sequence's metadata; no cloud is read there), run_tracking (which
+    reads each frame's cloud as it detects it) and write_tracks (to a
+    temporary file). `stage_ms` holds the median of each pipeline stage over
+    every frame of every repeat, in pipeline order. `memory_mb` holds, in
+    MiB, `clouds`: the stored size of the largest frame the run reads, 12
+    bytes per manifest point, which is what one detection worker holds, and
     `peak_rss`: the process's peak resident set size after the repeats, or
     None where the `resource` module is missing.
     """
@@ -80,10 +82,10 @@ def bench_entry(
     stages: dict[str, list[float]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(repeats):
+            seq = result = None  # the previous repeat's run is not kept through this one
             t0 = time.perf_counter()
             seq = load_sequence(dataset)
             t1 = time.perf_counter()
-            clouds = sum(fr.cloud.points.nbytes for fr in seq.frames)
             if max_frames is not None:
                 seq = replace(seq, frames=seq.frames[:max_frames])
             result = run_tracking(seq, cfg, workers=workers)
@@ -95,6 +97,7 @@ def bench_entry(
             for fr in result.frames:
                 for stage, seconds in fr.stage_seconds.items():
                     stages.setdefault(stage, []).append(seconds)
+    clouds = 12 * max((len(fr.cloud) for fr in seq.frames), default=0)
     return {
         "label": label,
         "dataset": Path(dataset).resolve().name,

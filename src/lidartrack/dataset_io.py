@@ -17,6 +17,11 @@ record per (frame, track). All keys are documented in docs/dataset_format.md.
 
 Every loader error names the offending file (and line, for jsonl) so a
 broken export can be located without a debugger.
+
+`load_sequence` reads and validates all the metadata up front but only
+stats the cloud files: a frame's points are read when its `cloud.points`
+is asked for, which detection does once per frame. So a run holds the
+points of the frames being detected, not of the whole sequence.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, get_type_hints
@@ -40,12 +47,12 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Immutable, C-contiguous (N, 3) point array.
+    """Immutable, C-contiguous (N, 3) point array, held in memory.
 
-    A float32 array stays float32: a loaded frame keeps the file's values as
-    stored, at 12 bytes per point. Any other array becomes float64. The
-    preprocess stages widen a float32 cloud to float64, which is exact, so
-    every stage after the first sees float64 points.
+    A float32 array stays float32, at 12 bytes per point, as a frame file
+    stores it. Any other array becomes float64. The preprocess stages widen
+    a float32 cloud to float64, which is exact, so every stage after the
+    first sees float64 points.
     """
 
     points: np.ndarray
@@ -61,6 +68,30 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+@dataclass(frozen=True)
+class FileCloud:
+    """A frame's point cloud file, read each time `points` is asked for.
+
+    `load_sequence` checks the file's size against the manifest count and
+    keeps only this record, so a loaded sequence holds no points. `points`
+    reads the file, re-checks its size and the finiteness of every
+    coordinate, and returns a read-only float32 array of its own; nothing
+    keeps it once the caller lets go. `len` is the manifest count and reads
+    nothing.
+    """
+
+    path: Path
+    n_points: int
+    frame_index: int
+
+    @property
+    def points(self) -> np.ndarray:
+        return _read_cloud(self.path, self.n_points, self.frame_index)
+
+    def __len__(self) -> int:
+        return self.n_points
 
 
 @dataclass(frozen=True)
@@ -142,7 +173,7 @@ class GroundTruthBox:
 class Frame:
     index: int
     timestamp: float
-    cloud: PointCloud
+    cloud: PointCloud | FileCloud  # FileCloud when loaded from a directory
     ego_pose: RigidTransform  # ego -> city
     masks: list[MaskRegion] = field(default_factory=list)
 
@@ -284,25 +315,50 @@ def _pose_from_json(obj: dict, path: Path) -> RigidTransform:
         raise DatasetError(path, f"bad pose: {exc}") from exc
 
 
-def _load_cloud(path: Path, expected_points: int, frame_index: int) -> np.ndarray:
-    if not path.is_file():
-        raise DatasetError(path, "point cloud file is missing")
-    raw = path.read_bytes()
-    if len(raw) % 12 != 0:
-        raise DatasetError(path, f"size {len(raw)} is not a multiple of 12 bytes per point")
-    pts = np.frombuffer(raw, dtype="<f4").reshape(-1, 3)
-    if len(pts) != expected_points:
+def _check_cloud_size(path: Path, size: int, expected_points: int) -> None:
+    if size % 12 != 0:
+        raise DatasetError(path, f"size {size} is not a multiple of 12 bytes per point")
+    if size // 12 != expected_points:
         raise DatasetError(
-            path, f"manifest promises {expected_points} points but file holds {len(pts)}"
+            path, f"manifest promises {expected_points} points but file holds {size // 12}"
         )
-    # One pass over the flat array; the bad rows are counted only for the message.
+
+
+def _stat_cloud(path: Path, expected_points: int) -> None:
+    """Check, by one stat, that the file is there, is a regular file and
+    holds the manifest's point count. Its points are not read."""
+    try:
+        info = path.stat()
+    except (OSError, ValueError):  # ValueError: a NUL in the manifest's path
+        info = None
+    if info is None or not stat.S_ISREG(info.st_mode):
+        raise DatasetError(path, "point cloud file is missing")
+    _check_cloud_size(path, info.st_size, expected_points)
+
+
+def _read_cloud(path: Path, expected_points: int, frame_index: int) -> np.ndarray:
+    """The file's points, read straight into a float32 array of their own.
+    A file that changed size since load or holds a non-finite coordinate is
+    a DatasetError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            _check_cloud_size(path, os.fstat(fh.fileno()).st_size, expected_points)
+            pts = np.empty((expected_points, 3), dtype="<f4")  # float32 on any little-endian host
+            got = fh.readinto(pts)
+    except FileNotFoundError as exc:
+        raise DatasetError(path, "point cloud file is missing") from exc
+    except OSError as exc:
+        raise DatasetError(path, f"cannot read point cloud file: {exc}") from exc
+    if got != pts.nbytes:
+        raise DatasetError(path, f"file ended after {got} of {pts.nbytes} bytes")
+    # One pass over the array; the bad rows are counted only for the message.
     if not np.isfinite(pts).all():
         bad = int(np.count_nonzero(~np.isfinite(pts).all(axis=1)))
         raise DatasetError(
             path, f"frame {frame_index}: {bad} point(s) have NaN or infinite coordinates"
         )
-    # A native-order copy: the file's bytes are freed here, not held by a view.
-    return pts.astype(np.float32)
+    pts.flags.writeable = False
+    return pts
 
 
 def _load_masks(path: Path, cameras: dict[str, CameraModel]) -> list[MaskRegion]:
@@ -449,7 +505,7 @@ def load_sequence(path) -> Sequence:
         prev_ts = ts
         n_points = _require(rec, "points", manifest_path, cast=_integer)
         cloud_file = root / _require(rec, "file", manifest_path, cast=_path_string)
-        pts = _load_cloud(cloud_file, n_points, index)
+        _stat_cloud(cloud_file, n_points)
         if index not in poses:
             raise DatasetError(poses_path, f"no ego pose for frame {index}")
         masks: list[MaskRegion] = []
@@ -460,7 +516,7 @@ def load_sequence(path) -> Sequence:
             Frame(
                 index=index,
                 timestamp=ts,
-                cloud=PointCloud(pts),
+                cloud=FileCloud(cloud_file, n_points, index),
                 ego_pose=poses[index],
                 masks=masks,
             )

@@ -3,7 +3,10 @@
 Detection is independent per frame, so with workers > 1 it fans out over a
 thread pool. The tracker itself consumes frames strictly in order;
 executor.map preserves input order, which is what makes worker count
-irrelevant to the output.
+irrelevant to the output. A loaded frame's points are read from its file by
+the detection that takes it and dropped after its downsample, so a run
+holds at most one raw cloud per worker; the tracker reads only a frame's
+index and timestamp.
 """
 
 from __future__ import annotations

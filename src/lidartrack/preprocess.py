@@ -3,10 +3,11 @@
 Stage order is fixed: stride downsample, ground removal, drivable-area
 filter, camera-mask filter. Every stage returns a subset of its input rows;
 coordinates are never modified, so a point surviving to the end is the same
-float triple that came off the sensor. A loaded frame's cloud is float32, as
-stored; the downsample widens the rows it keeps to float64, which is exact,
-and every stage returns float64 points. A stage called on a float32 cloud
-widens it on entry, so it gives the same answer as on the widened cloud.
+float triple that came off the sensor. A loaded frame's cloud is read from
+its file by the downsample, float32 as stored; the downsample widens the
+rows it keeps to float64, which is exact, and every stage returns float64
+points. A stage called on a float32 cloud widens it on entry, so it gives
+the same answer as on the widened cloud.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset_io import DrivableGrid, Frame, MaskRegion, PointCloud
+from .dataset_io import DrivableGrid, FileCloud, Frame, MaskRegion, PointCloud
 from .errors import ConfigError, GroundPlaneError
 from .geometry import CameraModel, RigidTransform, project_points, transform_points
 
@@ -86,18 +87,21 @@ class PreprocessStats:
     stage_seconds: dict[str, float]
 
 
-def _float64(cloud: PointCloud) -> PointCloud:
-    """The cloud itself if its points are float64, else a widened copy."""
-    if cloud.points.dtype == np.float64:
+def _float64(cloud: PointCloud | FileCloud) -> PointCloud:
+    """The cloud itself if its points are float64, else a widened copy.
+    A file-backed cloud is read once."""
+    pts = cloud.points
+    if pts.dtype == np.float64:
         return cloud
-    return PointCloud(cloud.points.astype(np.float64))
+    return PointCloud(pts.astype(np.float64))
 
 
-def downsample_stride(cloud: PointCloud, stride: int) -> PointCloud:
+def downsample_stride(cloud: PointCloud | FileCloud, stride: int) -> PointCloud:
     """Keep every stride-th point starting at index 0, as float64.
 
     Only the kept rows of a float32 cloud are widened. A float64 cloud at
-    stride 1 comes back as the same object.
+    stride 1 comes back as the same object. A file-backed cloud is read
+    here, once, and its raw points are dropped on return.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -370,7 +374,8 @@ def preprocess_frame(
     """Run the full reduction chain for one frame.
 
     The RANSAC stream is a per-frame child of cfg.rng_seed, so frames can be
-    processed in any order (or in parallel) with identical results.
+    processed in any order (or in parallel) with identical results. A loaded
+    frame's file is read once, inside the downsample stage's time.
     """
     rng = np.random.default_rng([cfg.rng_seed, frame.index])
     cloud = frame.cloud

@@ -1,13 +1,14 @@
 """Benchmark helpers: one timing loop, one JSON entry per run."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from lidartrack.bench import append_run, bench_entry, git_commit
 from lidartrack.cli import main
 from lidartrack.config import PipelineConfig, config_to_dict
-from lidartrack.dataset_io import load_sequence, write_sequence
+from lidartrack.dataset_io import PointCloud, load_sequence, write_sequence
 from lidartrack.errors import DatasetError
 from lidartrack.pipeline import run_tracking
 from lidartrack.synth import SynthConfig, generate
@@ -40,8 +41,8 @@ def test_bench_entry_schema(sequence):
     assert list(entry["wall_ms"]) == ["load_sequence", "run_tracking", "write_tracks"]
     assert list(entry["stage_ms"]) == STAGES
     assert all(ms >= 0 for ms in [*entry["wall_ms"].values(), *entry["stage_ms"].values()])
-    # Every loaded frame counts, max_frames or not: float32, 12 bytes a point.
-    n_points = sum(len(fr.cloud) for fr in load_sequence(root).frames)
+    # The largest of the frames the run reads, as stored: 12 bytes a point.
+    n_points = max(len(fr.cloud) for fr in load_sequence(root).frames[:2])
     assert list(entry["memory_mb"]) == ["clouds", "peak_rss"]
     assert entry["memory_mb"]["clouds"] == round(12 * n_points / 2**20, 4)
     peak = entry["memory_mb"]["peak_rss"]
@@ -51,6 +52,16 @@ def test_bench_entry_schema(sequence):
     # The medians come from the timings every tracking run records per frame.
     for fr in run_tracking(seq, PipelineConfig()).frames:
         assert list(fr.stage_seconds) == STAGES
+
+
+def test_bench_clouds_is_the_largest_frame_the_run_reads(sequence, tmp_path):
+    seq, _ = sequence
+    sizes = [3000, 4000, 4200]
+    frames = [replace(fr, cloud=PointCloud(fr.cloud.points[:n])) for fr, n in zip(seq.frames, sizes)]
+    root = write_sequence(tmp_path / "seq", frames, seq.cameras, drivable=seq.drivable)
+    for max_frames, largest in ((1, 3000), (2, 4000), (None, 4200)):
+        entry = bench_entry(root, PipelineConfig(), max_frames=max_frames)
+        assert entry["memory_mb"]["clouds"] == round(12 * largest / 2**20, 4)
 
 
 def test_bench_json_appends_one_entry_per_call(sequence, tmp_path, capsys):

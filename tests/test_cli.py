@@ -266,6 +266,23 @@ def test_non_finite_point_is_a_data_error(tmp_path, capsys, drivable_filter):
     assert "frame 1: 1 point(s) have NaN" in err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_frame_failing_mid_run_writes_no_tracks_file(tmp_path, capsys, workers):
+    root = tmp_path / "seq"
+    assert main(["synth", str(root), "--cars", "1", "--frames", "6"]) == 0
+    frame = root / "frames" / "000004.bin"
+    pts = np.fromfile(frame, dtype="<f4")
+    pts[7] = np.inf
+    pts.tofile(frame)
+    assert len(load_sequence(root)) == 6  # the bad frame is found when it is read
+    out = tmp_path / "tracks.jsonl"
+    capsys.readouterr()
+    assert main(["track", str(root), "--workers", workers, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(frame) in err and "frame 4: 1 point(s) have NaN or infinite" in err
+    assert not out.exists()
+
+
 DELETE = object()
 CAMERA_ROTATION = ["cameras", "cam_front", "ego_to_camera", "rotation"]
 CAMERA_FX = ["cameras", "cam_front", "intrinsics", "fx"]

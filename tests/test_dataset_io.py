@@ -20,8 +20,10 @@ from lidartrack.dataset_io import (
     write_sequence,
     write_tracks,
 )
+from lidartrack.config import PipelineConfig
 from lidartrack.errors import DatasetError
 from lidartrack.geometry import CameraModel, RigidTransform, quat_from_yaw
+from lidartrack.pipeline import run_tracking
 
 
 def make_camera(cam_id="cam_front"):
@@ -194,6 +196,7 @@ def test_point_count_mismatch(tmp_path):
         load_sequence(root)
 
 
+@pytest.mark.filterwarnings("ignore::lidartrack.preprocess.GroundFitWarning")
 def test_non_finite_points_name_file_frame_and_count(tmp_path):
     root, _ = write_full(tmp_path)
     bin_path = root / "frames" / "000001.bin"
@@ -202,14 +205,60 @@ def test_non_finite_points_name_file_frame_and_count(tmp_path):
     pts[7, 2] = np.inf
     pts[7, 1] = -np.inf
     bin_path.write_bytes(pts.astype("<f4").tobytes())
+    # The points are checked when the frame is read, not at load.
+    seq = load_sequence(root)
+    assert len(seq.frames[1].cloud) == len(pts)
+    seq.frames[0].cloud.points
     with pytest.raises(DatasetError, match=r"frame 1: 2 point\(s\) have NaN") as err:
-        load_sequence(root)
+        seq.frames[1].cloud.points
+    assert err.value.path == str(bin_path)
+    with pytest.raises(DatasetError, match=r"frame 1: 2 point\(s\) have NaN") as err:
+        run_tracking(seq, PipelineConfig())
+    assert err.value.path == str(bin_path)
+
+
+@pytest.mark.parametrize("cut", [5, 12])
+def test_cloud_file_truncated_after_load_names_it(tmp_path, cut):
+    root, _ = write_full(tmp_path)
+    seq = load_sequence(root)
+    bin_path = root / "frames" / "000001.bin"
+    bin_path.write_bytes(bin_path.read_bytes()[:-cut])
+    assert len(seq.frames[1].cloud) == 50  # the manifest's count, nothing read
+    with pytest.raises(DatasetError, match="multiple of 12|promises 50 points") as err:
+        seq.frames[1].cloud.points
+    assert err.value.path == str(bin_path)
+
+
+def test_cloud_file_deleted_after_load_names_it(tmp_path):
+    root, _ = write_full(tmp_path)
+    seq = load_sequence(root)
+    bin_path = root / "frames" / "000002.bin"
+    bin_path.unlink()
+    with pytest.raises(DatasetError, match="missing") as err:
+        seq.frames[2].cloud.points
     assert err.value.path == str(bin_path)
 
 
 def test_missing_cloud_file(tmp_path):
     root, _ = write_full(tmp_path)
     (root / "frames" / "000002.bin").unlink()
+    with pytest.raises(DatasetError, match="missing"):
+        load_sequence(root)
+
+
+def test_cloud_directory_is_a_missing_file(tmp_path):
+    root, _ = write_full(tmp_path)
+    (root / "frames" / "000002.bin").unlink()
+    (root / "frames" / "000002.bin").mkdir()
+    with pytest.raises(DatasetError, match="missing"):
+        load_sequence(root)
+
+
+def test_cloud_path_with_a_nul_is_a_missing_file(tmp_path):
+    root, _ = write_full(tmp_path)
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["frames"][1]["file"] = "frames/000001\u0000.bin"
+    (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(DatasetError, match="missing"):
         load_sequence(root)
 

@@ -1,9 +1,16 @@
-"""Whole-sequence runs: worker-count invariance and output plumbing."""
+"""Whole-sequence runs: worker-count invariance, output plumbing and how
+often a loaded sequence's cloud files are read."""
+
+import threading
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lidartrack import dataset_io, tracking
 from lidartrack.config import PipelineConfig
+from lidartrack.dataset_io import load_sequence, write_sequence
 from lidartrack.evaluation import gt_to_eval_frames, mota, tracks_to_eval_frames
 from lidartrack.pipeline import run_tracking
 from lidartrack.synth import SynthConfig, generate, ground_truth
@@ -80,3 +87,73 @@ def test_track_velocity_matches_scene():
     last = out.records[-1]
     assert np.isclose(last.vx, 9.0, atol=0.3)
     assert np.isclose(last.vy, 0.0, atol=0.3)
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """A 12-frame synthetic sequence written to disk."""
+    seq = generate(SynthConfig(n_cars=3, n_frames=12, rng_seed=11))
+    root = tmp_path_factory.mktemp("stream") / "seq"
+    write_sequence(root, seq.frames, seq.cameras, drivable=seq.drivable)
+    return root
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Every cloud array the reader returns, by file, as weak references."""
+    returned: dict = {}
+    lock = threading.Lock()
+    real = dataset_io._read_cloud
+
+    def counted(path, *args):
+        pts = real(path, *args)
+        with lock:
+            returned.setdefault(path, []).append(weakref.ref(pts))
+        return pts
+
+    monkeypatch.setattr(dataset_io, "_read_cloud", counted)
+    return returned
+
+
+def test_len_of_a_loaded_cloud_reads_nothing(written, reads):
+    seq = load_sequence(written)
+    sizes = [len(fr.cloud) for fr in seq.frames]
+    assert not reads
+    assert sizes == [len(fr.cloud.points) for fr in seq.frames]
+    assert {path: len(refs) for path, refs in reads.items()} == {
+        written / f"frames/{i:06d}.bin": 1 for i in range(12)
+    }
+
+
+@pytest.mark.parametrize("stride", [1, 10])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_reads_each_frame_file_once(written, reads, workers, stride):
+    seq = load_sequence(written)
+    assert not reads
+    cfg = replace(CFG, preprocess=replace(CFG.preprocess, stride=stride))
+    run_tracking(seq, cfg, workers=workers)
+    assert {path: len(refs) for path, refs in reads.items()} == {
+        fr.cloud.path: 1 for fr in seq.frames
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_at_most_one_raw_cloud_per_worker_is_alive(written, reads, monkeypatch, workers):
+    alive_at_step = []
+    real_step = tracking.Tracker.step
+
+    def step(self, *args, **kwargs):
+        refs = [ref for refs in list(reads.values()) for ref in refs]
+        alive_at_step.append(sum(ref() is not None for ref in refs))
+        return real_step(self, *args, **kwargs)
+
+    monkeypatch.setattr(tracking.Tracker, "step", step)
+    seq = load_sequence(written)
+    out = run_tracking(seq, CFG, workers=workers)
+    assert len(alive_at_step) == len(out.frames) == 12
+    assert max(alive_at_step) <= workers
+    if workers == 1:
+        assert max(alive_at_step) == 0  # the frame's raw cloud went with its downsample
+    del out
+    assert all(ref() is None for refs in reads.values() for ref in refs)
+

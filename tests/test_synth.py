@@ -156,18 +156,19 @@ def test_written_sequence_loads_back(tmp_path):
     assert sorted(gt) == list(range(SMALL.n_frames))
     assert len(gt[0]) == SMALL.n_cars
     assert "cam_front" in seq.cameras
-    n_points = 0
     for fr in seq.frames:
+        # The cloud is read from its file each time its points are asked for.
+        path = root / f"frames/{fr.index:06d}.bin"
+        assert fr.cloud.path == path
         pts = fr.cloud.points
-        assert len(pts) > 0
+        assert len(pts) == len(fr.cloud) > 0
         # The file's float32 values, as stored, in an array of their own.
         assert pts.dtype == np.float32
         assert pts.flags.c_contiguous and not pts.flags.writeable
         assert pts.flags.owndata and pts.base is None  # not a view of the file's bytes
-        stored = np.fromfile(root / f"frames/{fr.index:06d}.bin", "<f4").reshape(-1, 3)
-        assert pts.tobytes() == stored.astype(np.float32).tobytes()
-        n_points += len(pts)
-    assert sum(fr.cloud.points.nbytes for fr in seq.frames) == 12 * n_points
+        assert pts.astype("<f4").tobytes() == path.read_bytes()
+        assert pts.nbytes == 12 * len(fr.cloud)
+        assert fr.cloud.points is not pts  # nothing keeps the array it returned
 
 
 def test_zero_cars_yields_empty_gt_lists():

@@ -3,13 +3,16 @@
 One call of `bench_entry` times `load_sequence`, `run_tracking` and
 `write_tracks` over some repeats and takes the stage medians from the
 timings every tracking run records per frame (`FrameResult.stage_seconds`).
-The entry also holds the memory one frame's cloud takes and the process's
-peak resident set size. It is plain JSON data; `append_run` adds it to the
-`runs` list of a BENCH file, so one file holds a trajectory of measurements.
+The entry also holds the memory one frame's cloud takes, the process's
+peak resident set size, the minor page faults a tracking run takes and a
+hash of the package source measured. It is plain JSON data; `append_run`
+adds it to the `runs` list of a BENCH file, so one file holds a trajectory
+of measurements.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
@@ -55,6 +58,18 @@ def git_commit(start: Path) -> str | None:
     return None
 
 
+def source_sha256(package: Path) -> str:
+    """sha256 over the package's *.py files in name order: each file's name,
+    a NUL, its size in decimal, a NUL and its bytes. It tells apart trees
+    that share a commit, such as an uncommitted change and its parent."""
+    digest = hashlib.sha256()
+    for path in sorted(package.glob("*.py"), key=lambda p: p.name):
+        data = path.read_bytes()
+        digest.update(b"%s\0%d\0" % (path.name.encode(), len(data)))
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def bench_entry(
     dataset,
     cfg: PipelineConfig,
@@ -74,12 +89,18 @@ def bench_entry(
     MiB, `clouds`: the stored size of the largest frame the run reads, 12
     bytes per manifest point, which is what one detection worker holds, and
     `peak_rss`: the process's peak resident set size after the repeats, or
-    None where the `resource` module is missing.
+    None where the `resource` module is missing. `minor_faults` is the
+    median over the repeats of the minor page faults the process took
+    during run_tracking (pages the allocator handed back to the system and
+    touched again count here), or None without `resource`.
+    `source_sha256` identifies the package source measured, which `commit`
+    does not for an uncommitted tree.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     walls: dict[str, list[float]] = {"load_sequence": [], "run_tracking": [], "write_tracks": []}
     stages: dict[str, list[float]] = {}
+    faults: list[int] = []
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(repeats):
             seq = result = None  # the previous repeat's run is not kept through this one
@@ -88,8 +109,11 @@ def bench_entry(
             t1 = time.perf_counter()
             if max_frames is not None:
                 seq = replace(seq, frames=seq.frames[:max_frames])
+            f1 = _minor_faults()
             result = run_tracking(seq, cfg, workers=workers)
             t2 = time.perf_counter()
+            if f1 is not None:
+                faults.append(_minor_faults() - f1)
             write_tracks(Path(tmp) / "tracks.jsonl", result.records)
             t3 = time.perf_counter()
             for step, seconds in zip(walls, (t1 - t0, t2 - t1, t3 - t2)):
@@ -108,6 +132,7 @@ def bench_entry(
         "wall_ms": {step: _median_ms(runs) for step, runs in walls.items()},
         "stage_ms": {stage: _median_ms(runs) for stage, runs in stages.items()},
         "memory_mb": {"clouds": round(clouds / 2**20, 4), "peak_rss": _peak_rss_mb()},
+        "minor_faults": statistics.median(faults) if faults else None,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -118,11 +143,22 @@ def bench_entry(
             ),
         },
         "commit": git_commit(Path(__file__).resolve().parent),
+        "source_sha256": source_sha256(Path(__file__).resolve().parent),
     }
 
 
 def _median_ms(seconds: list[float]) -> float:
     return round(statistics.median(seconds) * 1000.0, 4)
+
+
+def _minor_faults() -> int | None:
+    """Minor page faults the process has taken so far (all its threads),
+    or None where the `resource` module is missing."""
+    try:
+        import resource
+    except ImportError:  # not on Windows
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def _peak_rss_mb() -> float | None:

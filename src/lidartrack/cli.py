@@ -174,7 +174,8 @@ def cmd_bench(args) -> int:
         print(f"{step:<16} {ms:>10.3f}")
     print(f"frames={entry['frames']} repeats={entry['repeats']} workers={entry['workers']}")
     memory = {key: "n/a" if mb is None else f"{mb:.1f}" for key, mb in entry["memory_mb"].items()}
-    print(f"clouds_mb={memory['clouds']} peak_rss_mb={memory['peak_rss']}")
+    faults = "n/a" if entry["minor_faults"] is None else f"{entry['minor_faults']:.0f}"
+    print(f"clouds_mb={memory['clouds']} peak_rss_mb={memory['peak_rss']} minor_faults={faults}")
     if args.json:
         print(f"-> {append_run(args.json, entry)}")
     return 0

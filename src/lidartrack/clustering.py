@@ -8,6 +8,10 @@ Label semantics, the same whichever index supplies the neighbor pairs:
   - a border point (not core, within eps of a core point) belongs to the
     lowest-id cluster among its adjacent core points;
   - everything else is noise, labeled -1.
+
+The labels are computed in the index's sweep order, from the pairs it
+returns as sweep positions, and scattered back to point order once at the
+end; only the cluster numbering looks at point indices.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ def dbscan(points, params: ClusterParams, index=None) -> ClusterLabels:
 
     `index` must be a radius index (`KdTree` or `BruteForceIndex`) built over
     exactly these points; when omitted a KD-tree is built. The index supplies
-    every pair of points within eps, and the labels follow from those pairs
-    in whole-array steps.
+    every pair of points within eps as positions in its sweep order (the
+    identity order for `BruteForceIndex`), and the labels follow from those
+    pairs in whole-array steps.
     """
     pts = _check_points(points)
     if index is None:
@@ -71,61 +76,71 @@ def dbscan(points, params: ClusterParams, index=None) -> ClusterLabels:
             f"index holds {index.n} points but {len(pts)} were passed; "
             "build the index over the same cloud"
         )
-    i, j = index.radius_pairs(params.eps)
-    return ClusterLabels(_label_pairs(len(pts), i, j, params.min_points))
+    order, a, b = index.sweep_pairs(params.eps)
+    return ClusterLabels(_sweep_labels(order, a, b, params.min_points))
 
 
-def _label_pairs(n: int, i: np.ndarray, j: np.ndarray, min_points: int) -> np.ndarray:
-    """DBSCAN labels from the neighbor pairs (i, j), i != j, each listed once."""
-    labels = np.full(n, NOISE, dtype=np.int64)
-    core = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + 1 >= min_points
-    core_idx = np.flatnonzero(core)
-    if core_idx.size == 0:
-        return labels
+def _sweep_labels(order: np.ndarray, a: np.ndarray, b: np.ndarray, min_points: int) -> np.ndarray:
+    """DBSCAN labels of points[order[p]] for p in 0..n-1, from the neighbor
+    pairs (a, b), a < b, of sweep positions, each listed once, scattered
+    back to point order.
 
-    # Clusters: connected components of the core-core edges, over the core
-    # points renumbered 0..k-1 in index order. Each component is named by its
-    # lowest core rank, so ranking the roots numbers the clusters in scan order.
-    core_i, core_j = core[i], core[j]
-    both = core_i & core_j
-    rank = np.cumsum(core) - 1
-    root = _min_roots(core_idx.size, rank[i[both]], rank[j[both]])
-    labels[core_idx] = np.unique(root, return_inverse=True)[1]
-
-    # Border points: the lowest cluster id among adjacent core points.
-    to_j = core_i & ~core_j
-    to_i = core_j & ~core_i
-    border = np.concatenate((j[to_j], i[to_i]))
-    best = np.full(n, n, dtype=np.int64)
-    np.minimum.at(best, border, np.concatenate((labels[i[to_j]], labels[j[to_i]])))
-    reached = best < n
-    labels[reached] = best[reached]
-    return labels
-
-
-def _min_roots(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The lowest vertex of each vertex's connected component, over k
-    vertices joined by the undirected edges (a, b).
-
-    Min-label hooking with pointer jumping (Shiloach-Vishkin): each round
-    hangs the root of every edge's higher-rooted end under the lower root,
-    then jumps every pointer to its root. Roots only ever decrease, and a
-    component's lowest vertex is never hung under anything, so at the fixed
-    point every vertex points at its component's lowest vertex.
+    Clusters are the connected components of the core-core pairs, found by
+    min-label hooking with pointer jumping (Shiloach-Vishkin) over sweep
+    positions: each round hangs the root of every pair's higher-rooted end
+    under the lower root, then jumps every pointer to its root. Roots only
+    ever decrease and a component's lowest position is never hung under
+    anything, so at the fixed point every position points at its
+    component's lowest one. Each cluster is then named by its lowest point
+    index among its core points, and the ids are dense in that order.
     """
-    root = np.arange(k)
-    while a.size:
-        ra, rb = root[a], root[b]
-        live = ra != rb
-        if not live.any():
-            break
-        # Edges inside one tree stay settled: roots only merge.
-        a, b, ra, rb = a[live], b[live], ra[live], rb[live]
-        lo = np.minimum(ra, rb)
-        np.minimum.at(root, np.maximum(ra, rb), lo)
+    n = len(order)
+    core = np.bincount(a, minlength=n) + np.bincount(b, minlength=n) + 1 >= min_points
+    labels = np.full(n, NOISE, dtype=np.int64)
+    if not core.any():
+        return labels
+    core_a, core_b = core[a], core[b]
+    live = core_a & core_b  # the core-core pairs not yet inside one tree
+    root = np.arange(n)
+    # First round: every root is still its own position, and a < b.
+    np.minimum.at(root, b[live], a[live])
+    ea, eb = a, b
+    while True:
         while True:
             jumped = root[root]
             if np.array_equal(jumped, root):
                 break
             root = jumped
-    return root
+        # Pairs inside one tree stay settled: roots only merge.
+        live &= root[ea] != root[eb]
+        if not live.any():
+            break
+        ea, eb = ea[live], eb[live]
+        ra, rb = root[ea], root[eb]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        live = np.ones(len(ea), dtype=bool)
+
+    # Cluster ids: the components' roots ranked by their lowest point index.
+    core_pos = np.flatnonzero(core)
+    core_root = root[core_pos]
+    lowest = np.full(n, n, dtype=np.int64)
+    np.minimum.at(lowest, core_root, order[core_pos])
+    roots = np.flatnonzero(lowest < n)
+    cluster = np.empty(n, dtype=np.int64)  # the id of each root position
+    cluster[roots[np.argsort(lowest[roots])]] = np.arange(len(roots))
+    labels[core_pos] = cluster[core_root]
+
+    # Border points: the lowest cluster id among adjacent core points.
+    to_b = core_a & ~core_b
+    to_a = core_b & ~core_a
+    best = np.full(n, n, dtype=np.int64)
+    np.minimum.at(
+        best,
+        np.concatenate((b[to_b], a[to_a])),
+        np.concatenate((labels[a[to_b]], labels[b[to_a]])),
+    )
+    reached = best < n
+    labels[reached] = best[reached]
+    out = np.empty(n, dtype=np.int64)
+    out[order] = labels
+    return out

@@ -112,23 +112,32 @@ def downsample_stride(cloud: PointCloud | FileCloud, stride: int) -> PointCloud:
 
 # Candidates every hypothesis is scored on before any full count: the half
 # with the lowest z and the half with the highest z, where a plane that is
-# not the ground leaves the most points off it.
+# not the ground leaves the most points off it. The probe is sized so that
+# scoring every hypothesis on it costs about _PROBE_COUNTS full counts over
+# the cloud, within _MIN_PROBE.._PROBE_POINTS candidates.
 _PROBE_POINTS = 1024
+_MIN_PROBE = 64
+_PROBE_COUNTS = 4
 # Above this many candidates the probe's z thresholds come from every
 # (n // _SAMPLED_PROBE_ABOVE)-th candidate, not from all of them.
 _SAMPLED_PROBE_ABOVE = 8192
 
 
-def _probe_rows(z: np.ndarray, rows: np.ndarray, cand) -> np.ndarray:
-    """Candidate rows to score every hypothesis on: about _PROBE_POINTS of
-    those with the lowest and highest z, or all of them when there are no
-    more than that. z is the cloud's z column, rows lists the candidate rows
-    in order and cand is their mask, or None when every row is one. Any
-    subset keeps the fit exact; the z extremes make it fast."""
+def _probe_size(n_rows: int, iterations: int) -> int:
+    """Probe candidates for a fit over n_rows rows with this many draws."""
+    return min(_PROBE_POINTS, max(_MIN_PROBE, _PROBE_COUNTS * n_rows // iterations))
+
+
+def _probe_rows(z: np.ndarray, rows: np.ndarray, cand, size: int) -> np.ndarray:
+    """Candidate rows to score every hypothesis on: about `size` of those
+    with the lowest and highest z, or all of them when there are no more
+    than that. z is the cloud's z column, rows lists the candidate rows in
+    order and cand is their mask, or None when every row is one. Any subset
+    keeps the fit exact; the z extremes make it fast."""
     n = len(rows)
-    if n <= _PROBE_POINTS:
+    if n <= size:
         return rows
-    half = _PROBE_POINTS // 2
+    half = size // 2
     if n > _SAMPLED_PROBE_ABOVE:
         sample = z[rows[:: n // _SAMPLED_PROBE_ABOVE]]
         k = -(-half * len(sample) // n)
@@ -138,7 +147,7 @@ def _probe_rows(z: np.ndarray, rows: np.ndarray, cand) -> np.ndarray:
             near &= cand
         probe = np.flatnonzero(near)
         # Many candidates tied at a threshold make a large probe; pick exactly.
-        if len(probe) <= 2 * _PROBE_POINTS:
+        if len(probe) <= 2 * size:
             return probe
     order = np.argpartition(z[rows], (half - 1, n - half))
     return rows[np.concatenate((order[:half], order[n - half :]))]
@@ -202,7 +211,8 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit:
     if not len(normals):
         raise GroundPlaneError("no non-degenerate 3-point sample found")
 
-    probe = np.take(pts, _probe_rows(z, rows, cand), axis=0)
+    size = _probe_size(len(pts), cfg.ransac_iterations)
+    probe = np.take(pts, _probe_rows(z, rows, cand, size), axis=0)
     min_outliers = _proven_outliers(probe, normals, offsets, tol)
     best, best_count, best_inliers = -1, 0, None
     for h in np.argsort(min_outliers, kind="stable").tolist():
@@ -252,12 +262,15 @@ def fit_ground_plane(points, cfg: PreprocessConfig, rng=None) -> GroundFit:
     count is the loop's own expression, points @ normal + offset.
 
     The probe holds the candidates of lowest and highest z, where a plane
-    that is not the ground leaves the most points off it. Up to
-    _SAMPLED_PROBE_ABOVE candidates, np.argpartition picks the _PROBE_POINTS
-    / 2 lowest and highest (all candidates, at most _PROBE_POINTS of them).
-    Above that, a partition of every (n // _SAMPLED_PROBE_ABOVE)-th
-    candidate's z gives a low and a high threshold, and one comparison pass
-    keeps the candidates at or beyond them, about _PROBE_POINTS points.
+    that is not the ground leaves the most points off it. Its size is
+    4 x points / iterations, so that scoring every hypothesis on it costs
+    about four full counts, but at least 64 and at most 1,024 candidates
+    (`_probe_size`). Up to _SAMPLED_PROBE_ABOVE candidates, np.argpartition
+    picks the size / 2 lowest and highest (all candidates, if there are no
+    more than size). Above that, a partition of every
+    (n // _SAMPLED_PROBE_ABOVE)-th candidate's z gives a low and a high
+    threshold, and one comparison pass keeps the candidates at or beyond
+    them, about size points.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:

@@ -4,20 +4,25 @@
 on float64 coordinate differences, summed in that order (the order of
 ``(d * d).sum(axis=1)``), with the boundary inclusive.
 
-`KdTree.radius_pairs`, the all-pairs search DBSCAN asks for once per frame,
+`KdTree.sweep_pairs`, the all-pairs search DBSCAN asks for once per frame,
 is a sorted-cell sweep. Points are bucketed into rows of (y, z) cells whose
 side is at least a candidate radius h slightly above r, and sorted by row,
-then x. Each point looks in its own row and the four forward neighbour rows
-for the x-window [x - h, x + h], found by binary search; the windows are
-expanded into candidate pairs and every candidate is re-checked with the
-test above. The candidates are a superset of the pairs within r, each
-unordered pair proposed at most once, so the result does not depend on how
-cells and windows round. The index is rebuilt per frame (clouds change
-completely between sweeps, so incremental updates buy nothing).
+then x: the sweep order. Each point looks in its own row and the four
+forward neighbour rows for the x-window [x - h, x + h], found by binary
+search. The windows are expanded into candidate pairs and re-checked with
+the test above a block of at most _BLOCK candidates at a time, so the
+expansion's temporaries keep one size however many candidates there are.
+The candidates are a superset of the pairs within r, each unordered pair
+proposed at most once, so the result does not depend on how cells and
+windows round. The pairs come back as sweep positions a < b with the
+sweep order; `radius_pairs` maps them to point indices. The index is
+rebuilt per frame (clouds change completely between sweeps, so
+incremental updates buy nothing).
 
 `BruteForceIndex`, the oracle `KdTree` is tested against, answers the same
 pair question by testing every pair, a block of rows at a time, with the
-same expression as `radius_query`, the one single-centre query here.
+same expression as `radius_query`, the one single-centre query here. Its
+sweep order is the identity.
 """
 
 from __future__ import annotations
@@ -44,6 +49,12 @@ _ROW_STRIDE = 2**31
 # neighbours (y, z + 1), (y + 1, z - 1), (y + 1, z) and (y + 1, z + 1). The
 # other four neighbours find the point from their side.
 _FORWARD_ROWS = (1, _ROW_STRIDE - 1, _ROW_STRIDE, _ROW_STRIDE + 1)
+
+# Candidates `KdTree.sweep_pairs` expands and re-checks at once. Its
+# temporaries, 8 bytes a candidate, then stay small (64 KiB here), below
+# the size at which the allocator maps fresh pages for each array and
+# hands them back on free.
+_BLOCK = 8192
 
 # Pairs `BruteForceIndex.radius_pairs` tests in one block of rows; each of
 # the test's (rows, points) temporaries takes 8 bytes a pair, 2 MiB here.
@@ -106,13 +117,14 @@ def _cells(v: np.ndarray, h: float) -> np.ndarray:
     return np.floor((v - lo) / side).astype(np.int64)
 
 
-def _cell_candidates(cols: np.ndarray, h: float):
-    """Candidate pairs for radius h, as positions in the returned sort order.
+def _cell_windows(cols: np.ndarray, h: float):
+    """Candidate windows for radius h, as positions in the returned sort order.
 
-    Returns (order, first, second): `order` sorts the points by (y, z) cell
-    row, then x, and (order[first], order[second]) runs over every pair of
-    points within h on each axis, plus some farther ones, each unordered
-    pair once.
+    Returns (order, src, lo, hi): `order` sorts the points by (y, z) cell
+    row, then x, and the pairs (order[src[w]], order[k]) for lo[w] <= k <
+    hi[w], over every window w, run over every pair of points within h on
+    each axis, plus some farther ones, each unordered pair once. Every
+    window lies after its source point: src[w] < lo[w].
     """
     x, y, z = cols
     n = len(x)
@@ -138,7 +150,8 @@ def _cell_candidates(cols: np.ndarray, h: float):
     lo_rank = np.searchsorted(x_sorted, xo - h, "left")
     hi_rank = np.searchsorted(x_sorted, xo + h, "right")
 
-    # Own row: only the points after this one, so each pair comes once.
+    # Own row: only the points after this one, so each pair comes once. The
+    # forward rows have larger keys, so they lie after the point too.
     srcs = [np.arange(n)]
     los = [srcs[0] + 1]
     his = [np.searchsorted(key, row * width + hi_rank)]
@@ -152,12 +165,56 @@ def _cell_candidates(cols: np.ndarray, h: float):
         srcs.append(src)
         los.append(np.searchsorted(key, base + lo_rank[src]))
         his.append(np.searchsorted(key, base + hi_rank[src]))
+    return order, *(np.concatenate(a) for a in (srcs, los, his))
 
-    lo, hi, src = (np.concatenate(a) for a in (los, his, srcs))
-    counts = np.maximum(hi - lo, 0)
-    ends = np.cumsum(counts)
-    second = np.arange(ends[-1]) - np.repeat(ends - counts - lo, counts)
-    return order, np.repeat(src, counts), second
+
+def _sweep_pairs(points: np.ndarray, r: float):
+    """(order, a, b): the pairs within r as sweep positions a < b.
+
+    The windows of `_cell_windows`, laid end to end, number the candidates;
+    they are expanded and re-checked a block of at most _BLOCK candidates
+    at a time, a window larger than a block spread over several.
+    """
+    order, src, lo, hi = _cell_windows(points.T, _candidate_radius(r))
+    x, y, z = points[order].T.copy()  # contiguous, in sweep order
+    # Window w holds candidates starts[w]..ends[w]-1, and candidate k of it
+    # pairs src[w] with k - shift[w]. Worked out in place, so that fewer
+    # arrays stay alive through the blocks: hi becomes the window sizes,
+    # then starts, and lo becomes shift.
+    sizes = np.maximum(np.subtract(hi, lo, out=hi), 0, out=hi)
+    ends = np.cumsum(sizes)
+    starts = np.subtract(ends, sizes, out=hi)
+    shift = np.subtract(starts, lo, out=lo)
+    total = int(ends[-1])
+    steps = np.arange(min(total, _BLOCK))
+
+    # A function, so that one block's temporaries are freed before the next
+    # block allocates its own.
+    def block(s: int, e: int):
+        # The windows holding candidates s..e-1, each cut to that range.
+        w = slice(np.searchsorted(ends, s, "right"), np.searchsorted(ends, e - 1, "right") + 1)
+        cut = np.minimum(ends[w], e) - np.maximum(starts[w], s)
+        a = np.repeat(src[w], cut)
+        b = np.repeat(shift[w] - s, cut)
+        np.subtract(steps[: e - s], b, out=b)
+        # Same sum order as _within, (dx*dx + dy*dy) + dz*dz, in place.
+        d2 = x[b]
+        d2 -= x[a]
+        d2 *= d2
+        for c in (y, z):
+            d = c[b]
+            d -= c[a]
+            d *= d
+            d2 += d
+        keep = np.flatnonzero(d2 <= r * r)
+        return a[keep], b[keep]
+
+    firsts, seconds = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for s in range(0, total, _BLOCK):
+        a, b = block(s, min(s + _BLOCK, total))
+        firsts.append(a)
+        seconds.append(b)
+    return order, np.concatenate(firsts), np.concatenate(seconds)
 
 
 class KdTree:
@@ -176,27 +233,29 @@ class KdTree:
     def n(self) -> int:
         return len(self.points)
 
-    def radius_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """Every pair (i, j), i < j, of points within distance r of each other.
+    def sweep_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, a, b): every pair of points within distance r, as
+        positions a < b in the sweep order `order` (int64 arrays).
 
-        Returns two int64 arrays in no particular order. The test is the
-        module's inclusive one on points[j] - points[i], so the pairs are
-        exactly those of `BruteForceIndex.radius_pairs`.
+        The pair's points are points[order[a]] and points[order[b]], and the
+        test is the module's inclusive one on their difference. Pairs come
+        in no particular order.
         """
         r = _check_radius(r)
         if self.n == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        order, a, b = _cell_candidates(self.points.T, _candidate_radius(r))
-        x, y, z = self.points[order].T.copy()  # contiguous, in sweep order
-        # Same sum order as _within: (dx*dx + dy*dy) + dz*dz.
-        d = x[b] - x[a]
-        d2 = d * d
-        d = y[b] - y[a]
-        d2 += d * d
-        d = z[b] - z[a]
-        d2 += d * d
-        keep = np.flatnonzero(d2 <= r * r)
-        a, b = order[a[keep]], order[b[keep]]
+            return tuple(np.empty(0, dtype=np.int64) for _ in range(3))
+        return _sweep_pairs(self.points, r)
+
+    def radius_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair (i, j), i < j, of points within distance r of each other.
+
+        Returns two int64 arrays in no particular order: the pairs of
+        `sweep_pairs` mapped back through its order. The test is the
+        module's inclusive one on points[j] - points[i], so the pairs are
+        exactly those of `BruteForceIndex.radius_pairs`.
+        """
+        order, a, b = self.sweep_pairs(r)
+        a, b = order[a], order[b]
         return np.minimum(a, b), np.maximum(a, b)
 
 
@@ -240,3 +299,9 @@ class BruteForceIndex:
             seconds.append(j[keep])
             start = stop
         return np.concatenate(firsts), np.concatenate(seconds)
+
+    def sweep_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`KdTree.sweep_pairs` over the identity order: the pairs of
+        `radius_pairs` with their order 0..n-1."""
+        i, j = self.radius_pairs(r)
+        return np.arange(self.n), i, j

@@ -1,11 +1,14 @@
 """Benchmark helpers: one timing loop, one JSON entry per run."""
 
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from lidartrack.bench import append_run, bench_entry, git_commit
+from lidartrack import bench
+from lidartrack.bench import append_run, bench_entry, git_commit, source_sha256
 from lidartrack.cli import main
 from lidartrack.config import PipelineConfig, config_to_dict
 from lidartrack.dataset_io import PointCloud, load_sequence, write_sequence
@@ -33,7 +36,8 @@ def test_bench_entry_schema(sequence):
     entry = bench_entry(root, PipelineConfig(), max_frames=2, repeats=2, workers=2, label="x")
     assert list(entry) == [
         "label", "dataset", "frames", "repeats", "workers", "config",
-        "wall_ms", "stage_ms", "memory_mb", "environment", "commit",
+        "wall_ms", "stage_ms", "memory_mb", "minor_faults", "environment", "commit",
+        "source_sha256",
     ]
     assert entry["label"] == "x" and entry["dataset"] == "seq3"
     assert (entry["frames"], entry["repeats"], entry["workers"]) == (2, 2, 2)
@@ -49,6 +53,10 @@ def test_bench_entry_schema(sequence):
     assert peak is None or peak > entry["memory_mb"]["clouds"]
     assert list(entry["environment"]) == ["python", "numpy", "nproc"]
     assert entry["commit"] is None or len(entry["commit"]) == 40
+    # Two repeats: the median of two fault counts, each at least 0.
+    faults = entry["minor_faults"]
+    assert faults is None or (faults >= 0 and 2 * faults == int(2 * faults))
+    assert entry["source_sha256"] == source_sha256(Path(bench.__file__).parent)
     # The medians come from the timings every tracking run records per frame.
     for fr in run_tracking(seq, PipelineConfig()).frames:
         assert list(fr.stage_seconds) == STAGES
@@ -107,3 +115,33 @@ def test_git_commit_follows_branches_and_packed_refs(tmp_path):
     (tmp_path / "linked" / ".git").write_text(f"gitdir: {git}\n")  # a linked work tree
     assert git_commit(tmp_path / "linked") is None
     assert git_commit(tmp_path) is None
+
+
+def test_minor_faults_is_the_median_of_the_run_tracking_deltas(sequence, monkeypatch):
+    _, root = sequence
+    # Read before and after each of three runs: deltas 7, 707 and 77.
+    readings = iter([0, 7, 100, 807, 900, 977])
+    monkeypatch.setattr(bench, "_minor_faults", lambda: next(readings))
+    assert bench_entry(root, PipelineConfig(), max_frames=1, repeats=3)["minor_faults"] == 77
+    assert next(readings, None) is None
+    monkeypatch.setattr(bench, "_minor_faults", lambda: None)
+    assert bench_entry(root, PipelineConfig(), max_frames=1)["minor_faults"] is None
+
+
+def test_source_sha256_covers_every_module_in_name_order(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "b.py").write_bytes(b"B = 2\n")
+    (pkg / "a.py").write_bytes(b"A = 1\n")
+    (pkg / "notes.txt").write_text("not source")
+    want = hashlib.sha256(b"a.py\x006\x00A = 1\nb.py\x006\x00B = 2\n").hexdigest()
+    assert source_sha256(pkg) == want
+    (pkg / "notes.txt").write_text("still not source")
+    assert source_sha256(pkg) == want
+    (pkg / "b.py").write_bytes(b"B = 3\n")
+    edited = source_sha256(pkg)
+    assert edited != want
+    # The same bytes split differently between the files hash differently.
+    (pkg / "a.py").write_bytes(b"A = 1\nB = 3")
+    (pkg / "b.py").write_bytes(b"\n")
+    assert source_sha256(pkg) not in (want, edited)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidartrack.clustering import ClusterLabels, ClusterParams, dbscan
+from lidartrack import spatial_index
 from lidartrack.spatial_index import BruteForceIndex, KdTree
 
 
@@ -246,3 +247,55 @@ def test_long_chains_match_reference(case):
     pts, eps, min_points = case
     want = reference_dbscan(pts, eps, min_points)
     assert np.array_equal(dbscan(pts, ClusterParams(eps=eps, min_points=min_points)).labels, want)
+
+
+# --- sweep-order labelling over candidate blocks ---------------------------
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(cluster_case(), st.sampled_from((1, 7, 64)))
+def test_blocked_kdtree_labels_match_brute_force_and_reference(case, block):
+    pts, eps, min_points = case
+    params = ClusterParams(eps=eps, min_points=min_points)
+    want = reference_dbscan(pts, eps, min_points)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spatial_index, "_BLOCK", block)
+        got = dbscan(pts, params, index=KdTree(pts)).labels
+    assert np.array_equal(got, want)
+    assert np.array_equal(dbscan(pts, params, index=BruteForceIndex(pts)).labels, want)
+
+
+def edge_clouds():
+    rng = np.random.default_rng(206)
+    # A dense line whose points' windows are larger than every block,
+    # far from two stray points; numbered backwards so that sweep order and
+    # point order disagree.
+    line = np.zeros((150, 3))
+    line[:, 0] = 0.01 * np.arange(150)[::-1]
+    strays = np.array([[50.0, 0.0, 0.0], [0.0, 50.0, 0.0]])
+    return {
+        "empty": (np.zeros((0, 3)), 3),
+        "single": (np.array([[1.0, 2.0, 3.0]]), 1),
+        "single-noise": (np.array([[1.0, 2.0, 3.0]]), 2),
+        "all-noise": (rng.uniform(0, 100, size=(40, 3)), 2),
+        "min-points-1": (rng.uniform(0, 6, size=(60, 3)), 1),
+        "big-window": (np.vstack([strays[:1], line, strays[1:]]), 5),
+        "big-window-min-1": (np.vstack([strays[:1], line, strays[1:]]), 1),
+    }
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("name", list(edge_clouds()))
+def test_blocked_kdtree_labels_on_edge_clouds(name, block, monkeypatch):
+    pts, min_points = edge_clouds()[name]
+    params = ClusterParams(eps=0.7, min_points=min_points)
+    want = reference_dbscan(pts, 0.7, min_points)
+    monkeypatch.setattr(spatial_index, "_BLOCK", block)
+    assert np.array_equal(dbscan(pts, params, index=KdTree(pts)).labels, want)
+    assert np.array_equal(dbscan(pts, params, index=BruteForceIndex(pts)).labels, want)
+    if name == "all-noise":
+        assert np.all(want == -1)
+    elif name == "big-window":
+        assert want.tolist() == [-1] + [0] * 150 + [-1]
+    elif name == "big-window-min-1":
+        assert want.tolist() == [0] + [1] * 150 + [2]

@@ -29,6 +29,7 @@ from lidartrack.geometry import (
     quat_from_yaw,
 )
 from lidartrack.preprocess import (
+    _MIN_PROBE,
     _PROBE_POINTS,
     _SAMPLED_PROBE_ABOVE,
     GroundFitWarning,
@@ -36,6 +37,7 @@ from lidartrack.preprocess import (
     PreprocessConfig,
     _points_in_polygon,
     _probe_rows,
+    _probe_size,
     downsample_stride,
     filter_by_masks,
     filter_drivable,
@@ -460,24 +462,70 @@ def test_distances_over_the_cloud_equal_distances_over_the_candidates(scene):
 
 def test_probe_rows_samples_the_z_extremes_and_falls_back_on_ties():
     rng = np.random.default_rng(11)
-    z = rng.normal(size=40_000)
-    z[::3] = 5.0  # not candidates
-    cand = z < 4.0
+    z0 = rng.normal(size=40_000)
+    z0[::3] = 5.0  # not candidates
+    cand = z0 < 4.0
     rows = np.flatnonzero(cand)
-    probe = _probe_rows(z, rows, cand)
-    assert np.isin(probe, rows).all() and np.all(np.diff(probe) > 0)
-    assert _PROBE_POINTS // 2 <= len(probe) <= 2 * _PROBE_POINTS
-    order = rows[np.argsort(z[rows])]
-    assert np.isin(order[:200], probe).all() and np.isin(order[-200:], probe).all()
-    # On a z grid most candidates tie at the thresholds; the exact pick is used.
-    z = np.round(z, 0)
-    probe = _probe_rows(z, rows, cand)
-    assert len(probe) == _PROBE_POINTS
-    assert np.isin(probe, rows).all()
-    # Up to the sampled-probe threshold the pick is always exact.
-    few = rows[:_SAMPLED_PROBE_ABOVE]
-    assert len(_probe_rows(z, few, None)) == _PROBE_POINTS
-    assert np.array_equal(_probe_rows(z, few[:_PROBE_POINTS], None), few[:_PROBE_POINTS])
+    for size in (_MIN_PROBE, 147, _PROBE_POINTS):
+        z = z0
+        probe = _probe_rows(z, rows, cand, size)
+        assert np.isin(probe, rows).all() and np.all(np.diff(probe) > 0)
+        assert size // 2 <= len(probe) <= 2 * size
+        order = rows[np.argsort(z[rows])]
+        assert np.isin(order[: size // 5], probe).all()
+        assert np.isin(order[-(size // 5) :], probe).all()
+        # On a z grid most candidates tie at the thresholds; the exact pick is used.
+        z = np.round(z, 0)
+        probe = _probe_rows(z, rows, cand, size)
+        assert len(probe) == size // 2 * 2
+        assert np.isin(probe, rows).all()
+        # Up to the sampled-probe threshold the pick is always exact.
+        few = rows[:_SAMPLED_PROBE_ABOVE]
+        assert len(_probe_rows(z, few, None, size)) == size // 2 * 2
+        assert np.array_equal(_probe_rows(z, few[:size], None, size), few[:size])
+
+
+def test_probe_size_follows_the_cloud_and_the_draws():
+    # About four full counts' worth of probe scoring, within 64..1024.
+    assert _probe_size(117_200, 100) == _PROBE_POINTS
+    assert _probe_size(3_675, 100) == 147
+    assert _probe_size(1_000, 100) == _MIN_PROBE
+    assert _probe_size(10, 1) == _MIN_PROBE
+    assert _probe_size(10**6, 1) == _PROBE_POINTS
+
+
+def probe_size_cloud(seed: int, n_cand: int, iterations: int):
+    """A noisy sloped ground under the split height with curbs off it, and
+    clutter above; n_cand candidates among about 1.3 x n_cand rows."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-30.0, 30.0, size=(n_cand + n_cand // 3, 3))
+    pts[:n_cand, 2] = -1.8 + 0.01 * pts[:n_cand, 0] + rng.normal(scale=0.05, size=n_cand)
+    pts[: n_cand // 20, 2] += 0.2
+    pts[n_cand:, 2] = rng.uniform(-1.4, 2.0, size=len(pts) - n_cand)
+    pts[:n_cand, 2] = np.minimum(pts[:n_cand, 2], -1.5 - 1e-9)
+    return rng.permutation(pts), PreprocessConfig(ransac_iterations=iterations)
+
+
+@pytest.mark.parametrize("n_cand", [900, 5_000, 20_000])
+@pytest.mark.parametrize("iterations", [30, 100])
+def test_remove_ground_is_the_same_for_every_probe_size(monkeypatch, n_cand, iterations):
+    # The probe only orders the full counts; the plane, the inlier mask, the
+    # kept points and the generator state must not depend on its size.
+    pts, cfg = probe_size_cloud(n_cand + iterations, n_cand, iterations)
+    results = []
+    for size in (64, 100, 147, 256, 511, 1024):
+        monkeypatch.setattr(preprocess, "_probe_size", lambda n, it, size=size: size)
+        fit_rng, rg_rng = np.random.default_rng(3), np.random.default_rng(3)
+        plane, inliers = preprocess._ransac(pts, -cfg.ground_split_height, cfg, fit_rng)
+        kept = remove_ground(make_cloud(pts), cfg, rng=rg_rng).points
+        assert fit_rng.bit_generator.state == rg_rng.bit_generator.state
+        assert kept.tobytes() == pts[~inliers].tobytes()
+        results.append((
+            plane.normal.tobytes(), np.float64(plane.offset).tobytes(), inliers.tobytes(),
+            kept.tobytes(), fit_rng.bit_generator.state,
+        ))
+    assert all(r == results[0] for r in results)
+    assert np.count_nonzero(np.frombuffer(results[0][2], dtype=bool)) > n_cand // 2
 
 
 def square_grid(x0=0.0, y0=0.0, size=10, resolution=1.0, bits=None):

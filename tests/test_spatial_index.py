@@ -227,3 +227,49 @@ def test_brute_radius_pairs_match_per_row_scan_generated(case, block_pairs):
     want = per_row_pairs(index, r)
     assert all(a.dtype == np.int64 for a in got)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(cloud_and_radius(), st.sampled_from((1, 7, 64)))
+def test_sweep_pairs_in_blocks_generated(case, block):
+    """Blocks of any size give the pairs of the default block, in its order,
+    as sweep positions a < b that map back to the linear scan's pairs."""
+    pts, r = case
+    index = KdTree(pts)
+    whole = index.sweep_pairs(r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spatial_index, "_BLOCK", block)
+        order, a, b = index.sweep_pairs(r)
+        pairs = index.radius_pairs(r)
+    assert all(v.dtype == np.int64 for v in (order, a, b))
+    assert all(np.array_equal(u, v) for u, v in zip((order, a, b), whole))
+    assert np.array_equal(np.sort(order), np.arange(len(pts)))
+    assert np.all(a < b)
+    assert all(np.array_equal(u, v) for u, v in zip(pairs, index.radius_pairs(r)))
+    mapped = sorted(zip(np.minimum(order[a], order[b]).tolist(), np.maximum(order[a], order[b]).tolist()))
+    want = [(i, j) for i in range(len(pts)) for j in linear_scan(pts, pts[i], r) if j > i]
+    assert mapped == want
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_a_window_larger_than_a_block_is_split(block, monkeypatch):
+    # 150 points 0.01 apart on one x line: a point's own-row window holds
+    # the next 70 or so, more than any block here.
+    pts = np.zeros((150, 3))
+    pts[:, 0] = 0.01 * np.arange(150)[::-1]
+    _, _, lo, hi = spatial_index._cell_windows(pts.T, 0.7)
+    assert (hi - lo).max() > block
+    want = [(i, j) for i in range(150) for j in linear_scan(pts, pts[i], 0.7) if j > i]
+    monkeypatch.setattr(spatial_index, "_BLOCK", block)
+    assert sorted_pairs(KdTree(pts), 0.7) == want
+
+
+def test_brute_force_sweep_order_is_the_identity():
+    rng = np.random.default_rng(106)
+    pts = rng.uniform(0, 4, size=(60, 3))
+    index = BruteForceIndex(pts)
+    order, a, b = index.sweep_pairs(1.0)
+    assert np.array_equal(order, np.arange(60))
+    assert all(np.array_equal(u, v) for u, v in zip((a, b), index.radius_pairs(1.0)))
+    assert [v.shape for v in KdTree(np.zeros((0, 3))).sweep_pairs(1.0)] == [(0,)] * 3

@@ -50,9 +50,10 @@ class PointCloud:
     """Immutable, C-contiguous (N, 3) point array, held in memory.
 
     A float32 array stays float32, at 12 bytes per point, as a frame file
-    stores it. Any other array becomes float64. The preprocess stages widen
-    a float32 cloud to float64, which is exact, so every stage after the
-    first sees float64 points.
+    stores it. Any other array becomes float64. The downsample keeps the
+    dtype; ground removal fits on float32 rows and widens only the rows it
+    keeps to float64, which is exact, so every stage after it sees float64
+    points.
     """
 
     points: np.ndarray
@@ -351,8 +352,13 @@ def _read_cloud(path: Path, expected_points: int, frame_index: int) -> np.ndarra
         raise DatasetError(path, f"cannot read point cloud file: {exc}") from exc
     if got != pts.nbytes:
         raise DatasetError(path, f"file ended after {got} of {pts.nbytes} bytes")
-    # One pass over the array; the bad rows are counted only for the message.
-    if not np.isfinite(pts).all():
+    # A float64 sum of finite float32 values cannot overflow, and a NaN or
+    # an infinity makes it non-finite, so one reduction with no temporary
+    # tests them all (inf - inf is NaN). The bad rows are counted only for
+    # the message.
+    with np.errstate(invalid="ignore"):
+        total = pts.sum(dtype=np.float64)
+    if not np.isfinite(total):
         bad = int(np.count_nonzero(~np.isfinite(pts).all(axis=1)))
         raise DatasetError(
             path, f"frame {frame_index}: {bad} point(s) have NaN or infinite coordinates"

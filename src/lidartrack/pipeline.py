@@ -31,8 +31,8 @@ class FrameResult:
     n_detections: int
     # downsample, ground_removal, drivable_filter, mask_filter, kdtree_build,
     # clustering, box_fit, tracker_step: wall time of each, in that order.
-    # downsample includes widening the loaded float32 points it keeps to
-    # float64.
+    # downsample includes reading a loaded frame's file; ground_removal
+    # includes widening the float32 points it keeps to float64.
     stage_seconds: dict[str, float]
     n_tracks: int  # confirmed tracks reported this frame
 

@@ -4,10 +4,12 @@ Stage order is fixed: stride downsample, ground removal, drivable-area
 filter, camera-mask filter. Every stage returns a subset of its input rows;
 coordinates are never modified, so a point surviving to the end is the same
 float triple that came off the sensor. A loaded frame's cloud is read from
-its file by the downsample, float32 as stored; the downsample widens the
-rows it keeps to float64, which is exact, and every stage returns float64
-points. A stage called on a float32 cloud widens it on entry, so it gives
-the same answer as on the widened cloud.
+its file by the downsample, float32 as stored, and the downsample keeps
+that dtype. Ground removal fits its plane on the float32 rows and widens
+only the rows it keeps to float64, which is exact, so every later stage
+sees float64 points. Every stage after the downsample returns float64
+points, and one called on a float32 cloud gives the same answer as on the
+widened cloud.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class PreprocessStats:
     n_after_masks: int
     # Wall time of each stage, in stage order: downsample, ground_removal,
     # drivable_filter, mask_filter. A disabled filter still gets its entry.
-    # downsample includes widening the kept rows of a float32 cloud.
+    # ground_removal includes widening the rows it keeps of a float32 cloud.
     stage_seconds: dict[str, float]
 
 
@@ -97,17 +99,16 @@ def _float64(cloud: PointCloud | FileCloud) -> PointCloud:
 
 
 def downsample_stride(cloud: PointCloud | FileCloud, stride: int) -> PointCloud:
-    """Keep every stride-th point starting at index 0, as float64.
+    """Keep every stride-th point starting at index 0, in the stored dtype.
 
-    Only the kept rows of a float32 cloud are widened. A float64 cloud at
-    stride 1 comes back as the same object. A file-backed cloud is read
-    here, once, and its raw points are dropped on return.
+    At stride 1 the points are a view of the cloud's array, with no copy:
+    for a file-backed cloud, of the array its file was read into. A
+    file-backed cloud is read here, once, and at a larger stride its raw
+    points are dropped on return.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if stride == 1:
-        return _float64(cloud)
-    return PointCloud(cloud.points[::stride].astype(np.float64))
+    return PointCloud(cloud.points[::stride])
 
 
 # Candidates every hypothesis is scored on before any full count: the half
@@ -168,13 +169,49 @@ def _proven_outliers(
     return np.count_nonzero(dist > limit, axis=0)
 
 
+# Rows a full count widens at a time: one reused float64 buffer of this
+# many rows (one more for the last block) stands in for a widened copy of a
+# float32 cloud.
+_COUNT_BLOCK = 16384
+
+
+def _within_tol(pts: np.ndarray, normal: np.ndarray, offset, tol: float) -> np.ndarray:
+    """|pts @ normal + offset| <= tol per row of the (N, 3) array pts, bit
+    for bit as over pts widened to float64. Blocks of _COUNT_BLOCK rows are
+    widened in turn into one buffer; a row's product with the normal does
+    not depend on the rows around it, as long as it is not multiplied on
+    its own: numpy takes a one-row product as a vector dot, which rounds
+    differently. So a lone last row joins the block before it."""
+    n = len(pts)
+    block = np.empty((min(n, _COUNT_BLOCK + 1), 3))
+    dist = np.empty(len(block))
+    within = np.empty(n, dtype=bool)
+    start = 0
+    while start < n:
+        stop = start + _COUNT_BLOCK
+        if stop >= n - 1:
+            stop = n
+        m = stop - start
+        np.copyto(block[:m], pts[start:stop])
+        d = np.matmul(block[:m], normal, out=dist[:m])
+        d += offset
+        np.abs(d, out=d)
+        np.less_equal(d, tol, out=within[start:stop])
+        start = stop
+    return within
+
+
 def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit:
     """The RANSAC fit of fit_ground_plane over the rows of the contiguous
-    (N, 3) array pts with z < below (every row if below is None). The inlier
-    mask covers all N rows and is False off the candidates. No candidate is
-    copied out of pts."""
+    (N, 3) float32 or float64 array pts with z < below (every row if below
+    is None). The inlier mask covers all N rows and is False off the
+    candidates. No candidate is copied out of pts, and pts is never widened
+    as a whole: the sample points and the probe are widened after they are
+    gathered, and a full count widens a block of rows at a time."""
     z = pts[:, 2].copy()  # comparisons over a strided column run 10x slower
-    cand = None if below is None else z < below
+    # A bare Python float would be compared in z's dtype (NEP 50); the
+    # candidates are the rows whose z is below it in float64.
+    cand = None if below is None else z < np.float64(below)
     rows = np.arange(len(pts)) if cand is None else np.flatnonzero(cand)
     n = len(rows)
     if n < max(3, cfg.min_plane_points):
@@ -188,7 +225,7 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit:
     draws = rng.integers(0, n, size=(cfg.ransac_iterations, 3))
     i, j, k = draws.T
     draws = draws[(i != j) & (i != k) & (j != k)]
-    sample = np.take(pts, rows[draws], axis=0)
+    sample = np.take(pts, rows[draws], axis=0).astype(np.float64, copy=False)
     p0 = sample[:, 0]
     a = sample[:, 1] - p0
     b = sample[:, 2] - p0
@@ -212,7 +249,7 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit:
         raise GroundPlaneError("no non-degenerate 3-point sample found")
 
     size = _probe_size(len(pts), cfg.ransac_iterations)
-    probe = np.take(pts, _probe_rows(z, rows, cand, size), axis=0)
+    probe = np.take(pts, _probe_rows(z, rows, cand, size), axis=0).astype(np.float64, copy=False)
     min_outliers = _proven_outliers(probe, normals, offsets, tol)
     best, best_count, best_inliers = -1, 0, None
     for h in np.argsort(min_outliers, kind="stable").tolist():
@@ -221,7 +258,7 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit:
         if bound < best_count or (bound == best_count and h > best):
             break
         # Row by row, (pts @ normal)[rows] is bitwise pts[rows] @ normal.
-        inliers = np.abs(pts @ normals[h] + offsets[h]) <= tol
+        inliers = _within_tol(pts, normals[h], offsets[h], tol)
         if cand is not None:
             inliers &= cand
         count = int(np.count_nonzero(inliers))
@@ -259,7 +296,8 @@ def fit_ground_plane(points, cfg: PreprocessConfig, rng=None) -> GroundFit:
     probe of any subset of the candidates. Hypotheses are counted in full in
     order of that bound, and one that cannot beat the best so far (a lower
     bound, or an equal bound and a later draw) is never counted. A full
-    count is the loop's own expression, points @ normal + offset.
+    count is the loop's own expression, points @ normal + offset, taken a
+    block of rows at a time with the same bits (`_within_tol`).
 
     The probe holds the candidates of lowest and highest z, where a plane
     that is not the ground leaves the most points off it. Its size is
@@ -283,23 +321,29 @@ def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng=None) -> PointCl
 
     Points at or above z = -ground_split_height never count as ground. Lower
     points that sit off the fitted plane (walls, tires, curbs) are kept, in
-    their original order. If the fit fails the cloud comes back unchanged
-    (widened to float64 if it was float32) and a GroundFitWarning is emitted.
+    their original order, as float64. If the fit fails the whole cloud comes
+    back, widened to float64 if it was float32, and a GroundFitWarning is
+    emitted.
 
     The fit is fit_ground_plane's over the candidates below the split height,
     the same plane and the same generator state, but no candidate is copied
     out of the cloud: the full count runs over the whole cloud under the
     candidate mask, which gives the same bits row by row as a count over
     the gathered candidates, and the kept rows are gathered once.
+
+    A float32 cloud is not widened as a whole. The fit runs on its rows and
+    widens only what it computes with, exactly (see _ransac), and only the
+    kept rows are widened on return, so the answer is the one on the cloud
+    widened up front. On a stride-1 sweep frame that is about 2% of the rows.
     """
-    cloud = _float64(cloud)
     pts = cloud.points
     try:
         fit = _ransac(pts, -cfg.ground_split_height, cfg, rng)
     except GroundPlaneError as exc:
         warnings.warn(f"ground fit skipped: {exc}", GroundFitWarning, stacklevel=2)
-        return cloud
-    return PointCloud(np.take(pts, np.flatnonzero(~fit.inliers), axis=0))
+        return PointCloud(pts.astype(np.float64, copy=False))
+    kept = np.take(pts, np.flatnonzero(~fit.inliers), axis=0)
+    return PointCloud(kept.astype(np.float64, copy=False))
 
 
 def filter_drivable(cloud: PointCloud, grid: DrivableGrid, ego_pose: RigidTransform) -> PointCloud:

@@ -217,6 +217,31 @@ def test_non_finite_points_name_file_frame_and_count(tmp_path):
     assert err.value.path == str(bin_path)
 
 
+@pytest.mark.parametrize(
+    "bad, count",
+    [
+        ({(2, 0): np.inf, (9, 1): -np.inf}, 2),  # the coordinates sum to NaN
+        ({(5, 2): np.nan}, 1),
+        ({(4, 0): 3.4e38, (4, 1): 3.4e38, (6, 2): -3.4e38, (8, 0): 3.4e38}, 0),
+    ],
+    ids=["inf-and-minus-inf", "lone-nan", "near-float32-max"],
+)
+def test_finiteness_check_finds_exactly_the_non_finite_rows(tmp_path, bad, count):
+    root, _ = write_full(tmp_path)
+    bin_path = root / "frames" / "000000.bin"
+    pts = np.frombuffer(bin_path.read_bytes(), dtype="<f4").reshape(-1, 3).copy()
+    for at, value in bad.items():
+        pts[at] = value
+    bin_path.write_bytes(pts.tobytes())
+    cloud = load_sequence(root).frames[0].cloud
+    if count:
+        with pytest.raises(DatasetError, match=rf"frame 0: {count} point\(s\) have NaN"):
+            cloud.points
+    else:
+        # Finite values as large as float32 holds are not reported.
+        assert cloud.points.tobytes() == pts.tobytes()
+
+
 @pytest.mark.parametrize("cut", [5, 12])
 def test_cloud_file_truncated_after_load_names_it(tmp_path, cut):
     root, _ = write_full(tmp_path)

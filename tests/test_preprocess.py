@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidartrack import preprocess
+from lidartrack import dataset_io, preprocess
 from lidartrack.clustering import dbscan
 from lidartrack.config import PipelineConfig
 from lidartrack.dataset_io import (
@@ -29,6 +29,7 @@ from lidartrack.geometry import (
     quat_from_yaw,
 )
 from lidartrack.preprocess import (
+    _COUNT_BLOCK,
     _MIN_PROBE,
     _PROBE_POINTS,
     _SAMPLED_PROBE_ABOVE,
@@ -38,6 +39,7 @@ from lidartrack.preprocess import (
     _points_in_polygon,
     _probe_rows,
     _probe_size,
+    _within_tol,
     downsample_stride,
     filter_by_masks,
     filter_drivable,
@@ -528,6 +530,95 @@ def test_remove_ground_is_the_same_for_every_probe_size(monkeypatch, n_cand, ite
     assert np.count_nonzero(np.frombuffer(results[0][2], dtype=bool)) > n_cand // 2
 
 
+@st.composite
+def count_case(draw):
+    """A cloud of a length at and around the count block (or any length up
+    to three blocks), float32 or float64, a unit normal and an offset, and
+    tolerances that put a row exactly on the edge: a random row's own
+    |distance|, and the last row's and the float64 just below it (the last
+    row is the one a short last block holds). The block is the module's or
+    cut to 2, 7 or 64. (Not to 1: a one-row product rounds as a dot, not as
+    a matrix row.)"""
+    block = draw(st.sampled_from((2, 7, 64, _COUNT_BLOCK)))
+    n = draw(st.one_of(
+        st.sampled_from((0, 1, block - 1, block, block + 1)),
+        st.integers(0, 3 * block + 2),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    pts = rng.uniform(-40.0, 40.0, size=(n, 3))
+    pts[:, 2] = rng.normal(-1.8, 0.2, size=n)
+    pts = pts.astype(dtype)
+    normal = rng.normal(size=3) * [0.05, 0.05, 1.0]
+    normal /= np.sqrt(normal @ normal)
+    offset = np.float64(rng.uniform(1.5, 2.1))
+    pts64 = pts.astype(np.float64)
+    dist = np.abs(pts64 @ normal + offset)
+    tols = [dist[rng.integers(n)], dist[-1], np.nextafter(dist[-1], 0.0)] if n else [0.15]
+    return block, pts, pts64, normal, offset, [float(t) for t in tols]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(count_case())
+def test_blocked_full_count_equals_the_count_over_the_widened_cloud(case):
+    block, pts, pts64, normal, offset, tols = case
+    for tol in tols:
+        want = np.abs(pts64 @ normal + offset) <= tol
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(preprocess, "_COUNT_BLOCK", block)
+            got = _within_tol(pts, normal, offset, tol)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def split_edge_cloud(draw):
+    """Ground just below a split height that float32 cannot hold, and rows
+    whose z is -h rounded to float32 or one float32 ulp either side of
+    that, within the plane's tolerance. A float32 comparison with -h would
+    move some of them across the split."""
+    h = draw(st.sampled_from((1.3, 0.1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_ground, n_edge = 3000, draw(st.integers(40, 400))
+    ground = rng.uniform(-30.0, 30.0, size=(n_ground, 3))
+    ground[:, 2] = -h - 0.05 + rng.normal(scale=0.02, size=n_ground)
+    near = np.float32(-h)
+    zs = np.array([near, np.nextafter(near, np.float32(-1)), np.nextafter(near, np.float32(1))])
+    edge = rng.uniform(-30.0, 30.0, size=(n_edge, 3))
+    edge[:, 2] = rng.choice(zs, size=n_edge)
+    pts32 = np.vstack([ground, edge])[rng.permutation(n_ground + n_edge)].astype(np.float32)
+    cfg = PreprocessConfig(ground_split_height=h, ransac_iterations=draw(st.sampled_from((30, 100))))
+    return pts32, cfg, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(split_edge_cloud())
+def test_float32_and_float64_ground_removal_agree_at_an_unrepresentable_split(case):
+    pts32, cfg, seed = case
+    pts64 = pts32.astype(np.float64)
+    z = pts32[:, 2]
+    h = cfg.ground_split_height
+    # Where float32 rounds -h down (as for h = 0.1), a float32 comparison
+    # would drop the rows at that value from the candidates.
+    if np.float64(np.float32(-h)) < -h:
+        assert np.any((z < np.float32(-h)) != (pts64[:, 2] < -h))
+    results = []
+    for pts in (pts32, pts64):
+        fit_rng, rg_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        plane, inliers = preprocess._ransac(pts, -cfg.ground_split_height, cfg, fit_rng)
+        kept = remove_ground(PointCloud(pts), cfg, rng=rg_rng).points
+        assert kept.dtype == np.float64
+        assert fit_rng.bit_generator.state == rg_rng.bit_generator.state
+        results.append((
+            plane.normal.tobytes(), np.float64(plane.offset).tobytes(), inliers.tobytes(),
+            kept.tobytes(), fit_rng.bit_generator.state,
+        ))
+    assert results[0] == results[1]
+    # The gather path, run on the widened cloud, drops the same rows.
+    want = remove_ground_by_gather(pts64, cfg, np.random.default_rng(seed))
+    assert results[0][3] == want.tobytes()
+
+
 def square_grid(x0=0.0, y0=0.0, size=10, resolution=1.0, bits=None):
     if bits is None:
         bits = np.ones((size, size), dtype=bool)
@@ -778,14 +869,21 @@ def assert_same_float64(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def assert_same_after_widening(got, want):
+    """The downsample keeps the stored dtype; widened, the rows are the same."""
+    assert got.dtype in (np.float32, np.float64)
+    assert_same_float64(got.astype(np.float64), want.astype(np.float64))
+
+
 @pytest.mark.parametrize(
     "scene, stride",
     [("golden-seed0", 1), ("golden-seed0", 2), ("golden-seed0", 10), ("sweep", 1)],
 )
 def test_loaded_float32_frame_detects_as_the_float64_frame(loaded, monkeypatch, scene, stride):
     """preprocess_frame and detect give the same bits on a loaded float32
-    frame as on the frame widened up front: the points after every stage,
-    the stats, the DBSCAN labels and the detections."""
+    frame as on the frame widened up front: the points after every stage
+    (the downsample's once widened, as it keeps the stored dtype), the
+    stats, the DBSCAN labels and the detections."""
     seq = loaded[scene]
     cfg = PipelineConfig()
     pre = replace(cfg.preprocess, stride=stride, mask_filter_enabled=True)
@@ -807,7 +905,9 @@ def test_loaded_float32_frame_detects_as_the_float64_frame(loaded, monkeypatch, 
             runs.append((list(stages), found))
         (stages32, got), (stages64, want) = runs
         assert len(stages32) == len(stages64) == 4
-        for a, b in zip(stages32, stages64):
+        assert stages32[0].dtype == np.float32
+        assert_same_after_widening(stages32[0], stages64[0])
+        for a, b in zip(stages32[1:], stages64[1:]):
             assert_same_float64(a, b)
         assert counts(got.stats) == counts(want.stats)
         assert_same_float64(got.points, want.points)
@@ -834,8 +934,9 @@ def test_stages_called_on_a_float32_cloud_give_the_float64_answers(loaded, scene
     cfg = PreprocessConfig()
 
     for stride in (1, 2, 10):
-        assert_same_float64(downsample_stride(c32, stride).points,
-                            downsample_stride(c64, stride).points)
+        down32 = downsample_stride(c32, stride).points
+        assert down32.dtype == np.float32
+        assert_same_after_widening(down32, downsample_stride(c64, stride).points)
 
     rngs = [np.random.default_rng(5) for _ in range(2)]
     out32, out64 = (remove_ground(c, cfg, rng=rng) for c, rng in zip((c32, c64), rngs))
@@ -868,12 +969,25 @@ def test_stages_called_on_a_float32_cloud_give_the_float64_answers(loaded, scene
 @pytest.mark.parametrize("stride", [1, 2, 10])
 @pytest.mark.parametrize("n", [0, 1, 25])
 def test_downsample_always_returns_float64(dtype, stride, n):
+    # The name predates the contract: the downsample keeps the stored dtype,
+    # and ground removal widens the rows it keeps.
     pts = np.random.default_rng(n).uniform(-50, 50, size=(n, 3)).astype(dtype)
     cloud = PointCloud(pts)
     assert cloud.points.dtype == dtype
     out = downsample_stride(cloud, stride)
-    assert out.points.dtype == np.float64
+    assert out.points.dtype == dtype
     assert out.points.flags.c_contiguous and not out.points.flags.writeable
-    assert np.array_equal(out.points, pts[::stride].astype(np.float64))
-    if dtype == np.float64 and stride == 1:
-        assert out is cloud
+    assert_same_after_widening(out.points, pts[::stride])
+    if stride == 1 and n:
+        assert np.shares_memory(out.points, cloud.points)  # no copy
+
+
+def test_downsample_at_stride_one_hands_on_the_read_array(loaded, monkeypatch):
+    reads = []
+    def read_cloud(*args, _read=dataset_io._read_cloud):
+        reads.append(_read(*args))
+        return reads[-1]
+    monkeypatch.setattr(dataset_io, "_read_cloud", read_cloud)
+    out = downsample_stride(loaded["sweep"].frames[0].cloud, 1)
+    assert len(reads) == 1 and out.points.base is reads[0]
+    assert out.points.dtype == np.float32

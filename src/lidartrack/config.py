@@ -2,7 +2,9 @@
 
 Unknown keys are rejected rather than ignored. A typo like "epz" silently
 falling back to the default has burned enough people that strictness here
-is worth the occasional friction.
+is worth the occasional friction. Values are typed the same way: an int
+field takes a JSON integer, a float field a finite JSON number, a bool
+field a JSON boolean and a str field a string.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 from .clustering import ClusterParams
+from .dataset_io import _finite, _integer, _string
 from .detection import BoxLimits
 from .errors import ConfigError
 from .preprocess import PreprocessConfig
@@ -46,21 +50,38 @@ _SECTIONS = {
 }
 
 
+def _boolean(value) -> bool:
+    """An on/off value: a JSON boolean, never a number or a string."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+_CASTS = {int: _integer, float: _finite, bool: _boolean, str: _string}
+
+
 def build_section(name: str, cls, data: dict):
-    """cls(**data) for a config dataclass; an unknown key or a rejected value
-    is a ConfigError naming the section."""
+    """cls(**data) for a config dataclass, each value cast by its field's
+    type first. An unknown key or a rejected value is a ConfigError naming
+    the section."""
     if not isinstance(data, dict):
         raise ConfigError(f"section {name!r} must be a JSON object, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
+    types = get_type_hints(cls)
+    unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(
             f"unknown key(s) in section {name!r}: {sorted(unknown)}; "
-            f"valid keys: {sorted(known)}"
+            f"valid keys: {sorted(types)}"
         )
+    values = {}
+    for key, value in data.items():
+        try:
+            values[key] = _CASTS[types[key]](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid value for {key!r} in section {name!r}: {exc}") from exc
     try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
+        return cls(**values)
+    except ValueError as exc:
         raise ConfigError(f"invalid value in section {name!r}: {exc}") from exc
 
 

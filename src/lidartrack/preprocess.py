@@ -51,6 +51,8 @@ class PreprocessConfig:
             raise ValueError("ransac_inlier_tol must be positive")
         if self.min_plane_points < 1:
             raise ValueError("min_plane_points must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -65,12 +67,10 @@ class Plane:
         n.flags.writeable = False
         object.__setattr__(self, "normal", n)
 
-    def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64) @ self.normal + self.offset
-
 
 class GroundFit(NamedTuple):
-    """The winning plane and its inlier mask over the fitted candidates."""
+    """The winning plane and its inlier mask over every row of the fitted
+    array, False off the candidates."""
 
     plane: Plane
     inliers: np.ndarray
@@ -129,12 +129,12 @@ def _probe_size(n_rows: int, iterations: int) -> int:
     return min(_PROBE_POINTS, max(_MIN_PROBE, _PROBE_COUNTS * n_rows // iterations))
 
 
-def _probe_rows(z: np.ndarray, rows: np.ndarray, cand, size: int) -> np.ndarray:
+def _probe_rows(z: np.ndarray, rows: np.ndarray, cand: np.ndarray, size: int) -> np.ndarray:
     """Candidate rows to score every hypothesis on: about `size` of those
     with the lowest and highest z, or all of them when there are no more
     than that. z is the cloud's z column, rows lists the candidate rows in
-    order and cand is their mask, or None when every row is one. Any subset
-    keeps the fit exact; the z extremes make it fast."""
+    order and cand is their mask. Any subset keeps the fit exact; the z
+    extremes make it fast."""
     n = len(rows)
     if n <= size:
         return rows
@@ -144,8 +144,7 @@ def _probe_rows(z: np.ndarray, rows: np.ndarray, cand, size: int) -> np.ndarray:
         k = -(-half * len(sample) // n)
         sample.partition((k - 1, len(sample) - k))
         near = (z <= sample[k - 1]) | (z >= sample[len(sample) - k])
-        if cand is not None:
-            near &= cand
+        near &= cand
         probe = np.flatnonzero(near)
         # Many candidates tied at a threshold make a large probe; pick exactly.
         if len(probe) <= 2 * size:
@@ -202,17 +201,62 @@ def _within_tol(pts: np.ndarray, normal: np.ndarray, offset, tol: float) -> np.n
 
 
 def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit:
-    """The RANSAC fit of fit_ground_plane over the rows of the contiguous
-    (N, 3) float32 or float64 array pts with z < below (every row if below
-    is None). The inlier mask covers all N rows and is False off the
-    candidates. No candidate is copied out of pts, and pts is never widened
-    as a whole: the sample points and the probe are widened after they are
-    gathered, and a full count widens a block of rows at a time."""
+    """RANSAC plane fit over the candidate rows of the contiguous (N, 3)
+    float32 or float64 array pts: the n rows whose z is below `below` in
+    float64. Too few candidates, or no non-degenerate draw, is a
+    GroundPlaneError.
+
+    Returns the sample plane with the most inliers over cfg.ransac_iterations
+    3-point draws (first-found wins ties); no least-squares refinement. The
+    normal is oriented with a non-negative z component. The inlier mask
+    covers all N rows: the winner's full count, |pts @ normal + offset| <=
+    tol, under the candidate mask, so it is False off the candidates.
+
+    All draws come from one rng.integers call of shape (iterations, 3),
+    which yields the same triples, and leaves the generator in the same
+    state, as one size-3 call per iteration. Draws with a repeated index
+    or a cross product of norm below 1e-12 are dropped. Every hypothesis
+    is built in whole-array steps that round as the per-draw loop does:
+    the cross product column by column, and the norm and the offset with
+    np.vecdot, the per-row BLAS dot that x.dot(x) and normal @ p also run.
+    Only the 3 x iterations sample points are gathered.
+
+    The plane is the one a loop that counts every hypothesis's inliers over
+    the gathered candidates would pick, bit for bit, ties included, but most
+    hypotheses are never counted in full. Each is first scored on a probe of
+    the candidates, where only proven outliers count: a point whose
+    |distance| exceeds the tolerance by a rounding margin far larger than
+    any difference between two evaluation orders of the same sum. So n minus
+    the probe count bounds the hypothesis's inlier count from above, for a
+    probe of any subset of the candidates. Hypotheses are counted in full in
+    order of that bound, and one that cannot beat the best so far (a lower
+    bound, or an equal bound and a later draw) is never counted. A full
+    count is the loop's own expression, points @ normal + offset, taken over
+    the whole array a block of rows at a time (`_within_tol`) and masked to
+    the candidates: a row's product with the normal does not depend on the
+    rows around it, so it has the bits of the count over the gathered
+    candidates.
+
+    The probe holds the candidates of lowest and highest z, where a plane
+    that is not the ground leaves the most points off it. Its size is
+    4 x N / iterations, so that scoring every hypothesis on it costs about
+    four full counts, but at least 64 and at most 1,024 candidates
+    (`_probe_size`). Up to _SAMPLED_PROBE_ABOVE candidates, np.argpartition
+    picks the size / 2 lowest and highest (all candidates, if there are no
+    more than size). Above that, a partition of every
+    (n // _SAMPLED_PROBE_ABOVE)-th candidate's z gives a low and a high
+    threshold, and one comparison pass keeps the candidates at or beyond
+    them, about size points.
+
+    No candidate is copied out of pts, and pts is never widened as a whole:
+    the sample points and the probe are widened after they are gathered,
+    and a full count widens a block of rows at a time.
+    """
     z = pts[:, 2].copy()  # comparisons over a strided column run 10x slower
     # A bare Python float would be compared in z's dtype (NEP 50); the
     # candidates are the rows whose z is below it in float64.
-    cand = None if below is None else z < np.float64(below)
-    rows = np.arange(len(pts)) if cand is None else np.flatnonzero(cand)
+    cand = z < np.float64(below)
+    rows = np.flatnonzero(cand)
     n = len(rows)
     if n < max(3, cfg.min_plane_points):
         raise GroundPlaneError(
@@ -259,61 +303,13 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit:
             break
         # Row by row, (pts @ normal)[rows] is bitwise pts[rows] @ normal.
         inliers = _within_tol(pts, normals[h], offsets[h], tol)
-        if cand is not None:
-            inliers &= cand
+        inliers &= cand
         count = int(np.count_nonzero(inliers))
         if count > best_count or (count == best_count and h < best):
             best, best_count, best_inliers = h, count, inliers
     if best < 0:
         raise GroundPlaneError("no non-degenerate 3-point sample found")
     return GroundFit(Plane(normals[best], float(offsets[best])), best_inliers)
-
-
-def fit_ground_plane(points, cfg: PreprocessConfig, rng=None) -> GroundFit:
-    """RANSAC plane fit over candidate ground points.
-
-    Returns the sample plane with the most inliers over cfg.ransac_iterations
-    3-point draws (first-found wins ties); no least-squares refinement. The
-    normal is oriented with a non-negative z component. The inlier mask is
-    the winner's full count, |plane.signed_distance(points)| <= tol.
-
-    All draws come from one rng.integers call of shape (iterations, 3),
-    which yields the same triples, and leaves the generator in the same
-    state, as one size-3 call per iteration. Draws with a repeated index
-    or a cross product of norm below 1e-12 are dropped. Every hypothesis
-    is built in whole-array steps that round as the per-draw loop does:
-    the cross product column by column, and the norm and the offset with
-    np.vecdot, the per-row BLAS dot that x.dot(x) and normal @ p also run.
-    Only the 3 x iterations sample points are gathered.
-
-    The plane is the one a loop that counts every hypothesis's inliers over
-    all points would pick, bit for bit, ties included, but most hypotheses
-    are never counted in full. Each is first scored on a probe of the
-    candidates, where only proven outliers count: a point whose |distance|
-    exceeds the tolerance by a rounding margin far larger than any
-    difference between two evaluation orders of the same sum. So n minus
-    the probe count bounds the hypothesis's inlier count from above, for a
-    probe of any subset of the candidates. Hypotheses are counted in full in
-    order of that bound, and one that cannot beat the best so far (a lower
-    bound, or an equal bound and a later draw) is never counted. A full
-    count is the loop's own expression, points @ normal + offset, taken a
-    block of rows at a time with the same bits (`_within_tol`).
-
-    The probe holds the candidates of lowest and highest z, where a plane
-    that is not the ground leaves the most points off it. Its size is
-    4 x points / iterations, so that scoring every hypothesis on it costs
-    about four full counts, but at least 64 and at most 1,024 candidates
-    (`_probe_size`). Up to _SAMPLED_PROBE_ABOVE candidates, np.argpartition
-    picks the size / 2 lowest and highest (all candidates, if there are no
-    more than size). Above that, a partition of every
-    (n // _SAMPLED_PROBE_ABOVE)-th candidate's z gives a low and a high
-    threshold, and one comparison pass keeps the candidates at or beyond
-    them, about size points.
-    """
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) points, got shape {pts.shape}")
-    return _ransac(pts, None, cfg, rng)
 
 
 def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng=None) -> PointCloud:
@@ -325,11 +321,9 @@ def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng=None) -> PointCl
     back, widened to float64 if it was float32, and a GroundFitWarning is
     emitted.
 
-    The fit is fit_ground_plane's over the candidates below the split height,
-    the same plane and the same generator state, but no candidate is copied
-    out of the cloud: the full count runs over the whole cloud under the
-    candidate mask, which gives the same bits row by row as a count over
-    the gathered candidates, and the kept rows are gathered once.
+    The fit (_ransac) copies no candidate out of the cloud: its full counts
+    run over the whole cloud under the candidate mask, and the kept rows are
+    gathered once.
 
     A float32 cloud is not widened as a whole. The fit runs on its rows and
     widens only what it computes with, exactly (see _ransac), and only the

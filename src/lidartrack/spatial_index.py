@@ -15,14 +15,13 @@ expansion's temporaries keep one size however many candidates there are.
 The candidates are a superset of the pairs within r, each unordered pair
 proposed at most once, so the result does not depend on how cells and
 windows round. The pairs come back as sweep positions a < b with the
-sweep order; `radius_pairs` maps them to point indices. The index is
-rebuilt per frame (clouds change completely between sweeps, so
-incremental updates buy nothing).
+sweep order, which maps them to point indices. The index is rebuilt per
+frame (clouds change completely between sweeps, so incremental updates
+buy nothing).
 
 `BruteForceIndex`, the oracle `KdTree` is tested against, answers the same
-pair question by testing every pair, a block of rows at a time, with the
-same expression as `radius_query`, the one single-centre query here. Its
-sweep order is the identity.
+pair question by testing every pair, a block of rows at a time, with
+`_within`. Its sweep order is the identity.
 """
 
 from __future__ import annotations
@@ -79,20 +78,12 @@ def _check_radius(r: float) -> float:
     return float(r)
 
 
-def _check_center(center) -> np.ndarray:
-    c = np.asarray(center, dtype=np.float64).reshape(3)
-    if not np.all(np.isfinite(c)):
-        raise ValueError("query center must be finite")
-    return c
-
-
 def _within(cols, center, r: float) -> np.ndarray:
     """The inclusive distance test every index answers with.
 
-    cols holds the points' x, y and z columns and center the centre's x, y
-    and z, each of which broadcasts against its column: scalars test one
-    centre, (B, 1) columns test B centres at once and give a (B, N) mask
-    whose rows are bitwise the masks of one centre each.
+    cols holds the points' x, y and z columns and center the centres' x, y
+    and z as (B, 1) columns, which broadcast against them: the (B, N) mask's
+    rows are bitwise the masks of one centre each.
     """
     dx, dy, dz = (p - c for p, c in zip(cols, center))
     # (dx*dx + dy*dy) + dz*dz, in place: a third faster on large blocks.
@@ -246,18 +237,6 @@ class KdTree:
             return tuple(np.empty(0, dtype=np.int64) for _ in range(3))
         return _sweep_pairs(self.points, r)
 
-    def radius_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """Every pair (i, j), i < j, of points within distance r of each other.
-
-        Returns two int64 arrays in no particular order: the pairs of
-        `sweep_pairs` mapped back through its order. The test is the
-        module's inclusive one on points[j] - points[i], so the pairs are
-        exactly those of `BruteForceIndex.radius_pairs`.
-        """
-        order, a, b = self.sweep_pairs(r)
-        a, b = order[a], order[b]
-        return np.minimum(a, b), np.maximum(a, b)
-
 
 class BruteForceIndex:
     """Linear-scan radius search; the reference `KdTree` is tested against."""
@@ -270,18 +249,13 @@ class BruteForceIndex:
     def n(self) -> int:
         return len(self.points)
 
-    def radius_query(self, center, r: float) -> np.ndarray:
-        """Ascending int64 indices of every point within distance r (inclusive)."""
-        r = _check_radius(r)
-        c = _check_center(center)
-        return np.flatnonzero(_within(self.points.T, c, r)).astype(np.int64)
-
     def radius_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """Same contract as `KdTree.radius_pairs`, by testing every pair.
+        """Every pair (i, j), i < j, of points within distance r of each
+        other, as two int64 arrays sorted by i, then j.
 
         Each block of rows i is tested against the points after its first
-        row with `_within`, so row i's pairs are those of `radius_query`
-        from points[i], bit for bit. Pairs come sorted by i, then j.
+        row with `_within`, so row i's pairs are those of the module's
+        inclusive test from points[i] alone, bit for bit.
         """
         r = _check_radius(r)
         firsts, seconds = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]

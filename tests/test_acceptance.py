@@ -17,7 +17,7 @@ from lidartrack.config import PipelineConfig
 from lidartrack.detection import Detection3D
 from lidartrack.evaluation import gt_to_eval_frames, mota, tracks_to_eval_frames
 from lidartrack.pipeline import run_tracking
-from lidartrack.preprocess import PreprocessConfig, fit_ground_plane
+from lidartrack.preprocess import PreprocessConfig, _ransac
 from lidartrack.spatial_index import BruteForceIndex, KdTree
 from lidartrack.synth import SynthConfig, bake_ego_motion, car_center, generate, ground_truth
 from lidartrack.tracking import (
@@ -106,7 +106,8 @@ def test_kdtree_exact_and_faster_than_brute():
     pts = rng.uniform(0, 25, size=(4000, 3))
     tree = KdTree(pts)
     for r in (0.2, 1.5, 4.0):
-        i, j = tree.radius_pairs(r)
+        order, a, b = tree.sweep_pairs(r)
+        i, j = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
         got = np.unique(i * len(pts) + j)
         want = np.concatenate(
             [
@@ -186,7 +187,7 @@ def test_ransac_recovers_noisy_plane():
         inliers = np.column_stack([xy, z + rng.normal(0, 0.01, size=400)])
         junk_xy = rng.uniform(-20, 20, size=(100, 2))
         junk = np.column_stack([junk_xy, rng.uniform(-2.2, -1.5, size=100)])
-        plane = fit_ground_plane(np.vstack([inliers, junk]), cfg, rng=rng).plane
+        plane = _ransac(np.vstack([inliers, junk]), np.inf, cfg, rng).plane
         angle = np.degrees(np.arccos(np.clip(abs(plane.normal @ n_true), -1, 1)))
         offset_true = -(n_true @ np.array([0.0, 0.0, -1.7]))
         d_off = abs(plane.offset - offset_true)

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from lidartrack import cli as cli_module
 from lidartrack.cli import main
 from lidartrack.config import PipelineConfig, config_from_dict
 from lidartrack.dataset_io import load_sequence
@@ -600,6 +601,35 @@ def test_bad_config_json_exits_one(tmp_path, capsys):
     cfg.write_text("{oops")
     assert main(["track", "--config", str(cfg), "--print-config"]) == 1
     assert "broken.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, text",
+    [
+        ("preprocess", "rng_seed", '{"preprocess": {"rng_seed": 1.5}}'),
+        ("preprocess", "mask_filter_enabled",
+         '{"preprocess": {"mask_filter_enabled": "false", "mask_filter_strict": "false"}}'),
+        ("tracker", "gate_distance", '{"tracker": {"gate_distance": NaN}}'),
+        ("box_limits", "max_length", '{"box_limits": {"max_length": NaN}}'),
+        ("clustering", "min_points", '{"clustering": {"min_points": 2.5}}'),
+        ("preprocess", "stride", '{"preprocess": {"stride": true}}'),
+    ],
+)
+def test_config_value_of_the_wrong_kind_stops_track(
+    dataset, tmp_path, capsys, monkeypatch, section, key, text
+):
+    def never(*args):
+        raise AssertionError("the sequence was read before the config was checked")
+
+    monkeypatch.setattr(cli_module, "load_sequence", never)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    out = tmp_path / "tracks.jsonl"
+    for extra in ([], ["--print-config"]):
+        assert main(["track", str(dataset), "--config", str(cfg), "--output", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert f"'{section}'" in err and f"'{key}'" in err
+        assert not out.exists()
 
 
 def test_empty_scene_tracks_cleanly(tmp_path, capsys):

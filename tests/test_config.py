@@ -1,10 +1,15 @@
-"""Config load/dump roundtrips and strict key checking."""
+"""Config load/dump roundtrips and strict key and value checking."""
 
 import json
+import math
+import runpy
+from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 from lidartrack.config import (
+    _SECTIONS,
     PipelineConfig,
     config_from_dict,
     config_to_dict,
@@ -86,3 +91,40 @@ def test_dump_covers_every_section():
     assert sorted(data) == ["box_limits", "clustering", "eval", "preprocess", "tracker"]
     assert data["tracker"]["hit_confirm_threshold"] == 5
     assert data["preprocess"]["stride"] == 10
+
+
+def wrong_values():
+    """(section, key, value) for every field of every section and each kind
+    of value it must refuse: a non-finite number, a value of another JSON
+    type, a fraction for an integer and a negative seed."""
+    for section, cls in _SECTIONS.items():
+        for key, kind in get_type_hints(cls).items():
+            other = 1 if kind is bool else True
+            values = [math.nan, math.inf, other, "1"]
+            if kind is int:
+                values.append(2.5)
+            if key == "rng_seed":
+                values.append(-1)
+            for value in values:
+                yield pytest.param(section, key, value, id=f"{section}.{key}={value!r}")
+
+
+@pytest.mark.parametrize("section, key, value", wrong_values())
+def test_every_field_refuses_a_value_of_the_wrong_kind(section, key, value):
+    text = json.dumps({section: {key: value}})  # NaN and Infinity, as json writes them
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(json.loads(text))
+    assert f"'{section}'" in str(exc.value) and key in str(exc.value)
+
+
+def test_an_integer_is_accepted_where_a_real_is_expected():
+    cfg = config_from_dict({"tracker": {"gate_distance": 3}, "eval": {"match_distance": 2}})
+    assert cfg.tracker.gate_distance == 3.0 and type(cfg.tracker.gate_distance) is float
+    assert cfg == config_from_dict({"tracker": {"gate_distance": 3.0}, "eval": {"match_distance": 2.0}})
+
+
+def test_the_benchmark_workload_configs_load():
+    workloads = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
+    for spec in workloads["WORKLOADS"].values():
+        cfg = config_from_dict(json.loads(json.dumps(spec["pipeline"])))
+        assert config_from_dict(json.loads(dump_config(cfg))) == cfg

@@ -43,7 +43,6 @@ from lidartrack.preprocess import (
     downsample_stride,
     filter_by_masks,
     filter_drivable,
-    fit_ground_plane,
     preprocess_frame,
     remove_ground,
 )
@@ -51,6 +50,11 @@ from lidartrack.preprocess import (
 
 def make_cloud(points):
     return PointCloud(np.asarray(points, dtype=np.float64))
+
+
+def fit_all(pts, cfg, rng=None):
+    """The ground fit over every row: a split above every point."""
+    return preprocess._ransac(pts, np.inf, cfg, rng)
 
 
 def flat_ground(rng, n, z=-1.8, extent=20.0, sigma=0.0):
@@ -82,7 +86,7 @@ def test_fit_recovers_flat_plane_exactly():
     rng = np.random.default_rng(300)
     pts = flat_ground(rng, 200, z=-1.8)
     cfg = PreprocessConfig(min_plane_points=50)
-    plane = fit_ground_plane(pts, cfg, rng=np.random.default_rng(1)).plane
+    plane = fit_all(pts, cfg, rng=np.random.default_rng(1)).plane
     assert np.allclose(plane.normal, [0, 0, 1], atol=1e-9)
     assert np.isclose(plane.offset, 1.8, atol=1e-9)
 
@@ -94,7 +98,7 @@ def test_fit_recovers_tilted_plane():
     pts = flat_ground(rng, 300, z=0.0)
     pts[:, 2] = -1.8 + slope * pts[:, 0] + rng.normal(scale=0.01, size=len(pts))
     cfg = PreprocessConfig()
-    plane = fit_ground_plane(pts, cfg, rng=np.random.default_rng(2)).plane
+    plane = fit_all(pts, cfg, rng=np.random.default_rng(2)).plane
     true_normal = np.array([-slope, 0.0, 1.0])
     true_normal /= np.linalg.norm(true_normal)
     angle = np.degrees(np.arccos(np.clip(plane.normal @ true_normal, -1, 1)))
@@ -105,21 +109,21 @@ def test_fit_is_deterministic_for_a_seeded_rng():
     rng = np.random.default_rng(302)
     pts = flat_ground(rng, 150, sigma=0.02)
     cfg = PreprocessConfig()
-    p1 = fit_ground_plane(pts, cfg, rng=np.random.default_rng(7)).plane
-    p2 = fit_ground_plane(pts, cfg, rng=np.random.default_rng(7)).plane
+    p1 = fit_all(pts, cfg, rng=np.random.default_rng(7)).plane
+    p2 = fit_all(pts, cfg, rng=np.random.default_rng(7)).plane
     assert np.array_equal(p1.normal, p2.normal) and p1.offset == p2.offset
 
 
 def test_fit_requires_minimum_candidates():
     pts = flat_ground(np.random.default_rng(303), 20)
     with pytest.raises(GroundPlaneError):
-        fit_ground_plane(pts, PreprocessConfig(min_plane_points=50))
+        fit_all(pts, PreprocessConfig(min_plane_points=50))
 
 
 def test_fit_normal_points_up():
     rng = np.random.default_rng(304)
     pts = flat_ground(rng, 120)
-    plane = fit_ground_plane(pts, PreprocessConfig(), rng=np.random.default_rng(3)).plane
+    plane = fit_all(pts, PreprocessConfig(), rng=np.random.default_rng(3)).plane
     assert plane.normal[2] >= 0
 
 
@@ -263,18 +267,29 @@ def ground_case(draw):
 
 
 def assert_fit_matches_reference(pts, cfg, seed):
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    try:
-        want = reference_fit_ground_plane(pts, cfg, ref_rng)
-    except GroundPlaneError:
-        with pytest.raises(GroundPlaneError):
-            fit_ground_plane(pts, cfg, rng=rng)
-        return
-    got, inliers = fit_ground_plane(pts, cfg, rng=rng)
-    assert got.normal.tobytes() == want.normal.tobytes()
-    assert np.float64(got.offset).tobytes() == np.float64(want.offset).tobytes()
-    assert np.array_equal(inliers, np.abs(want.signed_distance(pts)) <= cfg.ransac_inlier_tol)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    """The fit remove_ground runs against the loop over its gathered
+    candidates, bit for bit: the plane, the inlier mask over every row and
+    the generator state. Once with a split above every point, and once with
+    a split at the median distinct z, which leaves the rows at and above it
+    out."""
+    zs = np.unique(pts[:, 2])
+    for below in (np.inf, zs[len(zs) // 2]):
+        cand = pts[:, 2] < below
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            want = reference_fit_ground_plane(pts[cand], cfg, ref_rng)
+        except GroundPlaneError:
+            with pytest.raises(GroundPlaneError):
+                preprocess._ransac(pts, below, cfg, rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            continue
+        got, inliers = preprocess._ransac(pts, below, cfg, rng)
+        assert got.normal.tobytes() == want.normal.tobytes()
+        assert np.float64(got.offset).tobytes() == np.float64(want.offset).tobytes()
+        want_inliers = np.zeros(len(pts), dtype=bool)
+        want_inliers[cand] = np.abs(pts[cand] @ want.normal + want.offset) <= cfg.ransac_inlier_tol
+        assert np.array_equal(inliers, want_inliers)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -316,7 +331,7 @@ def test_fit_first_found_wins_a_tie_the_probe_ranks_second():
         + [(0.0, 0.0, -0.75 + 1e-10)]
     )
     cfg = PreprocessConfig(ransac_iterations=10, ransac_inlier_tol=0.25, min_plane_points=3)
-    plane = fit_ground_plane(pts, cfg, rng=np.random.default_rng(2)).plane
+    plane = fit_all(pts, cfg, rng=np.random.default_rng(2)).plane
     assert plane.offset == 2.0
     assert_fit_matches_reference(pts, cfg, 2)
 
@@ -359,7 +374,7 @@ def test_fit_with_only_degenerate_draws_raises(iterations):
     cfg = PreprocessConfig(ransac_iterations=iterations, min_plane_points=3)
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     with pytest.raises(GroundPlaneError, match="no non-degenerate"):
-        fit_ground_plane(pts, cfg, rng=rng)
+        fit_all(pts, cfg, rng=rng)
     with pytest.raises(GroundPlaneError):
         reference_fit_ground_plane(pts, cfg, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -369,12 +384,13 @@ def test_fit_with_only_degenerate_draws_raises(iterations):
 
 
 def remove_ground_by_gather(pts, cfg, rng):
-    """Ground removal as a fit over the gathered candidates: the path
-    remove_ground must match bit for bit."""
+    """Ground removal as the per-sample loop over the gathered candidates:
+    what remove_ground must match bit for bit."""
     lower_idx = np.flatnonzero(pts[:, 2] < -cfg.ground_split_height)
-    fit = fit_ground_plane(pts[lower_idx], cfg, rng=rng)
+    cand = pts[lower_idx]
+    plane = reference_fit_ground_plane(cand, cfg, rng)
     keep = np.ones(len(pts), dtype=bool)
-    keep[lower_idx[fit.inliers]] = False
+    keep[lower_idx[np.abs(cand @ plane.normal + plane.offset) <= cfg.ransac_inlier_tol]] = False
     return pts[keep]
 
 
@@ -483,8 +499,10 @@ def test_probe_rows_samples_the_z_extremes_and_falls_back_on_ties():
         assert np.isin(probe, rows).all()
         # Up to the sampled-probe threshold the pick is always exact.
         few = rows[:_SAMPLED_PROBE_ABOVE]
-        assert len(_probe_rows(z, few, None, size)) == size // 2 * 2
-        assert np.array_equal(_probe_rows(z, few[:size], None, size), few[:size])
+        few_cand = np.isin(np.arange(len(z)), few)
+        assert len(_probe_rows(z, few, few_cand, size)) == size // 2 * 2
+        few_cand[few[size:]] = False
+        assert np.array_equal(_probe_rows(z, few[:size], few_cand, size), few[:size])
 
 
 def test_probe_size_follows_the_cloud_and_the_draws():
@@ -944,9 +962,9 @@ def test_stages_called_on_a_float32_cloud_give_the_float64_answers(loaded, scene
     assert len(out32) < len(c32)
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
-    below = c32.points[:, 2] < -cfg.ground_split_height
-    fit32 = fit_ground_plane(c32.points[below], cfg, rng=np.random.default_rng(6))
-    fit64 = fit_ground_plane(c64.points[below], cfg, rng=np.random.default_rng(6))
+    below = -cfg.ground_split_height
+    fit32 = preprocess._ransac(c32.points, below, cfg, np.random.default_rng(6))
+    fit64 = preprocess._ransac(c64.points, below, cfg, np.random.default_rng(6))
     assert_same_float64(fit32.plane.normal, fit64.plane.normal)
     assert fit32.plane.offset == fit64.plane.offset
     assert np.array_equal(fit32.inliers, fit64.inliers)
@@ -968,9 +986,8 @@ def test_stages_called_on_a_float32_cloud_give_the_float64_answers(loaded, scene
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("stride", [1, 2, 10])
 @pytest.mark.parametrize("n", [0, 1, 25])
-def test_downsample_always_returns_float64(dtype, stride, n):
-    # The name predates the contract: the downsample keeps the stored dtype,
-    # and ground removal widens the rows it keeps.
+def test_downsample_keeps_the_stored_dtype(dtype, stride, n):
+    # Ground removal widens the rows it keeps.
     pts = np.random.default_rng(n).uniform(-50, 50, size=(n, 3)).astype(dtype)
     cloud = PointCloud(pts)
     assert cloud.points.dtype == dtype

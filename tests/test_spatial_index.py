@@ -1,5 +1,6 @@
-"""Radius search: `KdTree.radius_pairs` checked pair for pair against a
-linear scan, and the `BruteForceIndex` oracle against its own formula."""
+"""Radius search: the pairs of `KdTree.sweep_pairs`, mapped through its
+order, checked pair for pair against a linear scan from each point, and the
+`BruteForceIndex` oracle against the same scan row by row."""
 
 import numpy as np
 import pytest
@@ -18,9 +19,16 @@ def linear_scan(points, center, radius):
 
 
 def sorted_pairs(index, r):
-    i, j = index.radius_pairs(r)
-    assert i.dtype == np.int64 and j.dtype == np.int64
-    return sorted(zip(i.tolist(), j.tolist()))
+    """The index's pairs as point indices (i, j), i < j, in sorted order."""
+    order, a, b = index.sweep_pairs(r)
+    assert order.dtype == a.dtype == b.dtype == np.int64
+    i, j = order[a], order[b]
+    return sorted(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+
+
+def scan_pairs(pts, r):
+    """Every pair (i, j), i < j, within r: the linear scan from each point."""
+    return [(i, j) for i in range(len(pts)) for j in linear_scan(pts, pts[i], r) if j > i]
 
 
 def test_radius_query_randomized_exact():
@@ -28,15 +36,8 @@ def test_radius_query_randomized_exact():
     for trial in range(60):
         n = int(rng.integers(1, 400))
         pts = rng.uniform(-20, 20, size=(n, 3))
-        idx = BruteForceIndex(pts)
-        for _ in range(5):
-            center = rng.uniform(-22, 22, size=3)
-            radius = float(rng.uniform(0.1, 12.0))
-            got = idx.radius_query(center, radius)
-            want = linear_scan(pts, center, radius)
-            assert np.array_equal(got, want), f"trial {trial} (n={n}, r={radius:.3f})"
-        want_pairs = [(a, b) for a in range(n) for b in linear_scan(pts, pts[a], radius) if b > a]
-        assert sorted_pairs(KdTree(pts), radius) == want_pairs, f"trial {trial} (n={n})"
+        radius = float(rng.uniform(0.1, 12.0))
+        assert sorted_pairs(KdTree(pts), radius) == scan_pairs(pts, radius), f"trial {trial} (n={n})"
 
 
 def test_brute_force_index_matches_linear_scan():
@@ -44,40 +45,31 @@ def test_brute_force_index_matches_linear_scan():
     pts = rng.uniform(-10, 10, size=(150, 3))
     idx = BruteForceIndex(pts)
     for _ in range(30):
-        center = rng.uniform(-10, 10, size=3)
         radius = float(rng.uniform(0.5, 8.0))
-        assert np.array_equal(idx.radius_query(center, radius), linear_scan(pts, center, radius))
-
-
-def test_radius_query_results_sorted():
-    rng = np.random.default_rng(101)
-    pts = rng.uniform(0, 10, size=(200, 3))
-    idx = BruteForceIndex(pts).radius_query(pts[17], 3.0)
-    assert np.array_equal(idx, np.sort(idx))
+        i, j = idx.radius_pairs(radius)
+        assert list(zip(i.tolist(), j.tolist())) == scan_pairs(pts, radius)
 
 
 def test_boundary_point_included():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     # Distance exactly equal to the radius counts as inside.
-    assert sorted_pairs(KdTree(pts), 1.0) == [(0, 1), (1, 2)]
-    assert np.array_equal(BruteForceIndex(pts).radius_query([0.0, 0.0, 0.0], 1.0), [0, 1])
+    for index in (KdTree(pts), BruteForceIndex(pts)):
+        assert sorted_pairs(index, 1.0) == [(0, 1), (1, 2)]
 
 
 def test_duplicate_points_all_returned():
     pts = np.zeros((7, 3))
     every_pair = [(i, j) for i in range(7) for j in range(i + 1, 7)]
-    assert sorted_pairs(KdTree(pts), 0.5) == every_pair
-    assert sorted_pairs(KdTree(pts), 0.0) == every_pair
-    assert np.array_equal(BruteForceIndex(pts).radius_query([0, 0, 0], 0.5), np.arange(7))
+    for index in (KdTree(pts), BruteForceIndex(pts)):
+        assert sorted_pairs(index, 0.5) == every_pair
+        assert sorted_pairs(index, 0.0) == every_pair
 
 
 def test_empty_result():
     # A unit lattice has no two points closer than 1.
     pts = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), axis=-1).reshape(-1, 3)
-    assert sorted_pairs(KdTree(pts), 0.99) == []
-    out = BruteForceIndex(pts).radius_query([100.0, 100.0, 100.0], 1.0)
-    assert out.shape == (0,)
-    assert out.dtype == np.int64
+    for index in (KdTree(pts), BruteForceIndex(pts)):
+        assert sorted_pairs(index, 0.99) == []
 
 
 def test_single_point_tree():
@@ -119,19 +111,10 @@ def test_input_validation():
 
 
 def test_query_validation():
-    tree = KdTree(np.zeros((3, 3)))
-    for r in (-1.0, np.nan):
-        with pytest.raises(ValueError):
-            tree.radius_pairs(r)
-    brute = BruteForceIndex(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        brute.radius_query([0.0, 0.0, 0.0], -1.0)
-    with pytest.raises(ValueError):
-        brute.radius_query([0.0, 0.0], 1.0)
-    with pytest.raises(ValueError):
-        brute.radius_query([np.nan, 0.0, 0.0], 1.0)
-    with pytest.raises(ValueError):
-        brute.radius_query([0.0, 0.0, 0.0], np.nan)
+    for index in (KdTree(np.zeros((3, 3))), BruteForceIndex(np.zeros((3, 3)))):
+        for r in (-1.0, np.nan):
+            with pytest.raises(ValueError):
+                index.sweep_pairs(r)
 
 
 # --- generated inputs -----------------------------------------------------
@@ -179,32 +162,20 @@ def cloud_and_radius(draw):
     return pts, float(r)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(cloud_and_radius(), st.data())
-def test_radius_query_matches_linear_scan_generated(case, data):
-    pts, r = case
-    index = BruteForceIndex(pts)
-    # Centres on the cloud's own points put neighbors at exactly r.
-    k = data.draw(st.integers(0, len(pts) - 1))
-    for center in (pts[k], pts[k] + r * np.array([1.0, 0.0, 0.0])):
-        assert np.array_equal(index.radius_query(center, r), linear_scan(pts, center, r))
-
-
 @pytest.mark.filterwarnings("error")  # an overflowing cell key warns on its cast
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(cloud_and_radius())
 def test_radius_pairs_match_linear_scan_generated(case):
     pts, r = case
-    want = [(a, b) for a in range(len(pts)) for b in linear_scan(pts, pts[a], r) if b > a]
-    assert sorted_pairs(KdTree(pts), r) == want
+    assert sorted_pairs(KdTree(pts), r) == scan_pairs(pts, r)
 
 
 def per_row_pairs(index, r):
-    """Reference for `BruteForceIndex.radius_pairs`: one `radius_query` per
+    """Reference for `BruteForceIndex.radius_pairs`: one linear scan per
     point, keeping the neighbours after it."""
     firsts, seconds = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for i, p in enumerate(index.points):
-        nbrs = index.radius_query(p, r)
+        nbrs = linear_scan(index.points, p, r)
         nbrs = nbrs[nbrs > i]
         firsts.append(np.full(nbrs.size, i, dtype=np.int64))
         seconds.append(nbrs)
@@ -214,8 +185,9 @@ def per_row_pairs(index, r):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(cloud_and_radius(), st.sampled_from((1, 7, 64, spatial_index._SCAN_PAIRS)))
 def test_brute_radius_pairs_match_per_row_scan_generated(case, block_pairs):
-    """The block scan gives the per-row scan's pairs, in its order, for
-    blocks of one row up to the whole cloud."""
+    """The block scan gives the per-row linear scan's pairs, in its order,
+    for blocks of one row up to the whole cloud. Centres on the cloud's own
+    points put neighbours at exactly r."""
     pts, r = case
     index = BruteForceIndex(pts)
     old = spatial_index._SCAN_PAIRS
@@ -241,15 +213,12 @@ def test_sweep_pairs_in_blocks_generated(case, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spatial_index, "_BLOCK", block)
         order, a, b = index.sweep_pairs(r)
-        pairs = index.radius_pairs(r)
     assert all(v.dtype == np.int64 for v in (order, a, b))
     assert all(np.array_equal(u, v) for u, v in zip((order, a, b), whole))
     assert np.array_equal(np.sort(order), np.arange(len(pts)))
     assert np.all(a < b)
-    assert all(np.array_equal(u, v) for u, v in zip(pairs, index.radius_pairs(r)))
     mapped = sorted(zip(np.minimum(order[a], order[b]).tolist(), np.maximum(order[a], order[b]).tolist()))
-    want = [(i, j) for i in range(len(pts)) for j in linear_scan(pts, pts[i], r) if j > i]
-    assert mapped == want
+    assert mapped == scan_pairs(pts, r)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -260,7 +229,7 @@ def test_a_window_larger_than_a_block_is_split(block, monkeypatch):
     pts[:, 0] = 0.01 * np.arange(150)[::-1]
     _, _, lo, hi = spatial_index._cell_windows(pts.T, 0.7)
     assert (hi - lo).max() > block
-    want = [(i, j) for i in range(150) for j in linear_scan(pts, pts[i], 0.7) if j > i]
+    want = scan_pairs(pts, 0.7)
     monkeypatch.setattr(spatial_index, "_BLOCK", block)
     assert sorted_pairs(KdTree(pts), 0.7) == want
 

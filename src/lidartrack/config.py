@@ -13,10 +13,9 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import get_type_hints
 
 from .clustering import ClusterParams
-from .dataset_io import _finite, _integer, _string
+from .dataset_io import _field_casts
 from .detection import BoxLimits
 from .errors import ConfigError
 from .preprocess import PreprocessConfig
@@ -50,33 +49,23 @@ _SECTIONS = {
 }
 
 
-def _boolean(value) -> bool:
-    """An on/off value: a JSON boolean, never a number or a string."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-_CASTS = {int: _integer, float: _finite, bool: _boolean, str: _string}
-
-
 def build_section(name: str, cls, data: dict):
     """cls(**data) for a config dataclass, each value cast by its field's
     type first. An unknown key or a rejected value is a ConfigError naming
     the section."""
     if not isinstance(data, dict):
         raise ConfigError(f"section {name!r} must be a JSON object, got {type(data).__name__}")
-    types = get_type_hints(cls)
-    unknown = set(data) - set(types)
+    casts = _field_casts(cls)
+    unknown = set(data) - set(casts)
     if unknown:
         raise ConfigError(
             f"unknown key(s) in section {name!r}: {sorted(unknown)}; "
-            f"valid keys: {sorted(types)}"
+            f"valid keys: {sorted(casts)}"
         )
     values = {}
     for key, value in data.items():
         try:
-            values[key] = _CASTS[types[key]](value)
+            values[key] = casts[key](value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid value for {key!r} in section {name!r}: {exc}") from exc
     try:

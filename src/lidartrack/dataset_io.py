@@ -18,6 +18,10 @@ record per (frame, track). All keys are documented in docs/dataset_format.md.
 Every loader error names the offending file (and line, for jsonl) so a
 broken export can be located without a debugger.
 
+A record that holds one dataclass is read and written through its fields:
+its keys are the field names, each value cast by the field's type
+(`_decode`), and written back in field order (`_encode`).
+
 `load_sequence` reads and validates all the metadata up front but only
 stats the cloud files: a frame's points are read when its `cloud.points`
 is asked for, which detection does once per frame. So a run holds the
@@ -27,6 +31,7 @@ points of the frames being detected, not of the whole sequence.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -234,6 +239,13 @@ def _string(value) -> str:
     return value
 
 
+def _boolean(value) -> bool:
+    """An on/off value: a JSON boolean, never a number or a string."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _number(value):
     """A JSON number: an int or a float, never a bool or a string."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -246,13 +258,6 @@ def _finite(value) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{number} is not a finite number")
     return number
-
-
-# Key -> cast of every track-record field, in the order a tracks file lists them.
-_TRACK_FIELDS = {
-    f.name: {int: _integer, float: _finite}[get_type_hints(TrackRecord)[f.name]]
-    for f in dataclasses.fields(TrackRecord)
-}
 
 
 def _read_json(path: Path):
@@ -268,13 +273,11 @@ def _read_json(path: Path):
     return obj
 
 
-def _require(record: dict, key: str, path: Path, line=None, cast=None):
-    """record[key], passed through cast if one is given. A missing key or a
-    value cast rejects is a DatasetError naming path."""
+def _require(record: dict, key: str, path: Path, cast, line=None):
+    """cast(record[key]). A missing key or a value cast rejects is a
+    DatasetError naming path (and line)."""
     if not isinstance(record, dict) or key not in record:
         raise DatasetError(path, f"record is missing key {key!r}", line=line)
-    if cast is None:
-        return record[key]
     try:
         return cast(record[key])
     except (TypeError, ValueError, OverflowError) as exc:
@@ -303,17 +306,69 @@ def _floats(value) -> np.ndarray:
     return numbers
 
 
-def _pose_from_json(obj: dict, path: Path) -> RigidTransform:
-    rot = _require(obj, "rotation", path, cast=_floats)
-    tr = _require(obj, "translation", path, cast=_floats)
-    if rot.shape != (4,):
-        raise DatasetError(path, f"rotation must be a 4-quaternion, got {rot.tolist()}")
-    if tr.shape != (3,):
-        raise DatasetError(path, f"translation must be a 3-vector, got {tr.tolist()}")
+# The cast that reads a JSON value into a field of each type.
+_CAST_BY_TYPE = {int: _integer, float: _finite, bool: _boolean, str: _string, np.ndarray: _floats}
+
+
+@functools.cache
+def _field_casts(cls) -> dict:
+    """Field name -> cast of each field of dataclass cls, in order, None where
+    its type has no cast. One dict per class, shared: callers only read it."""
+    types = get_type_hints(cls)
+    return {f.name: _CAST_BY_TYPE.get(types[f.name]) for f in dataclasses.fields(cls)}
+
+
+@functools.cache
+def _layout(cls, skip: tuple) -> tuple:
+    """What _encode writes of a cls: its field names less skip, in order,
+    and those of them that hold arrays."""
+    casts = _field_casts(cls)
+    names = tuple(name for name in casts if name not in skip)
+    return names, tuple(name for name in names if casts[name] is _floats)
+
+
+# Worked out at import, so that no load or write pays for get_type_hints.
+for _record in (TrackRecord, GroundTruthBox, MaskRegion, DrivableGrid, RigidTransform, CameraModel):
+    _layout(_record, ())
+
+
+def _decode(cls, record: dict, path: Path, line=None, **given):
+    """cls from a JSON object: each field not in given is record[field name]
+    through its type's cast. A missing key, a rejected value or a ValueError
+    from cls is a DatasetError naming path (and line)."""
+    for name, cast in _field_casts(cls).items():
+        if name not in given:
+            if cast is None:
+                raise TypeError(f"{cls.__name__}.{name} has no JSON cast, so it must be given")
+            given[name] = _require(record, name, path, cast, line)
     try:
-        return RigidTransform(rot, tr)
+        return cls(**given)
     except ValueError as exc:
-        raise DatasetError(path, f"bad pose: {exc}") from exc
+        raise DatasetError(path, f"bad {cls.__name__}: {exc}", line=line) from exc
+
+
+def _encode(obj, *skip) -> dict:
+    """The JSON object _decode reads obj back from: its fields in order,
+    arrays as lists, less the fields named in skip."""
+    names, arrays = _layout(type(obj), skip)
+    row = {name: getattr(obj, name) for name in names}
+    for name in arrays:
+        row[name] = row[name].tolist()
+    return row
+
+
+def _jsonl(path: Path):
+    """(line number, JSON value) for each non-blank line of path."""
+    with open(path, "rb") as fh:  # json.loads decodes each line itself
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:  # not JSON, or not UTF-8 text
+                raise DatasetError(path, f"invalid JSON: {exc}", line=lineno) from exc
+            yield lineno, rec
 
 
 def _check_cloud_size(path: Path, size: int, expected_points: int) -> None:
@@ -370,47 +425,30 @@ def _read_cloud(path: Path, expected_points: int, frame_index: int) -> np.ndarra
 def _load_masks(path: Path, cameras: dict[str, CameraModel]) -> list[MaskRegion]:
     obj = _read_json(path)
     regions = []
-    for i, rec in enumerate(_require(obj, "regions", path, cast=_array)):
-        cam_id = _require(rec, "camera_id", path, cast=_string)
-        if cam_id not in cameras:
-            raise DatasetError(
-                path, f"region {i} references camera {cam_id!r} not present in calibration"
-            )
-        poly = _require(rec, "polygon", path, cast=_floats)
-        try:
-            regions.append(MaskRegion(cam_id, poly))
-        except ValueError as exc:
-            raise DatasetError(path, f"region {i}: {exc}") from exc
+    for i, rec in enumerate(_require(obj, "regions", path, _array)):
+        region = _decode(MaskRegion, rec, path)
+        if region.camera_id not in cameras:
+            what = f"region {i} references camera {region.camera_id!r}"
+            raise DatasetError(path, f"{what} not present in calibration")
+        regions.append(region)
     return regions
 
 
 def load_calibration(path: Path) -> dict[str, CameraModel]:
     obj = _read_json(path)
     cameras = {}
-    for cam_id, rec in sorted(_require(obj, "cameras", path, cast=_object).items()):
-        intr = _require(rec, "intrinsics", path)
-        pose = _pose_from_json(_require(rec, "ego_to_camera", path), path)
-        try:
-            cameras[cam_id] = CameraModel(
-                camera_id=cam_id,
-                fx=_require(intr, "fx", path, cast=_finite),
-                fy=_require(intr, "fy", path, cast=_finite),
-                cx=_require(intr, "cx", path, cast=_finite),
-                cy=_require(intr, "cy", path, cast=_finite),
-                width=_require(intr, "width", path, cast=_integer),
-                height=_require(intr, "height", path, cast=_integer),
-                extrinsics=pose,
-            )
-        except ValueError as exc:
-            raise DatasetError(path, f"camera {cam_id!r}: {exc}") from exc
+    for cam_id, rec in sorted(_require(obj, "cameras", path, _object).items()):
+        intrinsics = _require(rec, "intrinsics", path, _object)
+        pose = _decode(RigidTransform, _require(rec, "ego_to_camera", path, _object), path)
+        cameras[cam_id] = _decode(CameraModel, intrinsics, path, camera_id=cam_id, extrinsics=pose)
     return cameras
 
 
 def load_drivable(header_path: Path) -> DrivableGrid:
     obj = _read_json(header_path)
-    width = _require(obj, "width", header_path, cast=_integer)
-    height = _require(obj, "height", header_path, cast=_integer)
-    bits_file = header_path.parent / _require(obj, "file", header_path, cast=_path_string)
+    width = _require(obj, "width", header_path, _integer)
+    height = _require(obj, "height", header_path, _integer)
+    bits_file = header_path.parent / _require(obj, "file", header_path, _path_string)
     if not bits_file.is_file():
         raise DatasetError(bits_file, "drivable bitmask file is missing")
     packed = np.frombuffer(bits_file.read_bytes(), dtype=np.uint8)
@@ -420,14 +458,7 @@ def load_drivable(header_path: Path) -> DrivableGrid:
             bits_file, f"expected {expected} packed bytes for {width}x{height}, got {len(packed)}"
         )
     bits = np.unpackbits(packed)[: width * height].reshape(height, width).astype(bool)
-    try:
-        return DrivableGrid(
-            origin_xy=_require(obj, "origin_xy", header_path, cast=_floats),
-            resolution=_require(obj, "resolution", header_path, cast=_finite),
-            bits=bits,
-        )
-    except ValueError as exc:
-        raise DatasetError(header_path, f"bad drivable grid: {exc}") from exc
+    return _decode(DrivableGrid, obj, header_path, bits=bits)
 
 
 def _claim(seen: set, key, path: Path, what: str, line=None) -> None:
@@ -441,29 +472,12 @@ def load_ground_truth(path: Path) -> dict[int, list[GroundTruthBox]]:
     """Ground truth boxes by frame. A track_id may appear once per frame."""
     gt: dict[int, list[GroundTruthBox]] = {}
     seen: set = set()
-    with open(path, "rb") as fh:  # json.loads decodes each line itself
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:  # not JSON, or not UTF-8 text
-                raise DatasetError(path, f"invalid JSON: {exc}", line=lineno) from exc
-            frame = _require(rec, "frame", path, lineno, cast=_integer)
-            try:
-                box = GroundTruthBox(
-                    track_id=_require(rec, "track_id", path, lineno, cast=_string),
-                    center=_require(rec, "center", path, lineno, cast=_floats),
-                    length=_require(rec, "length", path, lineno, cast=_finite),
-                    width=_require(rec, "width", path, lineno, cast=_finite),
-                    height=_require(rec, "height", path, lineno, cast=_finite),
-                )
-            except ValueError as exc:
-                raise DatasetError(path, f"bad ground truth record: {exc}", line=lineno) from exc
-            what = f"track_id {box.track_id!r} in frame {frame}"
-            _claim(seen, (frame, box.track_id), path, what, lineno)
-            gt.setdefault(frame, []).append(box)
+    for lineno, rec in _jsonl(path):
+        frame = _require(rec, "frame", path, _integer, lineno)
+        box = _decode(GroundTruthBox, rec, path, lineno)
+        what = f"track_id {box.track_id!r} in frame {frame}"
+        _claim(seen, (frame, box.track_id), path, what, lineno)
+        gt.setdefault(frame, []).append(box)
     return gt
 
 
@@ -485,11 +499,11 @@ def load_sequence(path) -> Sequence:
     poses_path = root / "poses.json"
     poses_obj = _read_json(poses_path)
     poses = {}
-    for rec in _require(poses_obj, "frames", poses_path, cast=_array):
-        index = _require(rec, "index", poses_path, cast=_integer)
+    for rec in _require(poses_obj, "frames", poses_path, _array):
+        index = _require(rec, "index", poses_path, _integer)
         if index in poses:
             raise DatasetError(poses_path, f"duplicate frame index {index}")
-        poses[index] = _pose_from_json(rec, poses_path)
+        poses[index] = _decode(RigidTransform, rec, poses_path)
 
     drivable = None
     if (root / "drivable.json").is_file():
@@ -498,10 +512,10 @@ def load_sequence(path) -> Sequence:
     frames = []
     indices: set[int] = set()
     prev_ts = None
-    for rec in _require(manifest, "frames", manifest_path, cast=_array):
-        index = _require(rec, "index", manifest_path, cast=_integer)
+    for rec in _require(manifest, "frames", manifest_path, _array):
+        index = _require(rec, "index", manifest_path, _integer)
         _claim(indices, index, manifest_path, f"frame index {index}")
-        ts = _require(rec, "timestamp", manifest_path, cast=_finite)
+        ts = _require(rec, "timestamp", manifest_path, _finite)
         if prev_ts is not None and ts <= prev_ts:
             raise DatasetError(
                 manifest_path,
@@ -509,14 +523,14 @@ def load_sequence(path) -> Sequence:
                 f"{ts} after {prev_ts}",
             )
         prev_ts = ts
-        n_points = _require(rec, "points", manifest_path, cast=_integer)
-        cloud_file = root / _require(rec, "file", manifest_path, cast=_path_string)
+        n_points = _require(rec, "points", manifest_path, _integer)
+        cloud_file = root / _require(rec, "file", manifest_path, _path_string)
         _stat_cloud(cloud_file, n_points)
         if index not in poses:
             raise DatasetError(poses_path, f"no ego pose for frame {index}")
         masks: list[MaskRegion] = []
         if rec.get("masks") is not None:
-            mask_rel = _require(rec, "masks", manifest_path, cast=_path_string)
+            mask_rel = _require(rec, "masks", manifest_path, _path_string)
             masks = _load_masks(root / mask_rel, cameras)
         frames.append(
             Frame(
@@ -529,13 +543,6 @@ def load_sequence(path) -> Sequence:
         )
 
     return Sequence(frames=frames, cameras=cameras, drivable=drivable)
-
-
-def _pose_to_json(pose: RigidTransform) -> dict:
-    return {
-        "rotation": [float(v) for v in pose.rotation],
-        "translation": [float(v) for v in pose.translation],
-    }
 
 
 def write_sequence(
@@ -568,14 +575,11 @@ def write_sequence(
         if fr.masks:
             mask_rel = f"masks/{fr.index:06d}.json"
             (root / "masks").mkdir(exist_ok=True)
-            regions = [
-                {"camera_id": m.camera_id, "polygon": m.polygon.tolist()} for m in fr.masks
-            ]
             with open(root / mask_rel, "w", encoding="utf-8") as fh:
-                json.dump({"regions": regions}, fh)
+                json.dump({"regions": [_encode(m) for m in fr.masks]}, fh)
             entry["masks"] = mask_rel
         manifest_frames.append(entry)
-        pose_frames.append({"index": fr.index, **_pose_to_json(fr.ego_pose)})
+        pose_frames.append({"index": fr.index, **_encode(fr.ego_pose)})
 
     with open(root / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(
@@ -586,54 +590,27 @@ def write_sequence(
     with open(root / "poses.json", "w", encoding="utf-8") as fh:
         json.dump({"frames": pose_frames}, fh, indent=2)
 
-    cams_obj = {}
-    for cam_id, cam in sorted(cameras.items()):
-        cams_obj[cam_id] = {
-            "intrinsics": {
-                "fx": cam.fx,
-                "fy": cam.fy,
-                "cx": cam.cx,
-                "cy": cam.cy,
-                "width": cam.width,
-                "height": cam.height,
-            },
-            "ego_to_camera": _pose_to_json(cam.extrinsics),
+    cams_obj = {
+        cam_id: {
+            "intrinsics": _encode(cam, "camera_id", "extrinsics"),
+            "ego_to_camera": _encode(cam.extrinsics),
         }
+        for cam_id, cam in sorted(cameras.items())
+    }
     with open(root / "calibration.json", "w", encoding="utf-8") as fh:
         json.dump({"cameras": cams_obj}, fh, indent=2)
 
     if drivable is not None:
         (root / "drivable.bin").write_bytes(np.packbits(drivable.bits.ravel()).tobytes())
         with open(root / "drivable.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "origin_xy": [float(v) for v in drivable.origin_xy],
-                    "resolution": drivable.resolution,
-                    "width": drivable.width,
-                    "height": drivable.height,
-                    "file": "drivable.bin",
-                },
-                fh,
-                indent=2,
-            )
+            header = {"width": drivable.width, "height": drivable.height, "file": "drivable.bin"}
+            json.dump({**_encode(drivable, "bits"), **header}, fh, indent=2)
 
     if ground_truth is not None:
         with open(root / "gt.jsonl", "w", encoding="utf-8") as fh:
             for frame in sorted(ground_truth):
                 for box in ground_truth[frame]:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "frame": frame,
-                                "track_id": box.track_id,
-                                "center": [float(v) for v in box.center],
-                                "length": box.length,
-                                "width": box.width,
-                                "height": box.height,
-                            }
-                        )
-                        + "\n"
-                    )
+                    fh.write(json.dumps({"frame": frame, **_encode(box)}) + "\n")
     return root
 
 
@@ -644,7 +621,7 @@ def write_tracks(path, records: list[TrackRecord]) -> Path:
     """
     lines = [json.dumps({"format": TRACKS_FORMAT, "version": FORMAT_VERSION})]
     for rec in records:
-        row = {key: getattr(rec, key) for key in _TRACK_FIELDS}
+        row = _encode(rec)
         for key, value in row.items():
             if not math.isfinite(value):
                 raise ValueError(
@@ -663,33 +640,20 @@ def load_tracks(path) -> list[TrackRecord]:
     p = Path(path)
     if not p.is_file():
         raise DatasetError(p, "tracks file is missing")
+    lines = _jsonl(p)
+    lineno, header = next(lines, (None, None))
+    if lineno is None:
+        raise DatasetError(p, f"no header record with format {TRACKS_FORMAT!r} found")
+    found = header.get("format") if isinstance(header, dict) else header
+    if found != TRACKS_FORMAT:
+        raise DatasetError(
+            p, f"expected header with format {TRACKS_FORMAT!r}, got {found!r}", line=lineno
+        )
     records = []
     seen: set = set()
-    saw_header = False
-    with open(p, "rb") as fh:  # json.loads decodes each line itself
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:  # not JSON, or not UTF-8 text
-                raise DatasetError(p, f"invalid JSON: {exc}", line=lineno) from exc
-            if not saw_header:
-                found = rec.get("format") if isinstance(rec, dict) else rec
-                if found != TRACKS_FORMAT:
-                    raise DatasetError(
-                        p,
-                        f"expected header with format {TRACKS_FORMAT!r}, got {found!r}",
-                        line=lineno,
-                    )
-                saw_header = True
-                continue
-            values = {k: _require(rec, k, p, lineno, cast) for k, cast in _TRACK_FIELDS.items()}
-            record = TrackRecord(**values)
-            what = f"track_id {record.track_id} in frame {record.frame}"
-            _claim(seen, (record.frame, record.track_id), p, what, lineno)
-            records.append(record)
-    if not saw_header:
-        raise DatasetError(p, f"no header record with format {TRACKS_FORMAT!r} found")
+    for lineno, rec in lines:
+        record = _decode(TrackRecord, rec, p, lineno)
+        what = f"track_id {record.track_id} in frame {record.frame}"
+        _claim(seen, (record.frame, record.track_id), p, what, lineno)
+        records.append(record)
     return records

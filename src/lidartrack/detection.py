@@ -35,6 +35,12 @@ class BoxLimits:
     min_area: float = 0.5
     max_area: float = 20.0
 
+    def __post_init__(self):
+        for dim in ("length", "width", "height", "area"):
+            low, high = getattr(self, f"min_{dim}"), getattr(self, f"max_{dim}")
+            if not 0 <= low <= high:  # else no box passes
+                raise ValueError(f"'min_{dim}' ({low}) must be >= 0 and <= 'max_{dim}' ({high})")
+
 
 @dataclass(frozen=True)
 class Detection3D:

@@ -87,9 +87,10 @@ class RigidTransform:
 
     def __post_init__(self):
         q = np.asarray(self.rotation, dtype=np.float64)
-        t = _as_vec3(self.translation)
-        if q.shape != (4,):
-            raise ValueError(f"quaternion must have 4 components, got shape {q.shape}")
+        t = np.asarray(self.translation, dtype=np.float64)
+        shapes = (q.shape, t.shape)
+        if shapes != ((4,), (3,)):
+            raise ValueError(f"rotation, translation shapes must be (4,), (3,), got {shapes}")
         if not np.all(np.isfinite(q)) or not np.all(np.isfinite(t)):
             raise ValueError("transform components must be finite")
         norm = np.linalg.norm(q)

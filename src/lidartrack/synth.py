@@ -64,14 +64,15 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_frames < 1:
             raise ValueError("n_frames must be >= 1")
-        if self.n_cars < 0:
-            raise ValueError("n_cars must be >= 0")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         if self.ego_mode not in EGO_MODES:
             raise ValueError(f"ego_mode must be one of {EGO_MODES}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        sizes = ("points_per_car", "clutter_points", "ground_density", "ground_extent")
+        for key in ("n_cars", "noise_sigma") + sizes:
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must be >= 0")
+        for key in ("dt", "car_length", "car_width", "car_height"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive")
 
 
 def synth_config_from_dict(data: dict) -> SynthConfig:

@@ -613,6 +613,8 @@ def test_bad_config_json_exits_one(tmp_path, capsys):
         ("box_limits", "max_length", '{"box_limits": {"max_length": NaN}}'),
         ("clustering", "min_points", '{"clustering": {"min_points": 2.5}}'),
         ("preprocess", "stride", '{"preprocess": {"stride": true}}'),
+        # Above max_length, 7.0, so no box could pass the gate.
+        ("box_limits", "min_length", '{"box_limits": {"min_length": 8.0}}'),
     ],
 )
 def test_config_value_of_the_wrong_kind_stops_track(

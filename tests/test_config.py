@@ -128,3 +128,25 @@ def test_the_benchmark_workload_configs_load():
     for spec in workloads["WORKLOADS"].values():
         cfg = config_from_dict(json.loads(json.dumps(spec["pipeline"])))
         assert config_from_dict(json.loads(dump_config(cfg))) == cfg
+
+
+def impossible_gates():
+    """A min bound above its max, or below zero, for each box dimension."""
+    defaults = config_to_dict(PipelineConfig())["box_limits"]
+    for dim in ("length", "width", "height", "area"):
+        low, high = f"min_{dim}", f"max_{dim}"
+        yield pytest.param({low: defaults[high] + 1.0}, low, id=f"{low}>{high}")
+        yield pytest.param({low: -0.5}, low, id=f"{low}<0")
+        yield pytest.param({low: 0.0, high: -1.0}, high, id=f"{high}<0")
+
+
+@pytest.mark.parametrize("limits, key", impossible_gates())
+def test_box_limits_refuse_a_gate_no_box_can_pass(limits, key):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"box_limits": limits})
+    assert "'box_limits'" in str(exc.value) and key in str(exc.value)
+
+
+def test_box_limits_accept_a_gate_of_one_size():
+    cfg = config_from_dict({"box_limits": {"min_length": 7.0, "min_area": 0.0, "max_area": 0.0}})
+    assert cfg.box_limits.min_length == cfg.box_limits.max_length == 7.0

@@ -14,6 +14,8 @@ from lidartrack.dataset_io import (
     MaskRegion,
     PointCloud,
     TrackRecord,
+    _decode,
+    _encode,
     load_ground_truth,
     load_sequence,
     load_tracks,
@@ -526,6 +528,18 @@ def test_write_read_write_is_stable(tmp_path):
         a = (root / rel).read_bytes()
         b = (again / rel).read_bytes()
         assert a == b, f"{rel} differs after a load/write round trip"
+
+
+def test_decode_refuses_a_field_it_has_no_cast_for(tmp_path):
+    """A field whose type has no JSON cast is never read from the record."""
+    intrinsics = json.loads(json.dumps(_encode(make_camera(), "camera_id", "extrinsics")))
+    path = tmp_path / "calibration.json"
+    pose = make_camera().extrinsics
+    camera = _decode(CameraModel, intrinsics, path, camera_id="c", extrinsics=pose)
+    assert camera.camera_id == "c" and camera.extrinsics is pose
+    assert _encode(camera, "camera_id", "extrinsics") == intrinsics
+    with pytest.raises(TypeError, match="extrinsics"):
+        _decode(CameraModel, {**intrinsics, "extrinsics": None}, path, camera_id="c")
 
 
 def test_point_cloud_validation():

@@ -4,17 +4,30 @@ Each key's value is replaced or deleted, the text is truncated, or single
 bytes are flipped. `load_sequence` must then load the sequence or raise a
 `DatasetError` naming the broken file or a file tied to it. Any other
 exception fails, and so does an error that names an unrelated file.
+
+One record of `gt.jsonl` and one of a tracks file are broken the same way,
+and their loaders must load the file or raise a `DatasetError` naming it
+and the broken record's line.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lidartrack.dataset_io import MaskRegion, load_sequence, write_sequence
+from lidartrack.dataset_io import (
+    MaskRegion,
+    TrackRecord,
+    load_ground_truth,
+    load_sequence,
+    load_tracks,
+    write_sequence,
+    write_tracks,
+)
 from lidartrack.errors import DatasetError
-from lidartrack.synth import SynthConfig, generate
+from lidartrack.synth import SynthConfig, generate, ground_truth
 
 MASK_FILE = "masks/000000.json"
 # What an error may name besides the broken file: the files it points at
@@ -146,4 +159,62 @@ def test_flipped_byte_loads_or_names_the_file(sequence, name):
             flipped[at] ^= bit
             cases.append((f"byte {at} ^ {bit:#04x}", bytes(flipped)))
     failures = sweep(sequence, name, cases)
+    assert not failures, "\n".join(failures)
+
+
+JSONL = {"gt.jsonl": load_ground_truth, "tracks.jsonl": load_tracks}
+# VALUES, non-finite numbers, a fraction where an integer belongs and a number as a string.
+JSONL_VALUES = VALUES + (math.nan, math.inf, 2.5, "4.4")
+
+
+@pytest.fixture(scope="module")
+def jsonl_files(tmp_path_factory):
+    """A gt.jsonl and a tracks file of two records each."""
+    root = tmp_path_factory.mktemp("jsonl")
+    write_sequence(root, [], {}, ground_truth=ground_truth(SynthConfig(n_cars=2, n_frames=1)))
+    records = [
+        TrackRecord(frame=0, track_id=i, x=1.0 + i, y=2.0, z=-0.9, vx=5.0, vy=0.0,
+                    length=4.4, width=1.9, height=1.6)
+        for i in range(2)
+    ]
+    write_tracks(root / "tracks.jsonl", records)
+    return root
+
+
+def record_cases(line):
+    """(label, replacement line, whether it must fail) for one record: each
+    key deleted or set to each value, and the line cut at every length."""
+    record = json.loads(line)
+    for path in key_paths(record):
+        for value in JSONL_VALUES:
+            text = edited(record, path, value)
+            label = f"{list(path)} = {'<deleted>' if value is DELETE else repr(value)}"
+            # Every key of a record is required; deleting the record leaves a blank line.
+            must_fail = len(path) == 1 and value is DELETE
+            yield label, "" if text is None else json.dumps(json.loads(text)), must_fail
+    for size in range(1, len(line)):
+        yield f"cut to {size} characters", line[:size], False
+
+
+@pytest.mark.parametrize("name", sorted(JSONL))
+def test_every_record_key_edited_loads_or_names_file_and_line(jsonl_files, name):
+    path = jsonl_files / name
+    original = path.read_text()
+    lines = original.splitlines()
+    failures = []
+    try:
+        for label, line, must_fail in record_cases(lines[-1]):
+            path.write_text("\n".join(lines[:-1] + [line]) + "\n")
+            try:
+                JSONL[name](path)
+            except DatasetError as exc:
+                if (exc.path, exc.line) != (str(path), len(lines)):
+                    failures.append(f"{label}: names {exc.path}:{exc.line}")
+            except Exception as exc:  # anything but a DatasetError is a failure
+                failures.append(f"{label}: {type(exc).__name__}: {exc}")
+            else:
+                if must_fail:
+                    failures.append(f"{label}: loaded")
+    finally:
+        path.write_text(original)
     assert not failures, "\n".join(failures)

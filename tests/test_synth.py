@@ -1,6 +1,8 @@
 """Synthetic sequence generator: determinism, kinematics, gt consistency."""
 
+import dataclasses
 import hashlib
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -194,3 +196,29 @@ def test_config_validation():
         SynthConfig(ego_mode="circle")
     with pytest.raises(ValueError):
         SynthConfig(noise_sigma=-0.1)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("points_per_car", -5),
+        ("clutter_points", -5),
+        ("ground_density", -0.5),
+        ("ground_extent", -1.0),
+        ("car_length", -4.4),
+        ("car_length", 0.0),
+        ("car_width", 0.0),
+        ("car_height", -1.6),
+    ],
+)
+def test_a_size_out_of_range_is_rejected_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=f"'synth'.*{key}"):
+        synth_config_from_dict({key: value, "n_frames": 2})
+
+
+def test_the_default_and_benchmark_synth_configs_load():
+    assert synth_config_from_dict({}) == SynthConfig()
+    workloads = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
+    for spec in workloads["WORKLOADS"].values():
+        data = {**spec["synth"], "rng_seed": 3}
+        assert dataclasses.asdict(synth_config_from_dict(data)).items() >= data.items()

@@ -19,11 +19,10 @@ from pathlib import Path
 
 from .config import PipelineConfig, dump_config, load_config
 from .dataset_io import load_ground_truth, load_sequence, load_tracks, write_tracks
-from .detection import detect
 from .errors import DatasetError, EvaluationError, LidartrackError
 from .evaluation import FrameCounts, gt_to_eval_frames, mota, tracks_to_eval_frames
 from .geometry import transform_points
-from .pipeline import run_tracking
+from .pipeline import detect_frames, run_tracking
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,15 +131,7 @@ def cmd_plot(args) -> int:
     bounds = view_bounds(None, None, seq.drivable) if seq.drivable is not None else None
 
     frames = seq.frames if args.max_frames is None else seq.frames[: args.max_frames]
-    for frame in frames:
-        found = detect(
-            frame,
-            cfg.preprocess,
-            cfg.clustering,
-            cfg.box_limits,
-            cameras=seq.cameras,
-            drivable=seq.drivable,
-        )
+    for frame, found in detect_frames(dataclasses.replace(seq, frames=frames), cfg):
         detections = [(d.center[0], d.center[1], d.length, d.width) for d in found.detections]
         svg = render_frame_svg(
             frame.index,

@@ -108,7 +108,7 @@ class MaskRegion:
     polygon: np.ndarray  # (K, 2) pixel coordinates, K >= 3
 
     def __post_init__(self):
-        poly = np.ascontiguousarray(self.polygon, dtype=np.float64)
+        poly = np.array(self.polygon, dtype=np.float64, order="C")  # not the caller's array
         if poly.ndim != 2 or poly.shape[1] != 2 or len(poly) < 3:
             raise ValueError(f"polygon must be (K>=3, 2), got shape {poly.shape}")
         poly.flags.writeable = False
@@ -128,8 +128,10 @@ class DrivableGrid:
     bits: np.ndarray  # (height, width) bool
 
     def __post_init__(self):
-        origin = np.asarray(self.origin_xy, dtype=np.float64).reshape(2)
-        bits = np.asarray(self.bits, dtype=bool)
+        origin = np.array(self.origin_xy, dtype=np.float64)  # copies: not the caller's arrays
+        bits = np.array(self.bits, dtype=bool)
+        if origin.shape != (2,):
+            raise ValueError(f"origin_xy must have shape (2,), got {origin.shape}")
         if bits.ndim != 2:
             raise ValueError("bits must be a 2-d array")
         if self.resolution <= 0:
@@ -170,7 +172,10 @@ class GroundTruthBox:
     height: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=np.float64).reshape(3)
+        c = np.array(self.center, dtype=np.float64)  # a copy: not the caller's array
+        if c.shape != (3,):
+            raise ValueError(f"center must have shape (3,), got {c.shape}")
+        _non_negative(self, "length", "width", "height")
         c.flags.writeable = False
         object.__setattr__(self, "center", c)
 
@@ -212,11 +217,28 @@ class TrackRecord:
     width: float
     height: float
 
+    def __post_init__(self):
+        _non_negative(self, "frame", "track_id", "length", "width", "height")
+
+
+def _non_negative(record, *names) -> None:
+    """A ValueError naming the first of record's fields named that is below 0."""
+    for name in names:
+        if getattr(record, name) < 0:
+            raise ValueError(f"{name!r} is {getattr(record, name)}, below 0")
+
 
 def _integer(value) -> int:
     """A count or an index: a JSON integer, never a float, a bool or a string."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _index(value) -> int:
+    """A frame index: a JSON integer, never negative."""
+    if _integer(value) < 0:
+        raise ValueError(f"{value} is below 0")
     return value
 
 
@@ -457,7 +479,7 @@ def load_drivable(header_path: Path) -> DrivableGrid:
         raise DatasetError(
             bits_file, f"expected {expected} packed bytes for {width}x{height}, got {len(packed)}"
         )
-    bits = np.unpackbits(packed)[: width * height].reshape(height, width).astype(bool)
+    bits = np.unpackbits(packed)[: width * height].reshape(height, width)
     return _decode(DrivableGrid, obj, header_path, bits=bits)
 
 
@@ -473,7 +495,7 @@ def load_ground_truth(path: Path) -> dict[int, list[GroundTruthBox]]:
     gt: dict[int, list[GroundTruthBox]] = {}
     seen: set = set()
     for lineno, rec in _jsonl(path):
-        frame = _require(rec, "frame", path, _integer, lineno)
+        frame = _require(rec, "frame", path, _index, lineno)
         box = _decode(GroundTruthBox, rec, path, lineno)
         what = f"track_id {box.track_id!r} in frame {frame}"
         _claim(seen, (frame, box.track_id), path, what, lineno)
@@ -500,7 +522,7 @@ def load_sequence(path) -> Sequence:
     poses_obj = _read_json(poses_path)
     poses = {}
     for rec in _require(poses_obj, "frames", poses_path, _array):
-        index = _require(rec, "index", poses_path, _integer)
+        index = _require(rec, "index", poses_path, _index)
         if index in poses:
             raise DatasetError(poses_path, f"duplicate frame index {index}")
         poses[index] = _decode(RigidTransform, rec, poses_path)
@@ -513,7 +535,7 @@ def load_sequence(path) -> Sequence:
     indices: set[int] = set()
     prev_ts = None
     for rec in _require(manifest, "frames", manifest_path, _array):
-        index = _require(rec, "index", manifest_path, _integer)
+        index = _require(rec, "index", manifest_path, _index)
         _claim(indices, index, manifest_path, f"frame index {index}")
         ts = _require(rec, "timestamp", manifest_path, _finite)
         if prev_ts is not None and ts <= prev_ts:

@@ -119,9 +119,6 @@ def detect(
     cloud, stats = preprocess_frame(frame, preprocess_cfg, cameras=cameras, drivable=drivable)
     pts = cloud.points
     seconds = dict(stats.stage_seconds)
-    if len(pts) == 0:
-        seconds.update(kdtree_build=0.0, clustering=0.0, box_fit=0.0)
-        return FrameDetections([], stats, 0, pts, seconds)
     t0 = time.perf_counter()
     index = KdTree(pts)
     t1 = time.perf_counter()

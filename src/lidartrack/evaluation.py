@@ -77,7 +77,8 @@ class MotMatcher:
             prev = self._last_match.get(gid)
             if prev is None or prev not in hyp_by_id or prev in used_hyp:
                 continue
-            d = np.linalg.norm(np.asarray(gxy, dtype=np.float64) - hyp_by_id[prev])
+            # cost_matrix's distance, so the keep rule and the assignment share one gate.
+            d = cost_matrix(gxy, hyp_by_id[prev], self.match_distance)[0, 0]
             if d <= self.match_distance:
                 corr[gid] = prev
                 used_hyp.add(prev)

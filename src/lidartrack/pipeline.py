@@ -1,12 +1,11 @@
 """Sequence-level tracking runs: per-frame detection feeding one tracker.
 
-Detection is independent per frame, so with workers > 1 it fans out over a
-thread pool. The tracker itself consumes frames strictly in order;
-executor.map preserves input order, which is what makes worker count
-irrelevant to the output. A loaded frame's points are read from its file by
-the detection that takes it and dropped after its downsample, so a run
-holds at most one raw cloud per worker; the tracker reads only a frame's
-index and timestamp.
+`detect_frames` is where `track` and `plot` take each frame's detections
+from. It runs detection in the calling thread at 1 worker and on a thread
+pool above that, and yields frames in order either way, which is what makes
+worker count irrelevant to the output. A frame's points are read by the
+detection that takes it and dropped after its downsample, so a run holds at
+most one raw cloud per worker; the tracker reads only index and timestamp.
 """
 
 from __future__ import annotations
@@ -14,6 +13,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from typing import Iterator
 
 from .config import PipelineConfig
 from .dataset_io import Frame, Sequence, TrackRecord
@@ -48,27 +49,36 @@ class RunResult:
         return {rec.track_id for rec in self.records}
 
 
-def _detect_one(frame: Frame, seq: Sequence, cfg: PipelineConfig) -> FrameDetections:
-    return detect(
-        frame,
-        cfg.preprocess,
-        cfg.clustering,
-        cfg.box_limits,
+def detect_frames(
+    seq: Sequence, cfg: PipelineConfig, workers: int = 1
+) -> Iterator[tuple[Frame, FrameDetections]]:
+    """(frame, what `detect` found in it) for each frame of seq, in order. At 1
+    worker a frame is detected only once the one before it has been taken."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    # Bound here, not at import, so a wrapper installed at pipeline.detect runs.
+    detect_one = partial(
+        detect,
+        preprocess_cfg=cfg.preprocess,
+        cluster_params=cfg.clustering,
+        limits=cfg.box_limits,
         cameras=seq.cameras,
         drivable=seq.drivable,
     )
+    if workers == 1:
+        yield from zip(seq.frames, map(detect_one, seq.frames))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from zip(seq.frames, pool.map(detect_one, seq.frames))
 
 
 def run_tracking(seq: Sequence, cfg: PipelineConfig, workers: int = 1) -> RunResult:
     """Detect and track the whole sequence; workers only affects wall time."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     t_start = time.perf_counter()
     tracker = Tracker(cfg.tracker)
     results: list[FrameResult] = []
     records: list[TrackRecord] = []
-
-    def consume(frame: Frame, found: FrameDetections) -> None:
+    for frame, found in detect_frames(seq, cfg, workers):
         t0 = time.perf_counter()
         frame_records = tracker.step(found.detections, frame.timestamp, frame.index)
         tracker_step = time.perf_counter() - t0
@@ -84,16 +94,6 @@ def run_tracking(seq: Sequence, cfg: PipelineConfig, workers: int = 1) -> RunRes
             )
         )
         records.extend(frame_records)
-
-    if workers == 1:
-        for frame in seq.frames:
-            consume(frame, _detect_one(frame, seq, cfg))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            payloads = pool.map(lambda fr: _detect_one(fr, seq, cfg), seq.frames)
-            for frame, payload in zip(seq.frames, payloads):
-                consume(frame, payload)
-
     return RunResult(
         frames=results, records=records, total_seconds=time.perf_counter() - t_start
     )

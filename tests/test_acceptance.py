@@ -14,12 +14,20 @@ import pytest
 
 from lidartrack.clustering import ClusterParams, dbscan
 from lidartrack.config import PipelineConfig
+from lidartrack.dataset_io import load_ground_truth, load_sequence
 from lidartrack.detection import Detection3D
 from lidartrack.evaluation import gt_to_eval_frames, mota, tracks_to_eval_frames
 from lidartrack.pipeline import run_tracking
 from lidartrack.preprocess import PreprocessConfig, _ransac
 from lidartrack.spatial_index import BruteForceIndex, KdTree
-from lidartrack.synth import SynthConfig, bake_ego_motion, car_center, generate, ground_truth
+from lidartrack.synth import (
+    SynthConfig,
+    bake_ego_motion,
+    car_center,
+    generate,
+    generate_to,
+    ground_truth,
+)
 from lidartrack.tracking import (
     Tracker,
     TrackerConfig,
@@ -343,6 +351,27 @@ def test_golden_run():
         ok,
         f"mota {result.mota:.3f} (>=0.90), idsw {result.id_switches} (=0), "
         f"speeds within 10%: {good_speeds}/5 (>=4), {elapsed:.1f}s serial (<30s)",
+    )
+
+
+def test_golden_run_from_its_files(tmp_path):
+    # What `track` runs: float32 clouds read from disk, on 1 and 2 workers.
+    cfg = PipelineConfig()
+    seq = load_sequence(generate_to(tmp_path / "golden", GOLDEN))
+    serial = run_tracking(seq, cfg, workers=1).records
+    threaded = run_tracking(seq, cfg, workers=2).records
+    result, _ = mota(
+        gt_to_eval_frames(load_ground_truth(tmp_path / "golden" / "gt.jsonl")),
+        tracks_to_eval_frames(serial),
+        cfg.eval.match_distance,
+    )
+    counts = (result.false_negatives, result.false_positives, result.id_switches)
+    ok = threaded == serial and round(result.mota, 2) == 0.92 and counts == (20, 0, 0)
+    report(
+        "golden run from its files",
+        ok,
+        f"mota {result.mota:.3f} (=0.92), fn/fp/idsw {counts} (=(20, 0, 0)), "
+        f"2 workers give the same records: {threaded == serial}",
     )
 
 

@@ -302,6 +302,9 @@ CAMERA_FX = ["cameras", "cam_front", "intrinsics", "fx"]
         pytest.param("calibration.json", ["cameras"], 5, id="cameras-not-an-object"),
         pytest.param("calibration.json", CAMERA_FX, None, id="null-focal-length"),
         pytest.param("manifest.json", ["frames", 1, "index"], 0, id="repeated-frame-index"),
+        pytest.param("manifest.json", ["frames", 0, "index"], -1, id="negative-frame-index"),
+        pytest.param("poses.json", ["frames", 0, "index"], -1, id="negative-pose-index"),
+        pytest.param("drivable.json", ["origin_xy"], [[0.0, 0.0]], id="nested-origin"),
         # Path fields are relative path strings; anything else names its file.
         pytest.param("manifest.json", ["frames", 0, "masks"], 5, id="masks-is-a-number"),
         pytest.param("manifest.json", ["frames", 0, "masks"], True, id="masks-is-true"),
@@ -518,6 +521,34 @@ def test_score_input_of_the_wrong_json_type_is_a_data_error(
     err = capsys.readouterr().err
     assert f"{name}:{row + 1}" in err
     assert "expected a string" in err if keys == ["track_id"] else "expected a number" in err
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("gt.jsonl", "frame", -3),
+        ("gt.jsonl", "center", [[1.0, 2.0, 3.0]]),
+        ("gt.jsonl", "length", -4.4),
+        ("gt.jsonl", "height", -1.0),
+        ("tracks.jsonl", "frame", -1),
+        ("tracks.jsonl", "track_id", -7),
+        ("tracks.jsonl", "width", -1.9),
+    ],
+)
+def test_score_input_out_of_shape_or_range_is_a_data_error(
+    dataset, tracked, tmp_path, capsys, name, key, value
+):
+    paths = {"gt.jsonl": dataset / "gt.jsonl", "tracks.jsonl": tracked}
+    lines = paths[name].read_text().splitlines()
+    row = 0 if name == "gt.jsonl" else 1  # the first record; tracks files open with a header
+    lines[row] = json.dumps({**json.loads(lines[row]), key: value})
+    paths[name] = tmp_path / name
+    paths[name].write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", str(paths["gt.jsonl"]), str(paths["tracks.jsonl"])]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}:{row + 1}" in err
+    assert key in err
 
 
 def test_every_file_synth_writes_loads(tmp_path, capsys):

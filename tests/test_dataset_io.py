@@ -548,3 +548,18 @@ def test_point_cloud_validation():
     cloud = PointCloud(np.zeros((4, 3)))
     with pytest.raises(ValueError):
         cloud.points[0, 0] = 1.0
+
+
+def test_records_hold_copies_of_the_callers_arrays():
+    center = np.array([1.0, 2.0, 3.0])
+    origin = np.array([1.0, 2.0])
+    bits = np.ones((2, 3), dtype=bool)
+    polygon = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    box = GroundTruthBox("a", center, 1.0, 1.0, 1.0)
+    grid = DrivableGrid(origin_xy=origin, resolution=0.5, bits=bits)
+    region = MaskRegion("cam", polygon)
+    center[0] = origin[0] = polygon[0, 0] = 5.0
+    bits[0, 0] = False
+    assert box.center.tolist() == [1.0, 2.0, 3.0]
+    assert grid.origin_xy.tolist() == [1.0, 2.0] and grid.bits.all()
+    assert region.polygon[0, 0] == 0.0

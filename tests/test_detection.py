@@ -179,3 +179,7 @@ def test_detect_empty_frame():
     assert found.detections == [] and found.n_clusters == 0
     assert found.stats.n_raw == 0
     assert len(found.points) == 0
+    assert list(found.stage_seconds) == [
+        "downsample", "ground_removal", "drivable_filter", "mask_filter",
+        "kdtree_build", "clustering", "box_fit",
+    ]

@@ -11,6 +11,7 @@ from lidartrack.evaluation import (
     mota,
     tracks_to_eval_frames,
 )
+from lidartrack.tracking import cost_matrix
 
 
 def xy(x, y):
@@ -110,6 +111,22 @@ def test_match_distance_boundary_is_inclusive():
     assert result.false_negatives == 0 and result.false_positives == 0
     result, _ = mota(gt, {0: [(1, xy(2.0001, 0))]}, match_distance=2.0)
     assert result.false_negatives == 1 and result.false_positives == 1
+
+
+def test_pair_kept_exactly_at_the_gate_the_assignment_matched_it_at():
+    # The gate is h1's distance as the assignment measures it; np.linalg.norm
+    # reads one ulp more for this pair. A pair matched at the gate in frame 0
+    # must stay matched in frame 1, not switch to h2 sitting on the object.
+    g = xy(-3.0838374097986474, 3.023641611345301)
+    h1 = xy(-3.086760739427997, -4.184473826364873)
+    gate = 7.208116030504216
+    assert cost_matrix(g, h1, 10.0)[0, 0] == gate < np.linalg.norm(g - h1)
+    gt = {0: [("G", g)], 1: [("G", g)]}
+    hyp = {0: [(1, h1)], 1: [(1, h1), (2, g)]}
+    result, _ = mota(gt, hyp, match_distance=gate)
+    assert result.id_switches == 0
+    assert result.false_positives == 1  # h2 in frame 1
+    assert result.false_negatives == 0
 
 
 def test_fresh_frame_assignment_minimizes_total_distance():

@@ -163,8 +163,23 @@ def test_flipped_byte_loads_or_names_the_file(sequence, name):
 
 
 JSONL = {"gt.jsonl": load_ground_truth, "tracks.jsonl": load_tracks}
-# VALUES, non-finite numbers, a fraction where an integer belongs and a number as a string.
-JSONL_VALUES = VALUES + (math.nan, math.inf, 2.5, "4.4")
+# VALUES, non-finite numbers, a fraction where an integer belongs, a number as a
+# string, a negative fraction and a vector nested one level too deep.
+NESTED = [[1.0, 2.0, 3.0]]
+JSONL_VALUES = VALUES + (math.nan, math.inf, 2.5, "4.4", -4.4, NESTED)
+# The keys whose value no record may hold below 0, and those that hold one vector.
+NON_NEGATIVE = {"frame", "track_id", "length", "width", "height"}
+VECTORS = {"center"}
+
+
+def rejected(key, value):
+    """Whether a record whose key is set to value must fail to load."""
+    negative = isinstance(value, (int, float)) and not isinstance(value, bool) and value < 0
+    return (
+        value is DELETE  # every key of a record is required
+        or key in NON_NEGATIVE and negative
+        or key in VECTORS and value == NESTED
+    )
 
 
 @pytest.fixture(scope="module")
@@ -189,8 +204,8 @@ def record_cases(line):
         for value in JSONL_VALUES:
             text = edited(record, path, value)
             label = f"{list(path)} = {'<deleted>' if value is DELETE else repr(value)}"
-            # Every key of a record is required; deleting the record leaves a blank line.
-            must_fail = len(path) == 1 and value is DELETE
+            # Deleting the whole record leaves a blank line, which loads.
+            must_fail = len(path) == 1 and rejected(path[0], value)
             yield label, "" if text is None else json.dumps(json.loads(text)), must_fail
     for size in range(1, len(line)):
         yield f"cut to {size} characters", line[:size], False

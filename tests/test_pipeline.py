@@ -11,8 +11,9 @@ import pytest
 from lidartrack import dataset_io, tracking
 from lidartrack.config import PipelineConfig
 from lidartrack.dataset_io import load_sequence, write_sequence
+from lidartrack.detection import detect
 from lidartrack.evaluation import gt_to_eval_frames, mota, tracks_to_eval_frames
-from lidartrack.pipeline import run_tracking
+from lidartrack.pipeline import detect_frames, run_tracking
 from lidartrack.synth import SynthConfig, generate, ground_truth
 
 CFG = PipelineConfig()
@@ -157,3 +158,41 @@ def test_at_most_one_raw_cloud_per_worker_is_alive(written, reads, monkeypatch, 
     del out
     assert all(ref() is None for refs in reads.values() for ref in refs)
 
+
+def found_as_data(found):
+    """What detect found in a frame, less the stage timings."""
+    boxes = [(*d.center, d.length, d.width, d.height, d.n_points) for d in found.detections]
+    stats = replace(found.stats, stage_seconds=list(found.stats.stage_seconds))
+    return boxes, stats, found.n_clusters, found.points.tolist(), list(found.stage_seconds)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_detect_frames_yields_each_frame_in_order_as_detect_finds_it(written, workers):
+    seq = load_sequence(written)
+    expected = [
+        found_as_data(
+            detect(fr, CFG.preprocess, CFG.clustering, CFG.box_limits,
+                   cameras=seq.cameras, drivable=seq.drivable)
+        )
+        for fr in seq.frames
+    ]
+    pairs = list(detect_frames(seq, CFG, workers))
+    assert [frame.index for frame, _ in pairs] == [fr.index for fr in seq.frames]
+    assert [found_as_data(found) for _, found in pairs] == expected
+    assert sum(len(found.detections) for _, found in pairs) > 0
+
+
+def test_detect_frames_on_one_worker_reads_a_frame_only_once_the_last_is_taken(written, reads):
+    seq = load_sequence(written)
+    frames = detect_frames(seq, CFG)
+    for k, (frame, _) in enumerate(frames):
+        assert frame is seq.frames[k]
+        assert list(reads) == [fr.cloud.path for fr in seq.frames[: k + 1]]
+    assert len(reads) == len(seq.frames)
+
+
+def test_detect_frames_refuses_zero_workers_before_reading_a_frame(written, reads):
+    seq = load_sequence(written)
+    with pytest.raises(ValueError, match="workers"):
+        next(detect_frames(seq, CFG, workers=0))
+    assert not reads

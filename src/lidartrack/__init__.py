@@ -1,8 +1,8 @@
 """Bird's-eye-view multi-object tracking for LiDAR point cloud sequences.
 
 The pipeline: stride downsampling and RANSAC ground removal, optional
-drivable-area and camera-mask filters, KD-tree accelerated DBSCAN clustering,
-axis-aligned box fitting with car-size gating, and a constant-velocity
+drivable-area and camera-mask filters, DBSCAN over a sorted-cell radius
+index, axis-aligned box fitting with car-size gating, and a constant-velocity
 Kalman tracker associated frame to frame with the Hungarian algorithm.
 Scores come out as CLEAR-MOT style MOTA.
 """

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spatial_index import KdTree, _check_points
+from ._frozen import frozen
 
 NOISE = -1
 
@@ -45,11 +45,9 @@ class ClusterLabels:
     n_clusters: int = field(init=False)
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        labels.flags.writeable = False
+        labels = frozen("labels", self.labels, np.int64, ("N",))
         object.__setattr__(self, "labels", labels)
-        n = int(labels.max()) + 1 if labels.size and labels.max() >= 0 else 0
-        object.__setattr__(self, "n_clusters", n)
+        object.__setattr__(self, "n_clusters", int(labels.max(initial=NOISE)) + 1)
 
     def cluster_indices(self, cluster_id: int) -> np.ndarray:
         return np.nonzero(self.labels == cluster_id)[0]
@@ -59,23 +57,14 @@ class ClusterLabels:
             yield cid, self.cluster_indices(cid)
 
 
-def dbscan(points, params: ClusterParams, index=None) -> ClusterLabels:
-    """Cluster (N, 3) points with the given eps / min_points.
+def dbscan(index, params: ClusterParams) -> ClusterLabels:
+    """Cluster the points of `index`, a `KdTree` or `BruteForceIndex`, with
+    the given eps / min_points: one label per point, in the index's order.
 
-    `index` must be a radius index (`KdTree` or `BruteForceIndex`) built over
-    exactly these points; when omitted a KD-tree is built. The index supplies
-    every pair of points within eps as positions in its sweep order (the
-    identity order for `BruteForceIndex`), and the labels follow from those
-    pairs in whole-array steps.
+    The index supplies every pair of points within eps as positions in its
+    sweep order (the identity order for `BruteForceIndex`), and the labels
+    follow from those pairs in whole-array steps.
     """
-    pts = _check_points(points)
-    if index is None:
-        index = KdTree(pts)
-    if index.n != len(pts):
-        raise ValueError(
-            f"index holds {index.n} points but {len(pts)} were passed; "
-            "build the index over the same cloud"
-        )
     order, a, b = index.sweep_pairs(params.eps)
     return ClusterLabels(_sweep_labels(order, a, b, params.min_points))
 

@@ -40,13 +40,8 @@ class PipelineConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-_SECTIONS = {
-    "preprocess": PreprocessConfig,
-    "clustering": ClusterParams,
-    "box_limits": BoxLimits,
-    "tracker": TrackerConfig,
-    "eval": EvalConfig,
-}
+# Each section's name and class, in file order, from PipelineConfig's fields.
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfig)}
 
 
 def build_section(name: str, cls, data: dict):

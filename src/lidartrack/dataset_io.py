@@ -42,6 +42,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
+from ._frozen import check_shape, frozen
 from .errors import DatasetError
 from .geometry import CameraModel, RigidTransform
 
@@ -52,13 +53,16 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Immutable, C-contiguous (N, 3) point array, held in memory.
+    """Read-only, C-contiguous (N, 3) point array, held in memory.
 
     A float32 array stays float32, at 12 bytes per point, as a frame file
     stores it. Any other array becomes float64. The downsample keeps the
     dtype; ground removal fits on float32 rows and widens only the rows it
     keeps to float64, which is exact, so every stage after it sees float64
     points.
+
+    Unlike the other records it holds a read-only view, not a copy, so a
+    stride-1 cloud is not held twice; the caller's array stays writable.
     """
 
     points: np.ndarray
@@ -66,9 +70,8 @@ class PointCloud:
     def __post_init__(self):
         pts = np.asarray(self.points)
         dtype = np.float32 if pts.dtype == np.float32 else np.float64
-        pts = np.ascontiguousarray(pts, dtype=dtype)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"expected (N, 3) points, got shape {pts.shape}")
+        pts = np.ascontiguousarray(pts, dtype=dtype).view()
+        check_shape("points", pts, ("N", 3))
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -108,11 +111,9 @@ class MaskRegion:
     polygon: np.ndarray  # (K, 2) pixel coordinates, K >= 3
 
     def __post_init__(self):
-        poly = np.array(self.polygon, dtype=np.float64, order="C")  # not the caller's array
-        if poly.ndim != 2 or poly.shape[1] != 2 or len(poly) < 3:
-            raise ValueError(f"polygon must be (K>=3, 2), got shape {poly.shape}")
-        poly.flags.writeable = False
-        object.__setattr__(self, "polygon", poly)
+        object.__setattr__(self, "polygon", frozen("polygon", self.polygon, np.float64, ("K", 2)))
+        if len(self.polygon) < 3:
+            raise ValueError(f"polygon must have at least 3 vertices, got {len(self.polygon)}")
 
 
 @dataclass(frozen=True)
@@ -128,18 +129,10 @@ class DrivableGrid:
     bits: np.ndarray  # (height, width) bool
 
     def __post_init__(self):
-        origin = np.array(self.origin_xy, dtype=np.float64)  # copies: not the caller's arrays
-        bits = np.array(self.bits, dtype=bool)
-        if origin.shape != (2,):
-            raise ValueError(f"origin_xy must have shape (2,), got {origin.shape}")
-        if bits.ndim != 2:
-            raise ValueError("bits must be a 2-d array")
+        object.__setattr__(self, "origin_xy", frozen("origin_xy", self.origin_xy, np.float64, (2,)))
+        object.__setattr__(self, "bits", frozen("bits", self.bits, bool, ("height", "width")))
         if self.resolution <= 0:
             raise ValueError("resolution must be positive")
-        origin.flags.writeable = False
-        bits.flags.writeable = False
-        object.__setattr__(self, "origin_xy", origin)
-        object.__setattr__(self, "bits", bits)
 
     @property
     def width(self) -> int:
@@ -172,12 +165,8 @@ class GroundTruthBox:
     height: float
 
     def __post_init__(self):
-        c = np.array(self.center, dtype=np.float64)  # a copy: not the caller's array
-        if c.shape != (3,):
-            raise ValueError(f"center must have shape (3,), got {c.shape}")
+        object.__setattr__(self, "center", frozen("center", self.center, np.float64, (3,)))
         _non_negative(self, "length", "width", "height")
-        c.flags.writeable = False
-        object.__setattr__(self, "center", c)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._frozen import frozen
 from .clustering import ClusterParams, dbscan
 from .dataset_io import DrivableGrid, Frame
 from .geometry import CameraModel, transform_point
@@ -51,9 +52,7 @@ class Detection3D:
     n_points: int
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=np.float64).reshape(3)
-        c.flags.writeable = False
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", frozen("center", self.center, np.float64, (3,)))
         if self.n_points < 1:
             raise ValueError("a detection needs at least one point")
         if min(self.length, self.width, self.height) < 0:
@@ -122,7 +121,7 @@ def detect(
     t0 = time.perf_counter()
     index = KdTree(pts)
     t1 = time.perf_counter()
-    labels = dbscan(pts, cluster_params, index)
+    labels = dbscan(index, cluster_params)
     t2 = time.perf_counter()
     detections = []
     for cid, idx in labels.iter_clusters():

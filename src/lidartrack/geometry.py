@@ -14,6 +14,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ._frozen import frozen
+
 _QUAT_NORM_TOL = 1e-9
 
 
@@ -86,18 +88,15 @@ class RigidTransform:
     translation: np.ndarray  # (3,)
 
     def __post_init__(self):
-        q = np.asarray(self.rotation, dtype=np.float64)
-        t = np.asarray(self.translation, dtype=np.float64)
-        shapes = (q.shape, t.shape)
-        if shapes != ((4,), (3,)):
-            raise ValueError(f"rotation, translation shapes must be (4,), (3,), got {shapes}")
+        q = frozen("rotation", self.rotation, np.float64, (4,))
+        t = frozen("translation", self.translation, np.float64, (3,))
         if not np.all(np.isfinite(q)) or not np.all(np.isfinite(t)):
             raise ValueError("transform components must be finite")
         norm = np.linalg.norm(q)
         if norm < 1e-12:
             raise ValueError("zero-norm quaternion")
         if abs(norm - 1.0) > _QUAT_NORM_TOL:
-            q = q / norm
+            q = frozen("rotation", q / norm, np.float64, (4,))
         object.__setattr__(self, "rotation", q)
         object.__setattr__(self, "translation", t)
 

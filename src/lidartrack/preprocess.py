@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._frozen import frozen
 from .dataset_io import DrivableGrid, FileCloud, Frame, MaskRegion, PointCloud
 from .errors import ConfigError, GroundPlaneError
 from .geometry import CameraModel, RigidTransform, project_points, transform_points
@@ -63,9 +64,7 @@ class Plane:
     offset: float
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=np.float64).reshape(3)
-        n.flags.writeable = False
-        object.__setattr__(self, "normal", n)
+        object.__setattr__(self, "normal", frozen("normal", self.normal, np.float64, (3,)))
 
 
 class GroundFit(NamedTuple):
@@ -200,6 +199,16 @@ def _within_tol(pts: np.ndarray, normal: np.ndarray, offset, tol: float) -> np.n
     return within
 
 
+def _ceil_in(dtype: np.dtype, below) -> np.floating:
+    """The smallest value of the float dtype at or above `below`. For z of
+    that dtype, z < it holds exactly where z < np.float64(below) does: no
+    value of the dtype lies between the two."""
+    below = np.float64(below)
+    with np.errstate(over="ignore"):  # past the largest value is an infinity
+        c = dtype.type(below)
+        return np.nextafter(c, dtype.type(np.inf)) if c < below else c
+
+
 def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit:
     """RANSAC plane fit over the candidate rows of the contiguous (N, 3)
     float32 or float64 array pts: the n rows whose z is below `below` in
@@ -253,9 +262,9 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit:
     and a full count widens a block of rows at a time.
     """
     z = pts[:, 2].copy()  # comparisons over a strided column run 10x slower
-    # A bare Python float would be compared in z's dtype (NEP 50); the
-    # candidates are the rows whose z is below it in float64.
-    cand = z < np.float64(below)
+    # The rows whose z is below it in float64, compared in z's own dtype: a
+    # float64 bound would have numpy cast every float32 row first.
+    cand = z < _ceil_in(z.dtype, below)
     rows = np.flatnonzero(cand)
     n = len(rows)
     if n < max(3, cfg.min_plane_points):

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._frozen import frozen
+
 # Candidate radius r * (1 + _REL_SLACK) + _ABS_SLACK. The relative part is far
 # wider than the few ulps by which two distance formulas can disagree; the
 # absolute part covers squares that underflow to zero near r = 0, where the
@@ -60,14 +62,10 @@ _BLOCK = 8192
 _SCAN_PAIRS = 2**18
 
 
-def _check_points(points) -> np.ndarray:
-    # Always copy: the index must not alias caller memory (later mutation of
-    # the input would silently corrupt queries) and the copy is what gets
-    # frozen read-only.
-    pts = np.array(points, dtype=np.float64, order="C", copy=True)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) points, got shape {pts.shape}")
-    if pts.size and not np.all(np.isfinite(pts)):
+def _finite_points(points) -> np.ndarray:
+    """The index's own frozen copy of its points, which must be finite."""
+    pts = frozen("points", points, np.float64, ("N", 3))
+    if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
     return pts
 
@@ -217,12 +215,7 @@ class KdTree:
     """
 
     def __init__(self, points):
-        self.points = _check_points(points)
-        self.points.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
+        self.points = _finite_points(points)
 
     def sweep_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(order, a, b): every pair of points within distance r, as
@@ -233,7 +226,7 @@ class KdTree:
         in no particular order.
         """
         r = _check_radius(r)
-        if self.n == 0:
+        if len(self.points) == 0:
             return tuple(np.empty(0, dtype=np.int64) for _ in range(3))
         return _sweep_pairs(self.points, r)
 
@@ -242,12 +235,7 @@ class BruteForceIndex:
     """Linear-scan radius search; the reference `KdTree` is tested against."""
 
     def __init__(self, points):
-        self.points = _check_points(points)
-        self.points.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
+        self.points = _finite_points(points)
 
     def radius_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Every pair (i, j), i < j, of points within distance r of each
@@ -260,7 +248,7 @@ class BruteForceIndex:
         r = _check_radius(r)
         firsts, seconds = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         cols = self.points.T.copy()  # contiguous columns scan several times faster
-        n = self.n
+        n = len(self.points)
         start = 0
         while start < n - 1:
             stop = min(n, start + max(1, _SCAN_PAIRS // (n - start)))
@@ -278,4 +266,4 @@ class BruteForceIndex:
         """`KdTree.sweep_pairs` over the identity order: the pairs of
         `radius_pairs` with their order 0..n-1."""
         i, j = self.radius_pairs(r)
-        return np.arange(self.n), i, j
+        return np.arange(len(self.points)), i, j

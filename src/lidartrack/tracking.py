@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._frozen import frozen
 from .dataset_io import TrackRecord
 from .detection import Detection3D
 
@@ -76,14 +77,8 @@ class KalmanCV:
     covariance: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.state, dtype=np.float64).reshape(-1)
-        p = np.asarray(self.covariance, dtype=np.float64)
-        if s.shape != (4,) or p.shape != (4, 4):
-            raise ValueError(f"bad state/covariance shapes {s.shape}, {p.shape}")
-        s.flags.writeable = False
-        p.flags.writeable = False
-        object.__setattr__(self, "state", s)
-        object.__setattr__(self, "covariance", p)
+        for name, shape in (("state", (4,)), ("covariance", (4, 4))):
+            object.__setattr__(self, name, frozen(name, getattr(self, name), np.float64, shape))
 
     @property
     def position(self) -> np.ndarray:

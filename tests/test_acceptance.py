@@ -97,7 +97,7 @@ def test_dbscan_matches_quadratic_reference():
         pts = rng.uniform(0, 12, size=(n, 3))
         eps = float(rng.uniform(0.3, 2.0))
         mp = int(rng.integers(2, 12))
-        got = dbscan(pts, ClusterParams(eps=eps, min_points=mp), KdTree(pts)).labels
+        got = dbscan(KdTree(pts), ClusterParams(eps=eps, min_points=mp)).labels
         want = quadratic_dbscan(pts, eps, mp)
         assert np.array_equal(got == -1, want == -1), f"trial {trial}: noise sets differ"
         assert np.array_equal(canonical(got), canonical(want)), f"trial {trial}"
@@ -130,9 +130,9 @@ def test_kdtree_exact_and_faster_than_brute():
     cloud = np.random.default_rng(7).uniform(0.0, 50.0, size=(20000, 3))
     params = ClusterParams(eps=1.0, min_points=5)
     t0 = time.perf_counter()
-    labels = dbscan(cloud, params, KdTree(cloud))
+    labels = dbscan(KdTree(cloud), params)
     t1 = time.perf_counter()
-    brute_labels = dbscan(cloud, params, BruteForceIndex(cloud))
+    brute_labels = dbscan(BruteForceIndex(cloud), params)
     t2 = time.perf_counter()
     assert np.array_equal(labels.labels, brute_labels.labels)
     speedup = (t2 - t1) / (t1 - t0)

@@ -57,7 +57,7 @@ def blob(rng, center, n, spread=0.15):
 def test_two_separated_blobs():
     rng = np.random.default_rng(200)
     pts = np.vstack([blob(rng, [0, 0, 0], 30), blob(rng, [10, 0, 0], 30)])
-    out = dbscan(pts, ClusterParams(eps=0.7, min_points=5))
+    out = dbscan(KdTree(pts), ClusterParams(eps=0.7, min_points=5))
     assert out.n_clusters == 2
     assert set(out.labels[:30]) == {0}
     assert set(out.labels[30:]) == {1}
@@ -65,13 +65,13 @@ def test_two_separated_blobs():
 
 def test_sparse_points_are_noise():
     pts = np.array([[0.0, 0, 0], [5.0, 0, 0], [10.0, 0, 0], [15.0, 0, 0]])
-    out = dbscan(pts, ClusterParams(eps=1.0, min_points=3))
+    out = dbscan(KdTree(pts), ClusterParams(eps=1.0, min_points=3))
     assert out.n_clusters == 0
     assert np.all(out.labels == -1)
 
 
 def test_empty_input():
-    out = dbscan(np.zeros((0, 3)), ClusterParams())
+    out = dbscan(KdTree(np.zeros((0, 3))), ClusterParams())
     assert out.n_clusters == 0
     assert out.labels.shape == (0,)
 
@@ -80,17 +80,17 @@ def test_min_points_counts_the_point_itself():
     # Three collinear points 0.5 apart: middle point has 3 neighbors
     # (itself plus both ends), ends have 2 each.
     pts = np.array([[0.0, 0, 0], [0.5, 0, 0], [1.0, 0, 0]])
-    out = dbscan(pts, ClusterParams(eps=0.6, min_points=3))
+    out = dbscan(KdTree(pts), ClusterParams(eps=0.6, min_points=3))
     # Only the middle point is core; ends become border points of cluster 0.
     assert np.array_equal(out.labels, [0, 0, 0])
-    out4 = dbscan(pts, ClusterParams(eps=0.6, min_points=4))
+    out4 = dbscan(KdTree(pts), ClusterParams(eps=0.6, min_points=4))
     assert np.all(out4.labels == -1)
 
 
 def test_boundary_distance_is_inside():
     # Exactly eps apart: must count as neighbors.
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-    out = dbscan(pts, ClusterParams(eps=1.0, min_points=3))
+    out = dbscan(KdTree(pts), ClusterParams(eps=1.0, min_points=3))
     assert np.array_equal(out.labels, [0, 0, 0])
 
 
@@ -99,7 +99,7 @@ def test_cluster_ids_follow_scan_order():
     late = blob(rng, [20, 0, 0], 20)
     early = blob(rng, [0, 0, 0], 20)
     pts = np.vstack([late, early])
-    out = dbscan(pts, ClusterParams(eps=0.7, min_points=5))
+    out = dbscan(KdTree(pts), ClusterParams(eps=0.7, min_points=5))
     # The blob whose points come first in the array gets id 0 regardless of
     # position in space.
     assert set(out.labels[:20]) == {0}
@@ -114,7 +114,7 @@ def test_border_point_goes_to_lowest_id_cluster():
     cluster_b = np.vstack([np.tile([[3.0, 0, 0]], (4, 1)), [[2.0, 0, 0]]])
     between = np.array([[1.0, 0.0, 0.0]])
     pts = np.vstack([cluster_a, cluster_b, between])
-    out = dbscan(pts, ClusterParams(eps=1.0, min_points=5))
+    out = dbscan(KdTree(pts), ClusterParams(eps=1.0, min_points=5))
     assert out.n_clusters == 2
     assert set(out.labels[:5]) == {0}
     assert set(out.labels[5:10]) == {1}
@@ -122,7 +122,7 @@ def test_border_point_goes_to_lowest_id_cluster():
 
 
 def test_labels_are_read_only():
-    out = dbscan(np.zeros((5, 3)), ClusterParams(eps=1.0, min_points=2))
+    out = dbscan(KdTree(np.zeros((5, 3))), ClusterParams(eps=1.0, min_points=2))
     with pytest.raises(ValueError):
         out.labels[0] = 7
 
@@ -130,19 +130,11 @@ def test_labels_are_read_only():
 def test_cluster_indices_and_iteration():
     rng = np.random.default_rng(202)
     pts = np.vstack([blob(rng, [0, 0, 0], 25), blob(rng, [8, 0, 0], 15)])
-    out = dbscan(pts, ClusterParams(eps=0.7, min_points=5))
+    out = dbscan(KdTree(pts), ClusterParams(eps=0.7, min_points=5))
     seen = dict(out.iter_clusters())
     assert set(seen) == {0, 1}
     assert len(seen[0]) == 25 and len(seen[1]) == 15
     assert np.array_equal(seen[0], out.cluster_indices(0))
-
-
-def test_index_point_count_mismatch_rejected():
-    rng = np.random.default_rng(203)
-    pts = rng.uniform(0, 5, size=(40, 3))
-    tree = KdTree(pts[:30])
-    with pytest.raises(ValueError):
-        dbscan(pts, ClusterParams(), index=tree)
 
 
 def test_param_validation():
@@ -161,7 +153,7 @@ def test_matches_reference_randomized():
         eps = float(rng.uniform(0.3, 2.5))
         min_points = int(rng.integers(1, 8))
         want = reference_dbscan(pts, eps, min_points)
-        got = dbscan(pts, ClusterParams(eps=eps, min_points=min_points))
+        got = dbscan(KdTree(pts), ClusterParams(eps=eps, min_points=min_points))
         assert np.array_equal(got.labels, want), (
             f"trial {trial}: n={n} eps={eps:.3f} min_points={min_points}"
         )
@@ -176,8 +168,8 @@ def test_all_routes_produce_identical_labels():
         params = ClusterParams(
             eps=float(rng.uniform(0.4, 1.5)), min_points=int(rng.integers(2, 8))
         )
-        tree = dbscan(pts, params, index=KdTree(pts))
-        brute = dbscan(pts, params, index=BruteForceIndex(pts))
+        tree = dbscan(KdTree(pts), params)
+        brute = dbscan(BruteForceIndex(pts), params)
         assert np.array_equal(tree.labels, brute.labels)
 
 
@@ -213,8 +205,8 @@ def test_matches_reference_generated(case):
     pts, eps, min_points = case
     want = reference_dbscan(pts, eps, min_points)
     params = ClusterParams(eps=eps, min_points=min_points)
-    assert np.array_equal(dbscan(pts, params).labels, want)
-    assert np.array_equal(dbscan(pts, params, index=BruteForceIndex(pts)).labels, want)
+    assert np.array_equal(dbscan(KdTree(pts), params).labels, want)
+    assert np.array_equal(dbscan(BruteForceIndex(pts), params).labels, want)
 
 
 @st.composite
@@ -246,7 +238,8 @@ def chain_case(draw):
 def test_long_chains_match_reference(case):
     pts, eps, min_points = case
     want = reference_dbscan(pts, eps, min_points)
-    assert np.array_equal(dbscan(pts, ClusterParams(eps=eps, min_points=min_points)).labels, want)
+    params = ClusterParams(eps=eps, min_points=min_points)
+    assert np.array_equal(dbscan(KdTree(pts), params).labels, want)
 
 
 # --- sweep-order labelling over candidate blocks ---------------------------
@@ -260,9 +253,9 @@ def test_blocked_kdtree_labels_match_brute_force_and_reference(case, block):
     want = reference_dbscan(pts, eps, min_points)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spatial_index, "_BLOCK", block)
-        got = dbscan(pts, params, index=KdTree(pts)).labels
+        got = dbscan(KdTree(pts), params).labels
     assert np.array_equal(got, want)
-    assert np.array_equal(dbscan(pts, params, index=BruteForceIndex(pts)).labels, want)
+    assert np.array_equal(dbscan(BruteForceIndex(pts), params).labels, want)
 
 
 def edge_clouds():
@@ -291,8 +284,8 @@ def test_blocked_kdtree_labels_on_edge_clouds(name, block, monkeypatch):
     params = ClusterParams(eps=0.7, min_points=min_points)
     want = reference_dbscan(pts, 0.7, min_points)
     monkeypatch.setattr(spatial_index, "_BLOCK", block)
-    assert np.array_equal(dbscan(pts, params, index=KdTree(pts)).labels, want)
-    assert np.array_equal(dbscan(pts, params, index=BruteForceIndex(pts)).labels, want)
+    assert np.array_equal(dbscan(KdTree(pts), params).labels, want)
+    assert np.array_equal(dbscan(BruteForceIndex(pts), params).labels, want)
     if name == "all-noise":
         assert np.all(want == -1)
     elif name == "big-window":

@@ -1,5 +1,6 @@
 """Downsampling, RANSAC ground removal, drivable and mask filters."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -930,7 +931,7 @@ def test_loaded_float32_frame_detects_as_the_float64_frame(loaded, monkeypatch, 
         assert counts(got.stats) == counts(want.stats)
         assert_same_float64(got.points, want.points)
         assert got.n_clusters == want.n_clusters
-        labels = [dbscan(f.points, cfg.clustering, KdTree(f.points)).labels for f in (got, want)]
+        labels = [dbscan(KdTree(f.points), cfg.clustering).labels for f in (got, want)]
         assert np.array_equal(*labels)
         assert len(got.detections) == len(want.detections)
         for a, b in zip(got.detections, want.detections):
@@ -969,10 +970,13 @@ def test_stages_called_on_a_float32_cloud_give_the_float64_answers(loaded, scene
     assert fit32.plane.offset == fit64.plane.offset
     assert np.array_equal(fit32.inliers, fit64.inliers)
 
-    # A skipped fit hands back the cloud widened, not the float32 one.
-    with pytest.warns(GroundFitWarning):
-        skipped = remove_ground(c32, replace(cfg, ground_split_height=1e3))
-    assert_same_float64(skipped.points, c64.points)
+    # A skipped fit hands back the cloud widened, not the float32 one. A
+    # split past float32's range is compared without an overflowing cast.
+    for split in (1e3, 1e300):
+        with warnings.catch_warnings(), pytest.warns(GroundFitWarning):
+            warnings.simplefilter("error", RuntimeWarning)
+            skipped = remove_ground(c32, replace(cfg, ground_split_height=split))
+        assert_same_float64(skipped.points, c64.points)
 
     assert_same_float64(filter_drivable(c32, seq.drivable, frame.ego_pose).points,
                         filter_drivable(c64, seq.drivable, frame.ego_pose).points)
@@ -981,6 +985,40 @@ def test_stages_called_on_a_float32_cloud_give_the_float64_answers(loaded, scene
                 for c in (c32, c64)]
         assert_same_float64(*kept)
         assert 0 < len(kept[0]) < len(c32)
+
+
+@st.composite
+def candidate_bound_case(draw):
+    """float32 or float64 z around a float32 value f, and a bound exactly at
+    f, between f and the next float32 up, or out of float32's range."""
+    f = np.float32(draw(st.floats(-(2.0**100), 2.0**100, width=32)))
+    up = np.nextafter(f, np.float32(np.inf))
+    kind = draw(st.sampled_from(("at", "between", "out")))
+    if kind == "at":
+        below = float(f)
+    elif kind == "between":
+        below = (float(f) + float(up)) / 2.0  # exact, and strictly between
+    else:
+        big = draw(st.one_of(st.floats(3.5e38, 1e308), st.sampled_from((np.inf, 1e300))))
+        below = draw(st.sampled_from((1.0, -1.0))) * big
+    near = [np.nextafter(f, np.float32(-np.inf)), f, up, 0.0, 1e300, -1e300]
+    near += [np.nextafter(below, -np.inf), below, np.nextafter(below, np.inf)]
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    with np.errstate(over="ignore"):
+        z = np.array(near + draw(st.lists(st.floats(allow_nan=False), max_size=8)))
+        return z.astype(dtype), below
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(candidate_bound_case())
+def test_candidate_test_in_zs_dtype_is_the_float64_one(case):
+    z, below = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        bound = preprocess._ceil_in(z.dtype, below)
+        got = z < bound
+    assert bound.dtype == z.dtype
+    assert np.array_equal(got, z < np.float64(below))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -74,7 +74,7 @@ def test_empty_result():
 
 def test_single_point_tree():
     tree = KdTree(np.array([[1.0, 2.0, 3.0]]))
-    assert tree.n == 1
+    assert len(tree.points) == 1
     assert sorted_pairs(tree, 0.0) == []
     assert sorted_pairs(tree, 10.0) == []
 
@@ -97,7 +97,7 @@ def test_mutating_input_after_build_does_not_affect_tree():
 
 def test_empty_tree_allowed():
     tree = KdTree(np.zeros((0, 3)))
-    assert tree.n == 0
+    assert len(tree.points) == 0
     assert sorted_pairs(tree, 5.0) == []
 
 

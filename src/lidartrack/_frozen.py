@@ -8,7 +8,7 @@ import numpy as np
 
 
 def check_shape(name: str, arr: np.ndarray, shape: tuple) -> None:
-    """A ValueError naming the field unless arr has exactly `shape`."""
+    """A ValueError naming the field or argument unless arr has exactly `shape`."""
     fits = [isinstance(want, str) or want == got for want, got in zip(shape, arr.shape)]
     if arr.ndim != len(shape) or not all(fits):
         text = str(shape).replace("'", "")  # ("N", 3) reads (N, 3)

@@ -284,6 +284,11 @@ def _read_json(path: Path):
     return obj
 
 
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+
+
 def _require(record: dict, key: str, path: Path, cast, line=None):
     """cast(record[key]). A missing key or a value cast rejects is a
     DatasetError naming path (and line)."""
@@ -586,20 +591,14 @@ def write_sequence(
         if fr.masks:
             mask_rel = f"masks/{fr.index:06d}.json"
             (root / "masks").mkdir(exist_ok=True)
-            with open(root / mask_rel, "w", encoding="utf-8") as fh:
-                json.dump({"regions": [_encode(m) for m in fr.masks]}, fh)
+            _write_json(root / mask_rel, {"regions": [_encode(m) for m in fr.masks]})
             entry["masks"] = mask_rel
         manifest_frames.append(entry)
         pose_frames.append({"index": fr.index, **_encode(fr.ego_pose)})
 
-    with open(root / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {"format": SEQUENCE_FORMAT, "version": FORMAT_VERSION, "frames": manifest_frames},
-            fh,
-            indent=2,
-        )
-    with open(root / "poses.json", "w", encoding="utf-8") as fh:
-        json.dump({"frames": pose_frames}, fh, indent=2)
+    manifest = {"format": SEQUENCE_FORMAT, "version": FORMAT_VERSION, "frames": manifest_frames}
+    _write_json(root / "manifest.json", manifest)
+    _write_json(root / "poses.json", {"frames": pose_frames})
 
     cams_obj = {
         cam_id: {
@@ -608,14 +607,12 @@ def write_sequence(
         }
         for cam_id, cam in sorted(cameras.items())
     }
-    with open(root / "calibration.json", "w", encoding="utf-8") as fh:
-        json.dump({"cameras": cams_obj}, fh, indent=2)
+    _write_json(root / "calibration.json", {"cameras": cams_obj})
 
     if drivable is not None:
         (root / "drivable.bin").write_bytes(np.packbits(drivable.bits.ravel()).tobytes())
-        with open(root / "drivable.json", "w", encoding="utf-8") as fh:
-            header = {"width": drivable.width, "height": drivable.height, "file": "drivable.bin"}
-            json.dump({**_encode(drivable, "bits"), **header}, fh, indent=2)
+        header = {"width": drivable.width, "height": drivable.height, "file": "drivable.bin"}
+        _write_json(root / "drivable.json", {**_encode(drivable, "bits"), **header})
 
     if ground_truth is not None:
         with open(root / "gt.jsonl", "w", encoding="utf-8") as fh:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._frozen import frozen
+from ._frozen import check_shape, frozen
 from .clustering import ClusterParams, dbscan
 from .dataset_io import DrivableGrid, Frame
 from .geometry import CameraModel, transform_point
@@ -63,8 +63,9 @@ def fit_box(points) -> Detection3D:
     """Axis-aligned bounding box of a cluster: per-axis extremes, center at
     the midpoint. A single point yields a zero-size box."""
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
-        raise ValueError(f"expected non-empty (N, 3) points, got shape {pts.shape}")
+    check_shape("points", pts, ("N", 3))
+    if len(pts) == 0:
+        raise ValueError("cannot fit a box to an empty cluster")
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     return Detection3D(

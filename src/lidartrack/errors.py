@@ -18,13 +18,14 @@ class DatasetError(LidartrackError):
 
     def __init__(self, path, message, line=None):
         self.path = str(path)
+        self.message = message
         self.line = line
         where = self.path if line is None else f"{self.path}:{line}"
         super().__init__(f"{where}: {message}")
 
-
-class GroundPlaneError(LidartrackError):
-    """RANSAC could not produce a ground plane from the candidate points."""
+    def __reduce__(self):
+        # Rebuilt from its fields: self.args holds only the formatted text.
+        return type(self), (self.path, self.message, self.line)
 
 
 class EvaluationError(LidartrackError):

@@ -78,7 +78,7 @@ class MotMatcher:
             if prev is None or prev not in hyp_by_id or prev in used_hyp:
                 continue
             # cost_matrix's distance, so the keep rule and the assignment share one gate.
-            d = cost_matrix(gxy, hyp_by_id[prev], self.match_distance)[0, 0]
+            d = cost_matrix([gxy], [hyp_by_id[prev]], self.match_distance)[0, 0]
             if d <= self.match_distance:
                 corr[gid] = prev
                 used_hyp.add(prev)

@@ -14,16 +14,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._frozen import frozen
+from ._frozen import check_shape, frozen
 
 _QUAT_NORM_TOL = 1e-9
-
-
-def _as_vec3(p) -> np.ndarray:
-    v = np.asarray(p, dtype=np.float64)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    return v
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
@@ -112,14 +105,15 @@ def invert(t: RigidTransform) -> RigidTransform:
 
 
 def transform_point(t: RigidTransform, p) -> np.ndarray:
-    return quat_to_matrix(t.rotation) @ _as_vec3(p) + t.translation
+    p = np.asarray(p, dtype=np.float64)
+    check_shape("p", p, (3,))
+    return quat_to_matrix(t.rotation) @ p + t.translation
 
 
 def transform_points(t: RigidTransform, points: np.ndarray) -> np.ndarray:
     """Apply `t` to an (N, 3) array of points."""
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) points, got shape {pts.shape}")
+    check_shape("points", pts, ("N", 3))
     return pts @ quat_to_matrix(t.rotation).T + t.translation
 
 

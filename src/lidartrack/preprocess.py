@@ -23,7 +23,7 @@ import numpy as np
 
 from ._frozen import frozen
 from .dataset_io import DrivableGrid, FileCloud, Frame, MaskRegion, PointCloud
-from .errors import ConfigError, GroundPlaneError
+from .errors import ConfigError
 from .geometry import CameraModel, RigidTransform, project_points, transform_points
 
 
@@ -209,11 +209,11 @@ def _ceil_in(dtype: np.dtype, below) -> np.floating:
         return np.nextafter(c, dtype.type(np.inf)) if c < below else c
 
 
-def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit:
+def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit | str:
     """RANSAC plane fit over the candidate rows of the contiguous (N, 3)
     float32 or float64 array pts: the n rows whose z is below `below` in
-    float64. Too few candidates, or no non-degenerate draw, is a
-    GroundPlaneError.
+    float64. Too few candidates, or no non-degenerate draw, returns the
+    reason as a string instead of a fit.
 
     Returns the sample plane with the most inliers over cfg.ransac_iterations
     3-point draws (first-found wins ties); no least-squares refinement. The
@@ -268,9 +268,7 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit:
     rows = np.flatnonzero(cand)
     n = len(rows)
     if n < max(3, cfg.min_plane_points):
-        raise GroundPlaneError(
-            f"insufficient ground candidates: {n} < {max(3, cfg.min_plane_points)}"
-        )
+        return f"insufficient ground candidates: {n} < {max(3, cfg.min_plane_points)}"
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     tol = cfg.ransac_inlier_tol
@@ -299,7 +297,7 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit:
     normals[down] = -normals[down]
     offsets[down] = -offsets[down]
     if not len(normals):
-        raise GroundPlaneError("no non-degenerate 3-point sample found")
+        return "no non-degenerate 3-point sample found"
 
     size = _probe_size(len(pts), cfg.ransac_iterations)
     probe = np.take(pts, _probe_rows(z, rows, cand, size), axis=0).astype(np.float64, copy=False)
@@ -317,7 +315,7 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit:
         if count > best_count or (count == best_count and h < best):
             best, best_count, best_inliers = h, count, inliers
     if best < 0:
-        raise GroundPlaneError("no non-degenerate 3-point sample found")
+        return "no non-degenerate 3-point sample found"
     return GroundFit(Plane(normals[best], float(offsets[best])), best_inliers)
 
 
@@ -326,9 +324,9 @@ def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng=None) -> PointCl
 
     Points at or above z = -ground_split_height never count as ground. Lower
     points that sit off the fitted plane (walls, tires, curbs) are kept, in
-    their original order, as float64. If the fit fails the whole cloud comes
-    back, widened to float64 if it was float32, and a GroundFitWarning is
-    emitted.
+    their original order, as float64. If _ransac returns a reason instead
+    of a fit, the whole cloud comes back, widened to float64 if it was
+    float32, and a GroundFitWarning with that reason is emitted.
 
     The fit (_ransac) copies no candidate out of the cloud: its full counts
     run over the whole cloud under the candidate mask, and the kept rows are
@@ -340,10 +338,9 @@ def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng=None) -> PointCl
     widened up front. On a stride-1 sweep frame that is about 2% of the rows.
     """
     pts = cloud.points
-    try:
-        fit = _ransac(pts, -cfg.ground_split_height, cfg, rng)
-    except GroundPlaneError as exc:
-        warnings.warn(f"ground fit skipped: {exc}", GroundFitWarning, stacklevel=2)
+    fit = _ransac(pts, -cfg.ground_split_height, cfg, rng)
+    if isinstance(fit, str):
+        warnings.warn(f"ground fit skipped: {fit}", GroundFitWarning, stacklevel=2)
         return PointCloud(pts.astype(np.float64, copy=False))
     kept = np.take(pts, np.flatnonzero(~fit.inliers), axis=0)
     return PointCloud(kept.astype(np.float64, copy=False))

@@ -108,27 +108,17 @@ def _car_surface_points(cfg: SynthConfig, rng) -> np.ndarray:
     points are reused every frame (the car is rigid), per-frame jitter is
     added separately.
     """
-    length, width, height = cfg.car_length, cfg.car_width, cfg.car_height
-    areas = np.array(
-        [width * height, width * height, length * height, length * height, length * width]
-    )
+    size = np.array([cfg.car_length, cfg.car_width, cfg.car_height])
+    # Front, back, left, right, roof: each at side times the extent along axis.
+    faces = ((0, 0.5), (0, -0.5), (1, 0.5), (1, -0.5), (2, 0.5))
+    areas = np.array([np.prod(np.delete(size, axis)) for axis, _ in faces])
     counts = rng.multinomial(cfg.points_per_car, areas / areas.sum())
     parts = []
-    for face, count in enumerate(counts):
+    for (axis, side), count in zip(faces, counts):
         if count == 0:
             continue
         ab = rng.uniform(-0.5, 0.5, size=(count, 2))
-        if face == 0:
-            p = np.column_stack([np.full(count, length / 2), ab[:, 0] * width, ab[:, 1] * height])
-        elif face == 1:
-            p = np.column_stack([np.full(count, -length / 2), ab[:, 0] * width, ab[:, 1] * height])
-        elif face == 2:
-            p = np.column_stack([ab[:, 0] * length, np.full(count, width / 2), ab[:, 1] * height])
-        elif face == 3:
-            p = np.column_stack([ab[:, 0] * length, np.full(count, -width / 2), ab[:, 1] * height])
-        else:
-            p = np.column_stack([ab[:, 0] * length, ab[:, 1] * width, np.full(count, height / 2)])
-        parts.append(p)
+        parts.append(np.insert(ab, axis, side, axis=1) * size)
     return np.concatenate(parts) if parts else np.zeros((0, 3))
 
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._frozen import frozen
+from ._frozen import check_shape, frozen
 from .dataset_io import TrackRecord
 from .detection import Detection3D
 
@@ -111,7 +111,8 @@ def kalman_predict(k: KalmanCV, dt: float, q_accel: float) -> KalmanCV:
 
 def kalman_update(k: KalmanCV, z_xy, r_pos: float) -> KalmanCV:
     """Fold in a BEV position measurement with noise std r_pos per axis."""
-    z = np.asarray(z_xy, dtype=np.float64).reshape(2)
+    z = np.asarray(z_xy, dtype=np.float64)
+    check_shape("z_xy", z, (2,))
     H = np.eye(2, 4)
     R = np.eye(2) * (r_pos * r_pos)
     innovation = z - H @ k.state
@@ -125,8 +126,10 @@ def kalman_update(k: KalmanCV, z_xy, r_pos: float) -> KalmanCV:
 
 def cost_matrix(track_xy: np.ndarray, det_xy: np.ndarray, gate: float) -> np.ndarray:
     """BEV centroid distances, entries beyond the gate set to GATE_SENTINEL."""
-    t = np.asarray(track_xy, dtype=np.float64).reshape(-1, 2)
-    d = np.asarray(det_xy, dtype=np.float64).reshape(-1, 2)
+    t = np.asarray(track_xy, dtype=np.float64)
+    d = np.asarray(det_xy, dtype=np.float64)
+    check_shape("track_xy", t, ("N", 2))
+    check_shape("det_xy", d, ("M", 2))
     if len(t) == 0 or len(d) == 0:
         return np.zeros((len(t), len(d)))
     diff = t[:, None, :] - d[None, :, :]

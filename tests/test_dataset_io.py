@@ -1,8 +1,10 @@
 """Sequence directory and tracks file round trips, plus malformed inputs."""
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -151,6 +153,18 @@ def test_sequence_without_optional_parts(tmp_path):
     assert seq.drivable is None
     assert not (root / "gt.jsonl").exists()
     assert seq.frames[0].masks == []
+
+
+@pytest.mark.parametrize("line", [None, 3])
+@pytest.mark.parametrize(
+    "clone", [copy.copy, lambda e: pickle.loads(pickle.dumps(e))], ids=["copy", "pickle"]
+)
+def test_dataset_error_survives_copy_and_pickle(tmp_path, line, clone):
+    # A worker process hands its error back to the parent through pickle.
+    err = DatasetError(tmp_path / "gt.jsonl", "bad record", line=line)
+    got = clone(err)
+    assert type(got) is DatasetError
+    assert (str(got), got.path, got.line) == (str(err), err.path, err.line)
 
 
 def test_missing_directory():

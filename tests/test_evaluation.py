@@ -120,7 +120,7 @@ def test_pair_kept_exactly_at_the_gate_the_assignment_matched_it_at():
     g = xy(-3.0838374097986474, 3.023641611345301)
     h1 = xy(-3.086760739427997, -4.184473826364873)
     gate = 7.208116030504216
-    assert cost_matrix(g, h1, 10.0)[0, 0] == gate < np.linalg.norm(g - h1)
+    assert cost_matrix([g], [h1], 10.0)[0, 0] == gate < np.linalg.norm(g - h1)
     gt = {0: [("G", g)], 1: [("G", g)]}
     hyp = {0: [(1, h1)], 1: [(1, h1), (2, g)]}
     result, _ = mota(gt, hyp, match_distance=gate)

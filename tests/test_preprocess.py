@@ -21,7 +21,7 @@ from lidartrack.dataset_io import (
 )
 from lidartrack.detection import detect
 from lidartrack.spatial_index import KdTree
-from lidartrack.errors import ConfigError, GroundPlaneError
+from lidartrack.errors import ConfigError
 from lidartrack.synth import SynthConfig, generate
 from lidartrack.geometry import (
     CameraModel,
@@ -117,8 +117,8 @@ def test_fit_is_deterministic_for_a_seeded_rng():
 
 def test_fit_requires_minimum_candidates():
     pts = flat_ground(np.random.default_rng(303), 20)
-    with pytest.raises(GroundPlaneError):
-        fit_all(pts, PreprocessConfig(min_plane_points=50))
+    reason = fit_all(pts, PreprocessConfig(min_plane_points=50))
+    assert reason == "insufficient ground candidates: 20 < 50"
 
 
 def test_fit_normal_points_up():
@@ -172,7 +172,8 @@ def test_remove_ground_preserves_order():
 def test_remove_ground_warns_and_passes_through_when_too_few():
     pts = np.array([[0.0, 0.0, 0.5], [1.0, 0.0, 0.3], [0.0, 1.0, 0.2]])
     cloud = make_cloud(pts)
-    with pytest.warns(GroundFitWarning):
+    reason = "ground fit skipped: insufficient ground candidates: 0 < 50"
+    with pytest.warns(GroundFitWarning, match=f"^{reason}$"):
         out = remove_ground(cloud, PreprocessConfig(), rng=np.random.default_rng(8))
     assert np.array_equal(out.points, pts)
 
@@ -180,12 +181,13 @@ def test_remove_ground_warns_and_passes_through_when_too_few():
 # --- ground fit against the per-sample loop -------------------------------
 
 
-def reference_fit_ground_plane(points, cfg, rng) -> Plane:
-    """The plain RANSAC loop: every hypothesis counted over every point."""
+def reference_fit_ground_plane(points, cfg, rng) -> Plane | str:
+    """The plain RANSAC loop: every hypothesis counted over every point.
+    A skipped fit returns its reason, as the fit under test does."""
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
     if n < max(3, cfg.min_plane_points):
-        raise GroundPlaneError("insufficient ground candidates")
+        return f"insufficient ground candidates: {n} < {max(3, cfg.min_plane_points)}"
     best_count = 0
     best = None
     for _ in range(cfg.ransac_iterations):
@@ -206,7 +208,7 @@ def reference_fit_ground_plane(points, cfg, rng) -> Plane:
             best_count = count
             best = Plane(normal, offset)
     if best is None:
-        raise GroundPlaneError("no non-degenerate 3-point sample found")
+        return "no non-degenerate 3-point sample found"
     return best
 
 
@@ -270,27 +272,25 @@ def ground_case(draw):
 def assert_fit_matches_reference(pts, cfg, seed):
     """The fit remove_ground runs against the loop over its gathered
     candidates, bit for bit: the plane, the inlier mask over every row and
-    the generator state. Once with a split above every point, and once with
-    a split at the median distinct z, which leaves the rows at and above it
-    out."""
+    the generator state, or the reason both give for a skipped fit. Once
+    with a split above every point, and once with a split at the median
+    distinct z, which leaves the rows at and above it out."""
     zs = np.unique(pts[:, 2])
     for below in (np.inf, zs[len(zs) // 2]):
         cand = pts[:, 2] < below
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        try:
-            want = reference_fit_ground_plane(pts[cand], cfg, ref_rng)
-        except GroundPlaneError:
-            with pytest.raises(GroundPlaneError):
-                preprocess._ransac(pts, below, cfg, rng)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        want = reference_fit_ground_plane(pts[cand], cfg, ref_rng)
+        fit = preprocess._ransac(pts, below, cfg, rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if isinstance(want, str):
+            assert fit == want
             continue
-        got, inliers = preprocess._ransac(pts, below, cfg, rng)
+        got, inliers = fit
         assert got.normal.tobytes() == want.normal.tobytes()
         assert np.float64(got.offset).tobytes() == np.float64(want.offset).tobytes()
         want_inliers = np.zeros(len(pts), dtype=bool)
         want_inliers[cand] = np.abs(pts[cand] @ want.normal + want.offset) <= cfg.ransac_inlier_tol
         assert np.array_equal(inliers, want_inliers)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -368,16 +368,14 @@ def test_fit_matches_per_sample_loop_on_degenerate_draws(case):
 
 
 @pytest.mark.parametrize("iterations", [1, 7, 300])
-def test_fit_with_only_degenerate_draws_raises(iterations):
+def test_fit_with_only_degenerate_draws_returns_the_reason(iterations):
     # Three points on one line and a repeat of one of them: every triple
     # repeats an index or has a zero cross product.
     pts = np.array([[0.0, 0.0, -2.0], [1.0, 2.0, -2.0], [2.0, 4.0, -2.0], [1.0, 2.0, -2.0]])
     cfg = PreprocessConfig(ransac_iterations=iterations, min_plane_points=3)
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    with pytest.raises(GroundPlaneError, match="no non-degenerate"):
-        fit_all(pts, cfg, rng=rng)
-    with pytest.raises(GroundPlaneError):
-        reference_fit_ground_plane(pts, cfg, ref_rng)
+    assert fit_all(pts, cfg, rng=rng) == "no non-degenerate 3-point sample found"
+    assert reference_fit_ground_plane(pts, cfg, ref_rng) == "no non-degenerate 3-point sample found"
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -2,7 +2,7 @@
 
 One call of `bench_entry` times `load_sequence`, `run_tracking` and
 `write_tracks` over some repeats and takes the stage medians from the
-timings every tracking run records per frame (`FrameResult.stage_seconds`).
+timings every tracking run records per frame (`FrameStats.stage_seconds`).
 The entry also holds the memory one frame's cloud takes, the process's
 peak resident set size, the minor page faults a tracking run takes and a
 hash of the package source measured. It is plain JSON data; `append_run`
@@ -85,14 +85,16 @@ def bench_entry(
     whole sequence's metadata; no cloud is read there), run_tracking (which
     reads each frame's cloud as it detects it) and write_tracks (to a
     temporary file). `stage_ms` holds the median of each pipeline stage over
-    every frame of every repeat, in pipeline order. `memory_mb` holds, in
-    MiB, `clouds`: the stored size of the largest frame the run reads, 12
-    bytes per manifest point, which is what one detection worker holds, and
-    `peak_rss`: the process's peak resident set size after the repeats, or
-    None where the `resource` module is missing. `minor_faults` is the
-    median over the repeats of the minor page faults the process took
-    during run_tracking (pages the allocator handed back to the system and
-    touched again count here), or None without `resource`.
+    every frame of every repeat, in pipeline order, from each frame's
+    `FrameStats.stage_seconds`; above 1 worker a detection stage's time is
+    wall time in its thread, waits for the interpreter lock included.
+    `memory_mb` holds, in MiB, `clouds`: the stored size of the largest
+    frame the run reads, 12 bytes per manifest point, which is what one
+    detection worker holds, and `peak_rss`: the process's peak resident set
+    size after the repeats, or None where the `resource` module is missing.
+    `minor_faults` is the median over the repeats of the minor page faults
+    the process took during run_tracking (pages the allocator handed back to
+    the system and touched again count here), or None without `resource`.
     `source_sha256` identifies the package source measured, which `commit`
     does not for an uncommitted tree.
     """

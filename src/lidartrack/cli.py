@@ -53,14 +53,12 @@ def cmd_track(args) -> int:
     out_path = Path(args.output) if args.output else Path(args.dataset) / "tracks.jsonl"
     write_tracks(out_path, result.records)
 
-    header = f"{'frame':>6} {'raw':>7} {'sampled':>7} {'nogrnd':>7} {'driv':>7} {'mask':>7} {'clus':>5} {'det':>4} {'trk':>4}"
-    print(header)
-    for fr in result.frames:
-        s = fr.stats
+    print(f"{'frame':>6} {'raw':>7} {'sampled':>7} {'nogrnd':>7} {'driv':>7} {'mask':>7} {'clus':>5} {'det':>4} {'trk':>4}")
+    for s in result.frames:
         print(
-            f"{fr.frame_index:>6} {s.n_raw:>7} {s.n_downsampled:>7} {s.n_after_ground:>7} "
-            f"{s.n_after_drivable:>7} {s.n_after_masks:>7} {fr.n_clusters:>5} "
-            f"{fr.n_detections:>4} {fr.n_tracks:>4}"
+            f"{s.frame_index:>6} {s.n_raw:>7} {s.n_downsampled:>7} {s.n_after_ground:>7} "
+            f"{s.n_after_drivable:>7} {s.n_after_masks:>7} {s.n_clusters:>5} "
+            f"{s.n_detections:>4} {s.n_tracks:>4}"
         )
     print(
         f"frames={len(result.frames)} confirmed_tracks={len(result.confirmed_ids)} "

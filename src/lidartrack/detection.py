@@ -19,7 +19,7 @@ from ._frozen import check_shape, frozen
 from .clustering import ClusterParams, dbscan
 from .dataset_io import DrivableGrid, Frame
 from .geometry import CameraModel, transform_point
-from .preprocess import PreprocessConfig, PreprocessStats, preprocess_frame
+from .preprocess import FrameStats, PreprocessConfig, preprocess_frame
 from .spatial_index import KdTree
 
 
@@ -94,11 +94,8 @@ class FrameDetections(NamedTuple):
     """What `detect` found in one frame."""
 
     detections: list[Detection3D]  # city frame, sorted by center x then y
-    stats: PreprocessStats
-    n_clusters: int
     points: np.ndarray  # (N, 3) ego-frame points that reached clustering
-    # The preprocess stages, then kdtree_build, clustering and box_fit.
-    stage_seconds: dict[str, float]
+    stats: FrameStats  # filled up to n_detections and box_fit
 
 
 def detect(
@@ -113,12 +110,11 @@ def detect(
 
     Detections are in the city frame, sorted by center x then y so
     downstream consumers see a stable order no matter how clusters were
-    numbered. The box_fit stage covers the fit, the gate, the move to the
-    city frame and the sort.
+    numbered. The record gains n_clusters, n_detections and three stage times;
+    box_fit covers the fit, the gate, the move to the city frame and the sort.
     """
     cloud, stats = preprocess_frame(frame, preprocess_cfg, cameras=cameras, drivable=drivable)
     pts = cloud.points
-    seconds = dict(stats.stage_seconds)
     t0 = time.perf_counter()
     index = KdTree(pts)
     t1 = time.perf_counter()
@@ -134,5 +130,11 @@ def detect(
     ]
     city.sort(key=lambda d: (d.center[0], d.center[1]))
     t3 = time.perf_counter()
-    seconds.update(kdtree_build=t1 - t0, clustering=t2 - t1, box_fit=t3 - t2)
-    return FrameDetections(city, stats, labels.n_clusters, pts, seconds)
+    seconds = {"kdtree_build": t1 - t0, "clustering": t2 - t1, "box_fit": t3 - t2}
+    stats = replace(
+        stats,
+        n_clusters=labels.n_clusters,
+        n_detections=len(city),
+        stage_seconds={**stats.stage_seconds, **seconds},
+    )
+    return FrameDetections(city, pts, stats)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import check_shape
 from .errors import EvaluationError
 from .tracking import cost_matrix, hungarian
 
@@ -44,6 +45,13 @@ class MotaResult:
     mota: float
 
 
+def _xy(value, what: str, frame: int) -> np.ndarray:
+    """value as a float64 array of shape (2,); a ValueError naming it otherwise."""
+    xy = np.asarray(value, dtype=np.float64)
+    check_shape(f"{what} xy in frame {frame}", xy, (2,))
+    return xy
+
+
 class MotMatcher:
     """Carries the gt-to-hypothesis correspondence from frame to frame."""
 
@@ -58,11 +66,15 @@ class MotMatcher:
     def step(self, frame: int, gt: list, hyp: list) -> FrameCounts:
         """Match one frame.
 
-        gt: list of (gt_id, xy) with xy array-like of length 2.
-        hyp: list of (hyp_id, xy).
+        gt: list of (gt_id, xy) with xy array-like of shape (2,).
+        hyp: list of (hyp_id, xy). Any other xy shape raises a ValueError
+        naming the object and the frame.
         """
-        gt = sorted(gt, key=lambda g: str(g[0]))
-        hyp_by_id = {h[0]: np.asarray(h[1], dtype=np.float64) for h in hyp}
+        gt = sorted(
+            ((g[0], _xy(g[1], f"ground truth {g[0]!r}", frame)) for g in gt),
+            key=lambda g: str(g[0]),
+        )
+        hyp_by_id = {h[0]: _xy(h[1], f"hypothesis {h[0]!r}", frame) for h in hyp}
         if len(hyp_by_id) != len(hyp):
             raise ValueError(f"duplicate hypothesis ids in frame {frame}")
         gt_ids = [g[0] for g in gt]
@@ -90,8 +102,8 @@ class MotMatcher:
         switches = 0
         if rem_gt and rem_hyp:
             cost = cost_matrix(
-                np.array([np.asarray(g[1], dtype=np.float64)[:2] for g in rem_gt]),
-                np.array([np.asarray(h[1], dtype=np.float64)[:2] for h in rem_hyp]),
+                np.array([g[1] for g in rem_gt]),
+                np.array([h[1] for h in rem_hyp]),
                 self.match_distance,
             )
             for gi, hi in hungarian(cost).matches:

@@ -10,7 +10,6 @@ said by the name it is stored under, as in the sequence format: a frame's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -117,12 +116,6 @@ def transform_points(t: RigidTransform, points: np.ndarray) -> np.ndarray:
     return pts @ quat_to_matrix(t.rotation).T + t.translation
 
 
-class Pixel(NamedTuple):
-    u: float
-    v: float
-    depth: float
-
-
 @dataclass(frozen=True)
 class CameraModel:
     """Pinhole intrinsics plus the ego-to-camera extrinsic transform.
@@ -145,24 +138,6 @@ class CameraModel:
             raise ValueError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
-
-
-def project_to_image(cam: CameraModel, p_ego) -> Optional[Pixel]:
-    """Project an ego-frame point into the image, or None when not visible.
-
-    Not visible means behind the camera (depth <= 0) or outside the image
-    bounds. Callers rely on the None: downstream filters treat off-image
-    points differently from in-image ones.
-    """
-    p_cam = transform_point(cam.extrinsics, p_ego)
-    depth = p_cam[2]
-    if depth <= 0:
-        return None
-    u = cam.fx * p_cam[0] / depth + cam.cx
-    v = cam.fy * p_cam[1] / depth + cam.cy
-    if not (0.0 <= u < cam.width and 0.0 <= v < cam.height):
-        return None
-    return Pixel(float(u), float(v), float(depth))
 
 
 def project_points(cam: CameraModel, points: np.ndarray):

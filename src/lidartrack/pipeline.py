@@ -6,41 +6,27 @@ pool above that, and yields frames in order either way, which is what makes
 worker count irrelevant to the output. A frame's points are read by the
 detection that takes it and dropped after its downsample, so a run holds at
 most one raw cloud per worker; the tracker reads only index and timestamp.
+`run_tracking` adds the tracker's count and time to each frame's record.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterator
 
 from .config import PipelineConfig
 from .dataset_io import Frame, Sequence, TrackRecord
 from .detection import FrameDetections, detect
-from .preprocess import PreprocessStats
+from .preprocess import FrameStats
 from .tracking import Tracker
 
 
 @dataclass
-class FrameResult:
-    frame_index: int
-    timestamp: float
-    stats: PreprocessStats
-    n_clusters: int
-    n_detections: int
-    # downsample, ground_removal, drivable_filter, mask_filter, kdtree_build,
-    # clustering, box_fit, tracker_step: wall time of each, in that order.
-    # downsample includes reading a loaded frame's file; ground_removal
-    # includes widening the float32 points it keeps to float64.
-    stage_seconds: dict[str, float]
-    n_tracks: int  # confirmed tracks reported this frame
-
-
-@dataclass
 class RunResult:
-    frames: list[FrameResult]
+    frames: list[FrameStats]  # one complete record per frame, in order
     records: list[TrackRecord]
     total_seconds: float
 
@@ -76,24 +62,14 @@ def run_tracking(seq: Sequence, cfg: PipelineConfig, workers: int = 1) -> RunRes
     """Detect and track the whole sequence; workers only affects wall time."""
     t_start = time.perf_counter()
     tracker = Tracker(cfg.tracker)
-    results: list[FrameResult] = []
+    frames: list[FrameStats] = []
     records: list[TrackRecord] = []
     for frame, found in detect_frames(seq, cfg, workers):
         t0 = time.perf_counter()
         frame_records = tracker.step(found.detections, frame.timestamp, frame.index)
-        tracker_step = time.perf_counter() - t0
-        results.append(
-            FrameResult(
-                frame_index=frame.index,
-                timestamp=frame.timestamp,
-                stats=found.stats,
-                n_clusters=found.n_clusters,
-                n_detections=len(found.detections),
-                stage_seconds={**found.stage_seconds, "tracker_step": tracker_step},
-                n_tracks=len(frame_records),
-            )
-        )
+        seconds = {**found.stats.stage_seconds, "tracker_step": time.perf_counter() - t0}
+        frames.append(replace(found.stats, n_tracks=len(frame_records), stage_seconds=seconds))
         records.extend(frame_records)
     return RunResult(
-        frames=results, records=records, total_seconds=time.perf_counter() - t_start
+        frames=frames, records=records, total_seconds=time.perf_counter() - t_start
     )

@@ -76,16 +76,22 @@ class GroundFit(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PreprocessStats:
+class FrameStats:
+    """One frame's point counts and stage times: `preprocess_frame` fills it up
+    to mask_filter, and detection and tracking add theirs with `replace`."""
+
+    frame_index: int
     n_raw: int
     n_downsampled: int
     n_after_ground: int
     n_after_drivable: int
     n_after_masks: int
-    # Wall time of each stage, in stage order: downsample, ground_removal,
-    # drivable_filter, mask_filter. A disabled filter still gets its entry.
-    # ground_removal includes widening the rows it keeps of a float32 cloud.
+    # Wall time of every stage so far, a disabled filter's too, in pipeline order: downsample,
+    # ground_removal, drivable_filter, mask_filter, kdtree_build, clustering, box_fit, tracker_step.
     stage_seconds: dict[str, float]
+    n_clusters: int | None = None  # None until its stage has run
+    n_detections: int | None = None
+    n_tracks: int | None = None  # confirmed tracks reported this frame
 
 
 def _float64(cloud: PointCloud | FileCloud) -> PointCloud:
@@ -427,8 +433,8 @@ def preprocess_frame(
     cfg: PreprocessConfig,
     cameras: dict[str, CameraModel] | None = None,
     drivable: DrivableGrid | None = None,
-) -> tuple[PointCloud, PreprocessStats]:
-    """Run the full reduction chain for one frame.
+) -> tuple[PointCloud, FrameStats]:
+    """Run the full reduction chain for one frame: its points and record.
 
     The RANSAC stream is a per-frame child of cfg.rng_seed, so frames can be
     processed in any order (or in parallel) with identical results. A loaded
@@ -458,4 +464,4 @@ def preprocess_frame(
         "drivable_filter": t3 - t2,
         "mask_filter": t4 - t3,
     }
-    return cloud, PreprocessStats(n_raw, n_down, n_ground, n_driv, n_mask, seconds)
+    return cloud, FrameStats(frame.index, n_raw, n_down, n_ground, n_driv, n_mask, seconds)

@@ -51,12 +51,19 @@ def test_track_prints_per_frame_table(dataset, tmp_path, capsys):
     assert out.exists()
 
 
-def test_worker_count_leaves_tracks_bytes_identical(dataset, tmp_path):
+def test_worker_count_leaves_tracks_bytes_identical(dataset, tmp_path, capsys):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
+    capsys.readouterr()
     assert main(["track", str(dataset), "--output", str(a), "--workers", "1"]) == 0
+    table_a = capsys.readouterr().out.splitlines()
     assert main(["track", str(dataset), "--output", str(b), "--workers", "4"]) == 0
+    table_b = capsys.readouterr().out.splitlines()
     assert a.read_bytes() == b.read_bytes()
+    # The per-frame table too, up to the summary's elapsed time.
+    assert len(table_a) == FRAMES + 2
+    assert table_a[:-1] == table_b[:-1]
+    assert table_a[-1].split(" elapsed=")[0] == table_b[-1].split(" elapsed=")[0]
 
 
 def test_eval_reports_expected_counts(dataset, tracked, capsys):

@@ -127,7 +127,7 @@ def test_detect_reports_city_frame_centers():
         found = detect(
             frame, detect_cfg(), ClusterParams(eps=2.5, min_points=10), BoxLimits()
         )
-    assert found.n_clusters == 1
+    assert found.stats.n_clusters == 1
     assert len(found.detections) == 1
     # Every point reaches clustering, still in the ego frame.
     assert np.array_equal(found.points, pts)
@@ -165,7 +165,7 @@ def test_detect_gates_non_car_clusters():
         found = detect(
             frame, detect_cfg(), ClusterParams(eps=2.5, min_points=10), BoxLimits()
         )
-    assert found.n_clusters == 2
+    assert found.stats.n_clusters == 2
     assert len(found.detections) == 1
     assert np.isclose(found.detections[0].center[0], 8.0)
 
@@ -176,10 +176,10 @@ def test_detect_empty_frame():
         found = detect(
             frame, detect_cfg(), ClusterParams(), BoxLimits()
         )
-    assert found.detections == [] and found.n_clusters == 0
+    assert found.detections == [] and found.stats.n_clusters == 0
     assert found.stats.n_raw == 0
     assert len(found.points) == 0
-    assert list(found.stage_seconds) == [
+    assert list(found.stats.stage_seconds) == [
         "downsample", "ground_removal", "drivable_filter", "mask_filter",
         "kdtree_build", "clustering", "box_fit",
     ]

@@ -179,6 +179,22 @@ def test_duplicate_ids_rejected():
         m.step(0, [("A", xy(0, 0)), ("A", xy(5, 0))], [])
 
 
+def test_an_xy_not_of_two_elements_is_rejected_where_it_is_read():
+    # One frame or two, the first frame's centre is the one named: a kept
+    # pair in a later frame reads it no differently from the assignment.
+    centre = [0.0, 0.0, 0.0]
+    messages = []
+    for n_frames in (1, 2):
+        gt = {f: [("A", centre)] for f in range(n_frames)}
+        hyp = {f: [(1, centre)] for f in range(n_frames)}
+        with pytest.raises(ValueError, match=r"'A' xy in frame 0 must have shape \(2,\), got \(3,\)") as exc:
+            mota(gt, hyp)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    with pytest.raises(ValueError, match=r"hypothesis 1 xy in frame 0 .* got \(3,\)"):
+        mota({0: [("A", xy(0, 0))]}, {0: [(1, centre)]})
+
+
 def test_match_distance_must_be_positive():
     with pytest.raises(ValueError):
         MotMatcher(0.0)

@@ -9,7 +9,6 @@ from lidartrack.geometry import (
     identity_transform,
     invert,
     project_points,
-    project_to_image,
     quat_conjugate,
     quat_from_matrix,
     quat_from_yaw,
@@ -118,51 +117,71 @@ def simple_camera(width=640, height=480, fx=500.0, fy=500.0):
     )
 
 
+def reference_project(cam, p_ego):
+    """Scalar pinhole projection of one ego-frame point: (u, v, depth), or
+    None when it lies behind the camera (depth <= 0) or off the image."""
+    p_cam = transform_point(cam.extrinsics, p_ego)
+    depth = p_cam[2]
+    if depth <= 0:
+        return None
+    u = cam.fx * p_cam[0] / depth + cam.cx
+    v = cam.fy * p_cam[1] / depth + cam.cy
+    if not (0.0 <= u < cam.width and 0.0 <= v < cam.height):
+        return None
+    return u, v, depth
+
+
+def project_one(cam, p_ego):
+    """project_points on a single point: (uv, depth, visible) of that point."""
+    uv, depth, visible = project_points(cam, np.array([p_ego], dtype=np.float64))
+    return uv[0], depth[0], visible[0]
+
+
 def test_project_center_point():
     cam = simple_camera()
-    pix = project_to_image(cam, np.array([0.0, 0.0, 10.0]))
-    assert pix is not None
-    assert np.isclose(pix.u, 320.0) and np.isclose(pix.v, 240.0)
+    uv, _, visible = project_one(cam, [0.0, 0.0, 10.0])
+    assert visible
+    assert np.isclose(uv[0], 320.0) and np.isclose(uv[1], 240.0)
 
 
 def test_project_known_offset():
     cam = simple_camera()
     # x = 1 m right at z = 5 m: u = cx + fx * x / z = 320 + 100.
-    pix = project_to_image(cam, np.array([1.0, 0.0, 5.0]))
-    assert np.isclose(pix.u, 420.0)
-    assert np.isclose(pix.v, 240.0)
+    uv, _, _ = project_one(cam, [1.0, 0.0, 5.0])
+    assert np.isclose(uv[0], 420.0)
+    assert np.isclose(uv[1], 240.0)
 
 
 def test_projection_depth_is_camera_z():
     cam = simple_camera()
-    pix = project_to_image(cam, np.array([1.0, 0.5, 7.5]))
-    assert np.isclose(pix.depth, 7.5)
+    _, depth, _ = project_one(cam, [1.0, 0.5, 7.5])
+    assert np.isclose(depth, 7.5)
 
 
-def test_project_behind_camera_is_none():
+def test_project_behind_camera_is_not_visible():
     cam = simple_camera()
-    assert project_to_image(cam, np.array([0.0, 0.0, -1.0])) is None
-    assert project_to_image(cam, np.array([0.0, 0.0, 0.0])) is None
+    assert not project_one(cam, [0.0, 0.0, -1.0])[2]
+    assert not project_one(cam, [0.0, 0.0, 0.0])[2]
 
 
-def test_project_outside_image_is_none():
+def test_project_outside_image_is_not_visible():
     cam = simple_camera()
     # u = 320 + 500 * 10 / 5 = 1320, far past the right edge.
-    assert project_to_image(cam, np.array([10.0, 0.0, 5.0])) is None
+    assert not project_one(cam, [10.0, 0.0, 5.0])[2]
 
 
-def test_project_points_matches_scalar_api():
+def test_project_points_matches_the_scalar_reference():
     rng = np.random.default_rng(20)
     cam = simple_camera()
     pts_ego = rng.uniform(-8, 8, size=(200, 3))
     uv, depth, visible = project_points(cam, pts_ego)
     for i, p in enumerate(pts_ego):
-        pix = project_to_image(cam, p)
+        pix = reference_project(cam, p)
         if pix is None:
             assert not visible[i]
         else:
             assert visible[i]
-            assert np.isclose(uv[i, 0], pix.u) and np.isclose(uv[i, 1], pix.v)
+            assert np.isclose(uv[i, 0], pix[0]) and np.isclose(uv[i, 1], pix[1])
     assert depth.shape == (200,)
 
 

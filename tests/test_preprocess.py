@@ -928,7 +928,7 @@ def test_loaded_float32_frame_detects_as_the_float64_frame(loaded, monkeypatch, 
             assert_same_float64(a, b)
         assert counts(got.stats) == counts(want.stats)
         assert_same_float64(got.points, want.points)
-        assert got.n_clusters == want.n_clusters
+        assert got.stats.n_clusters == want.stats.n_clusters
         labels = [dbscan(KdTree(f.points), cfg.clustering).labels for f in (got, want)]
         assert np.array_equal(*labels)
         assert len(got.detections) == len(want.detections)

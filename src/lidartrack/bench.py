@@ -2,7 +2,7 @@
 
 One call of `bench_entry` times `load_sequence`, `run_tracking` and
 `write_tracks` over some repeats and takes the stage medians from the
-timings every tracking run records per frame (`FrameStats.stage_seconds`).
+timings every tracking run records per frame (`FrameStats.seconds`).
 The entry also holds the memory one frame's cloud takes, the process's
 peak resident set size, the minor page faults a tracking run takes and a
 hash of the package source measured. It is plain JSON data; `append_run`
@@ -29,6 +29,7 @@ from .config import PipelineConfig, config_to_dict
 from .dataset_io import load_sequence, write_tracks
 from .errors import DatasetError
 from .pipeline import run_tracking
+from .preprocess import STAGES
 
 
 def git_commit(start: Path) -> str | None:
@@ -86,7 +87,7 @@ def bench_entry(
     reads each frame's cloud as it detects it) and write_tracks (to a
     temporary file). `stage_ms` holds the median of each pipeline stage over
     every frame of every repeat, in pipeline order, from each frame's
-    `FrameStats.stage_seconds`; above 1 worker a detection stage's time is
+    `FrameStats.seconds`; above 1 worker a detection stage's time is
     wall time in its thread, waits for the interpreter lock included.
     `memory_mb` holds, in MiB, `clouds`: the stored size of the largest
     frame the run reads, 12 bytes per manifest point, which is what one
@@ -121,7 +122,7 @@ def bench_entry(
             for step, seconds in zip(walls, (t1 - t0, t2 - t1, t3 - t2)):
                 walls[step].append(seconds)
             for fr in result.frames:
-                for stage, seconds in fr.stage_seconds.items():
+                for stage, seconds in zip(STAGES, fr.seconds):
                     stages.setdefault(stage, []).append(seconds)
     clouds = 12 * max((len(fr.cloud) for fr in seq.frames), default=0)
     return {

@@ -35,12 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _effective_config(args) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else PipelineConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, preprocess=dataclasses.replace(cfg.preprocess, rng_seed=args.seed)
-        )
-    return cfg
+    return load_config(args.config) if args.config else PipelineConfig()
 
 
 def cmd_track(args) -> int:
@@ -188,15 +183,8 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
-def _add_config_flags(sub, with_seed: bool = True, with_workers: bool = False) -> None:
+def _add_config_flags(sub, with_workers: bool = False) -> None:
     sub.add_argument("--config", help="JSON pipeline config file")
-    if with_seed:
-        sub.add_argument(
-            "--seed",
-            type=_non_negative_int,
-            default=None,
-            help="override the preprocessing RNG seed",
-        )
     sub.add_argument(
         "--print-config",
         action="store_true",
@@ -225,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gt", nargs="?", help="gt.jsonl file or a sequence directory containing one")
     p.add_argument("tracks", nargs="?", help="tracks file produced by `track`")
     p.add_argument("--per-frame", help="also write per-frame counts to this CSV file")
-    _add_config_flags(p, with_seed=False)
+    _add_config_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("synth", help="generate a synthetic sequence")

@@ -334,18 +334,9 @@ def _field_casts(cls) -> dict:
     return {f.name: _CAST_BY_TYPE.get(types[f.name]) for f in dataclasses.fields(cls)}
 
 
-@functools.cache
-def _layout(cls, skip: tuple) -> tuple:
-    """What _encode writes of a cls: its field names less skip, in order,
-    and those of them that hold arrays."""
-    casts = _field_casts(cls)
-    names = tuple(name for name in casts if name not in skip)
-    return names, tuple(name for name in names if casts[name] is _floats)
-
-
 # Worked out at import, so that no load or write pays for get_type_hints.
 for _record in (TrackRecord, GroundTruthBox, MaskRegion, DrivableGrid, RigidTransform, CameraModel):
-    _layout(_record, ())
+    _field_casts(_record)
 
 
 def _decode(cls, record: dict, path: Path, line=None, **given):
@@ -366,10 +357,11 @@ def _decode(cls, record: dict, path: Path, line=None, **given):
 def _encode(obj, *skip) -> dict:
     """The JSON object _decode reads obj back from: its fields in order,
     arrays as lists, less the fields named in skip."""
-    names, arrays = _layout(type(obj), skip)
-    row = {name: getattr(obj, name) for name in names}
-    for name in arrays:
-        row[name] = row[name].tolist()
+    row = {}
+    for name, cast in _field_casts(type(obj)).items():
+        if name not in skip:
+            value = getattr(obj, name)
+            row[name] = value.tolist() if cast is _floats else value
     return row
 
 

@@ -1,10 +1,11 @@
 """Axis-aligned box detection over clustered points.
 
-A cluster becomes a detection when its bounding box looks like a car:
-horizontal extents, height, and footprint area all inside configured
-bounds. The box is axis-aligned in the frame the points are expressed in;
-whichever horizontal extent is larger plays the role of length, so the
-gate does not care how the car is oriented relative to the axes.
+A cluster becomes a detection when its box looks like a car: horizontal
+extents, height, and footprint area all inside configured bounds, with
+whichever horizontal extent is larger playing the role of length. The
+reported box is axis-aligned in the frame the points are expressed in,
+but the gate also takes the cluster's extents along every heading on a 1°
+grid, so a car passes at any yaw to the sensor's axes.
 """
 
 from __future__ import annotations
@@ -77,17 +78,34 @@ def fit_box(points) -> Detection3D:
     )
 
 
-def passes_heuristics(det: Detection3D, limits: BoxLimits) -> bool:
-    """Car-size test, orientation agnostic in the horizontal plane."""
-    horiz = sorted((det.length, det.width))
-    short, long = horiz[0], horiz[1]
-    area = det.length * det.width
+def _car_sized(a, b, height, limits: BoxLimits):
+    """Whether a box with horizontal extents a and b, either way round, and
+    this height passes the limits; elementwise over arrays of extents."""
+    long, short = np.maximum(a, b), np.minimum(a, b)
+    area = a * b
     return (
-        limits.min_length <= long <= limits.max_length
-        and limits.min_width <= short <= limits.max_width
-        and limits.min_height <= det.height <= limits.max_height
-        and limits.min_area <= area <= limits.max_area
+        (limits.min_length <= long) & (long <= limits.max_length)
+        & (limits.min_width <= short) & (short <= limits.max_width)
+        & (limits.min_height <= height) & (height <= limits.max_height)
+        & (limits.min_area <= area) & (area <= limits.max_area)
     )
+
+
+def passes_heuristics(det: Detection3D, limits: BoxLimits) -> bool:
+    """Car-size test of the box as fitted, along the axes of its points."""
+    return bool(_car_sized(det.length, det.width, det.height, limits))
+
+
+# Unit vectors at 1° steps over a half turn: column k points along heading k°.
+_HEADINGS = np.stack((np.cos(np.radians(np.arange(180))), np.sin(np.radians(np.arange(180)))))
+
+
+def _car_sized_at_some_heading(xy: np.ndarray, height: float, limits: BoxLimits) -> bool:
+    """Whether the (N, 2) cluster footprint, boxed along some heading k in
+    1..89° (extents along k and k + 90°), passes the limits with this height."""
+    along = xy @ _HEADINGS
+    extents = along.max(axis=0) - along.min(axis=0)
+    return bool(_car_sized(extents[1:90], extents[91:], height, limits).any())
 
 
 class FrameDetections(NamedTuple):
@@ -122,19 +140,21 @@ def detect(
     t2 = time.perf_counter()
     detections = []
     for cid, idx in labels.iter_clusters():
-        det = fit_box(pts[idx])
-        if passes_heuristics(det, limits):
+        cluster = pts[idx]
+        det = fit_box(cluster)
+        if passes_heuristics(det, limits) or _car_sized_at_some_heading(
+            cluster[:, :2], det.height, limits
+        ):
             detections.append(det)
     city = [
         replace(det, center=transform_point(frame.ego_pose, det.center)) for det in detections
     ]
     city.sort(key=lambda d: (d.center[0], d.center[1]))
     t3 = time.perf_counter()
-    seconds = {"kdtree_build": t1 - t0, "clustering": t2 - t1, "box_fit": t3 - t2}
     stats = replace(
         stats,
         n_clusters=labels.n_clusters,
         n_detections=len(city),
-        stage_seconds={**stats.stage_seconds, **seconds},
+        seconds=stats.seconds + (t1 - t0, t2 - t1, t3 - t2),
     )
     return FrameDetections(city, pts, stats)

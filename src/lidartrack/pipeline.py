@@ -67,8 +67,8 @@ def run_tracking(seq: Sequence, cfg: PipelineConfig, workers: int = 1) -> RunRes
     for frame, found in detect_frames(seq, cfg, workers):
         t0 = time.perf_counter()
         frame_records = tracker.step(found.detections, frame.timestamp, frame.index)
-        seconds = {**found.stats.stage_seconds, "tracker_step": time.perf_counter() - t0}
-        frames.append(replace(found.stats, n_tracks=len(frame_records), stage_seconds=seconds))
+        seconds = found.stats.seconds + (time.perf_counter() - t0,)
+        frames.append(replace(found.stats, n_tracks=len(frame_records), seconds=seconds))
         records.extend(frame_records)
     return RunResult(
         frames=frames, records=records, total_seconds=time.perf_counter() - t_start

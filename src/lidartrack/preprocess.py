@@ -75,6 +75,13 @@ class GroundFit(NamedTuple):
     inliers: np.ndarray
 
 
+# The stages every frame goes through, in pipeline order.
+STAGES = (
+    "downsample", "ground_removal", "drivable_filter", "mask_filter",
+    "kdtree_build", "clustering", "box_fit", "tracker_step",
+)
+
+
 @dataclass(frozen=True)
 class FrameStats:
     """One frame's point counts and stage times: `preprocess_frame` fills it up
@@ -86,9 +93,8 @@ class FrameStats:
     n_after_ground: int
     n_after_drivable: int
     n_after_masks: int
-    # Wall time of every stage so far, a disabled filter's too, in pipeline order: downsample,
-    # ground_removal, drivable_filter, mask_filter, kdtree_build, clustering, box_fit, tracker_step.
-    stage_seconds: dict[str, float]
+    # Wall time of the first len(seconds) of STAGES, a disabled filter's too.
+    seconds: tuple[float, ...]
     n_clusters: int | None = None  # None until its stage has run
     n_detections: int | None = None
     n_tracks: int | None = None  # confirmed tracks reported this frame
@@ -458,10 +464,5 @@ def preprocess_frame(
         cloud = filter_by_masks(cloud, cameras or {}, frame.masks, strict=cfg.mask_filter_strict)
     t4 = time.perf_counter()
     n_mask = len(cloud)
-    seconds = {
-        "downsample": t1 - t0,
-        "ground_removal": t2 - t1,
-        "drivable_filter": t3 - t2,
-        "mask_filter": t4 - t3,
-    }
+    seconds = (t1 - t0, t2 - t1, t3 - t2, t4 - t3)
     return cloud, FrameStats(frame.index, n_raw, n_down, n_ground, n_driv, n_mask, seconds)

@@ -59,7 +59,15 @@ def test_bench_entry_schema(sequence):
     assert entry["source_sha256"] == source_sha256(Path(bench.__file__).parent)
     # The medians come from the timings every tracking run records per frame.
     for fr in run_tracking(seq, PipelineConfig()).frames:
-        assert list(fr.stage_seconds) == STAGES
+        assert len(fr.seconds) == len(STAGES)
+
+
+def test_bench_of_no_frames_has_no_stage_medians(sequence):
+    _, root = sequence
+    entry = bench_entry(root, PipelineConfig(), max_frames=0)
+    assert entry["frames"] == 0 and entry["stage_ms"] == {}
+    assert list(entry["wall_ms"]) == ["load_sequence", "run_tracking", "write_tracks"]
+    assert entry["memory_mb"]["clouds"] == 0
 
 
 def test_bench_clouds_is_the_largest_frame_the_run_reads(sequence, tmp_path):

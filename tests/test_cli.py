@@ -125,7 +125,6 @@ def test_plot_writes_svgs(dataset, tracked, tmp_path, capsys):
         pytest.param("bench", "--max-frames", "-1", id="bench"),
         pytest.param("synth", "--cars", "-1", id="synth-cars"),
         pytest.param("synth", "--frames", "0", id="synth-frames"),
-        pytest.param("track", "--seed", "-1", id="track-seed"),
         pytest.param("synth", "--seed", "-3", id="synth-seed"),
     ],
 )
@@ -157,13 +156,22 @@ def test_nonpositive_workers_is_a_usage_error(tmp_path, capsys, workers):
     assert not out.exists()
 
 
-def test_eval_takes_no_seed(dataset, tracked, capsys):
-    # Scoring draws no random numbers, so there is no seed for eval to take.
+@pytest.mark.parametrize("command", ["track", "plot", "bench", "eval"])
+def test_eval_takes_no_seed(dataset, tracked, tmp_path, capsys, command):
+    # Scoring draws no random numbers, and the RANSAC seed of the other three
+    # is preprocess.rng_seed in the config, so none of them takes --seed.
+    out = tmp_path / "out"
+    argv = [command, str(dataset), "--seed", "1"]
+    if command == "eval":
+        argv.insert(2, str(tracked))
+    if command in ("track", "plot"):
+        argv += ["--output", str(out)]
     capsys.readouterr()
-    assert main(["eval", str(dataset), str(tracked), "--seed", "1"]) == 1
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert "--seed" in captured.err
     assert captured.out == ""
+    assert not out.exists()
 
 
 def test_broken_gt_stops_only_eval(dataset, tracked, tmp_path, capsys):
@@ -230,18 +238,13 @@ def test_print_config_roundtrips(capsys):
     assert config_from_dict(printed) == PipelineConfig()
 
 
-def test_seed_flag_overrides_preprocess_seed(capsys):
-    assert main(["track", "--print-config", "--seed", "99"]) == 0
-    printed = json.loads(capsys.readouterr().out)
-    assert printed["preprocess"]["rng_seed"] == 99
-
-
 def test_config_file_feeds_the_pipeline(dataset, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"clustering": {"eps": 0.8}}))
+    cfg_path.write_text(json.dumps({"clustering": {"eps": 0.8}, "preprocess": {"rng_seed": 99}}))
     assert main(["track", "--config", str(cfg_path), "--print-config"]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["clustering"]["eps"] == 0.8
+    assert printed["preprocess"]["rng_seed"] == 99
 
 
 def test_synth_seed_changes_the_data(tmp_path):

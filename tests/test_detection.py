@@ -1,13 +1,25 @@
 """Box fitting and the car-size gate."""
 
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidartrack.clustering import ClusterParams
+from lidartrack.config import PipelineConfig
 from lidartrack.dataset_io import Frame, PointCloud
 from lidartrack.detection import BoxLimits, Detection3D, detect, fit_box, passes_heuristics
-from lidartrack.geometry import RigidTransform, quat_from_yaw
-from lidartrack.preprocess import PreprocessConfig
+from lidartrack.geometry import (
+    RigidTransform,
+    quat_from_matrix,
+    quat_from_yaw,
+    quat_to_matrix,
+)
+from lidartrack.preprocess import STAGES, PreprocessConfig
+from lidartrack.synth import SynthConfig, generate
 
 
 def test_fit_box_extremes_and_midpoint():
@@ -156,18 +168,58 @@ def test_detect_sorts_by_city_position():
     assert np.isclose(dets[0].center[0], -15.0)
 
 
-def test_detect_gates_non_car_clusters():
+@pytest.mark.parametrize("turn_deg", [0, 30, 45, 120])
+def test_detect_gates_non_car_clusters(turn_deg):
+    # Turned about the sensor, the car's axis-aligned box is too wide for the
+    # gate at 30, 45 and 120 degrees; its extents along the turn still pass.
+    # The wall is too long along every heading.
     rng = np.random.default_rng(503)
     car = cluster_at(rng, [8.0, 0.0, 0.0])
     wall = cluster_at(rng, [0.0, 10.0, 0.0], n=400, size=(18.0, 0.6, 2.4))
-    frame = make_frame(np.vstack([car, wall]))
+    turn = quat_to_matrix(quat_from_yaw(np.radians(turn_deg)))
+    frame = make_frame(np.vstack([car, wall]) @ turn.T)
     with pytest.warns(UserWarning):
         found = detect(
             frame, detect_cfg(), ClusterParams(eps=2.5, min_points=10), BoxLimits()
         )
     assert found.stats.n_clusters == 2
     assert len(found.detections) == 1
-    assert np.isclose(found.detections[0].center[0], 8.0)
+    assert found.detections[0].n_points == len(car)
+
+
+@functools.cache
+def golden_like_frame():
+    """The first frame of a small default scene and its drivable grid."""
+    seq = generate(SynthConfig(n_cars=3, n_frames=1, rng_seed=1))
+    return seq.frames[0], seq.drivable
+
+
+def n_detections(frame, drivable) -> int:
+    cfg = PipelineConfig()
+    return len(detect(frame, cfg.preprocess, cfg.clustering, cfg.box_limits,
+                      drivable=drivable).detections)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(yaw=st.floats(-np.pi, np.pi), turn=st.floats(-np.pi, np.pi))
+def test_detection_count_does_not_depend_on_heading(yaw, turn):
+    frame, drivable = golden_like_frame()
+    pose = quat_to_matrix(frame.ego_pose.rotation)
+    # The sensor yawed on the ego: the same city points, seen along turned axes.
+    yawed = quat_to_matrix(quat_from_yaw(yaw))
+    sensor = replace(
+        frame,
+        cloud=PointCloud(frame.cloud.points @ yawed),
+        ego_pose=RigidTransform(quat_from_matrix(pose @ yawed), frame.ego_pose.translation),
+    )
+    assert n_detections(sensor, drivable) == n_detections(frame, drivable) == 3
+    # The city frame turned about its origin, the ego frame as it was. The
+    # drivable grid is laid out in the unturned city, so it is left out.
+    turned = quat_to_matrix(quat_from_yaw(turn))
+    city = replace(frame, ego_pose=RigidTransform(
+        quat_from_matrix(turned @ pose), turned @ frame.ego_pose.translation
+    ))
+    assert n_detections(city, None) == n_detections(frame, None)
 
 
 def test_detect_empty_frame():
@@ -179,7 +231,5 @@ def test_detect_empty_frame():
     assert found.detections == [] and found.stats.n_clusters == 0
     assert found.stats.n_raw == 0
     assert len(found.points) == 0
-    assert list(found.stats.stage_seconds) == [
-        "downsample", "ground_removal", "drivable_filter", "mask_filter",
-        "kdtree_build", "clustering", "box_fit",
-    ]
+    # Every stage up to box_fit has its time, the ones that had no points too.
+    assert len(found.stats.seconds) == STAGES.index("box_fit") + 1

@@ -878,7 +878,7 @@ def widened(frame):
 
 def counts(stats):
     """The stats without their timings."""
-    return replace(stats, stage_seconds={})
+    return replace(stats, seconds=())
 
 
 def assert_same_float64(got, want):

@@ -4,6 +4,8 @@ not reach the record and the caller's array stays writable. A free length
 is written as its name, such as "N" in ("N", 3). Nothing from the package
 is imported here, so that every record module can import it."""
 
+import inspect
+
 import numpy as np
 
 
@@ -21,3 +23,14 @@ def frozen(name: str, value, dtype, shape: tuple) -> np.ndarray:
     check_shape(name, arr, shape)
     arr.flags.writeable = False
     return arr
+
+
+class FrozenRecord:
+    """Base of the records that hold frozen arrays. An unpickled array is
+    writable, so pickle and copy.deepcopy rebuild such a record through its
+    constructor, from the attributes its parameters name, which freezes its
+    arrays again."""
+
+    def __reduce__(self):
+        names = inspect.signature(type(self)).parameters
+        return type(self), tuple(getattr(self, name) for name in names)

@@ -17,6 +17,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -26,37 +27,23 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig, config_to_dict
-from .dataset_io import load_sequence, write_tracks
+from .dataset_io import _read_json, load_sequence, write_tracks
 from .errors import DatasetError
 from .pipeline import run_tracking
 from .preprocess import STAGES
 
 
 def git_commit(start: Path) -> str | None:
-    """The commit checked out in the git work tree that holds start, read
-    from its .git directory without running git; None outside a work tree,
-    in a linked one (where .git is a file) or when .git cannot be read."""
-    for folder in (start, *start.parents):
-        git = folder / ".git"
-        if not git.exists():
-            continue
-        try:
-            head = (git / "HEAD").read_text().strip()
-            if not head.startswith("ref: "):
-                return head or None  # a detached HEAD holds the commit itself
-            ref = head[len("ref: ") :]
-            if (git / ref).is_file():
-                return (git / ref).read_text().strip()
-            packed = git / "packed-refs"
-            if packed.is_file():
-                for line in packed.read_text().splitlines():
-                    commit, _, name = line.partition(" ")
-                    if name == ref:
-                        return commit
-        except (OSError, UnicodeDecodeError):
-            pass
+    """The commit checked out in the git work tree that holds start, as
+    `git rev-parse HEAD` run there says; None outside a work tree, before
+    the first commit or where git cannot be run."""
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=start, capture_output=True, text=True, timeout=10
+        )
+    except (OSError, subprocess.TimeoutExpired):
         return None
-    return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def source_sha256(package: Path) -> str:
@@ -179,13 +166,10 @@ def append_run(path, entry: dict) -> Path:
     file if it does not exist."""
     p = Path(path)
     doc: dict = {"runs": []}
-    if p.exists():
-        try:
-            doc = json.loads(p.read_text(encoding="utf-8"))
-        except ValueError as exc:  # not JSON, or not UTF-8 text
-            raise DatasetError(p, f"invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
-            raise DatasetError(p, 'expected a JSON object with a "runs" list')
+    if p.is_file():
+        doc = _read_json(p)
+        if not isinstance(doc.get("runs"), list):
+            raise DatasetError(p, 'expected a "runs" list')
     doc["runs"].append(entry)
     p.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return p

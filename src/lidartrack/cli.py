@@ -92,11 +92,12 @@ def cmd_eval(args) -> int:
 def cmd_synth(args) -> int:
     from .synth import SynthConfig, generate_to
 
+    static = {"ego_speed": 0.0} if args.ego_mode == "static" else {}
     cfg = SynthConfig(
         n_cars=args.cars,
         n_frames=args.frames,
-        ego_mode=args.ego_mode,
         rng_seed=args.seed if args.seed is not None else 0,
+        **static,
     )
     out = generate_to(args.output, cfg)
     print(f"wrote {cfg.n_frames} frames, {cfg.n_cars} cars -> {out}")
@@ -220,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="directory to create")
     p.add_argument("--cars", type=_non_negative_int, default=5)
     p.add_argument("--frames", type=_positive_int, default=50)
-    p.add_argument("--ego-mode", choices=["line", "static"], default="line")
+    p.add_argument(
+        "--ego-mode", choices=["line", "static"], default="line", help="static is ego_speed 0"
+    )
     p.add_argument("--seed", type=_non_negative_int, default=None)
     p.set_defaults(func=cmd_synth)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._frozen import frozen
+from ._frozen import FrozenRecord, frozen
 
 NOISE = -1
 
@@ -38,7 +38,7 @@ class ClusterParams:
 
 
 @dataclass(frozen=True)
-class ClusterLabels:
+class ClusterLabels(FrozenRecord):
     """Per-point labels: -1 noise, otherwise a dense cluster id."""
 
     labels: np.ndarray

@@ -42,7 +42,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from ._frozen import check_shape, frozen
+from ._frozen import FrozenRecord, check_shape, frozen
 from .errors import DatasetError
 from .geometry import CameraModel, RigidTransform
 
@@ -52,7 +52,7 @@ FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class PointCloud:
+class PointCloud(FrozenRecord):
     """Read-only, C-contiguous (N, 3) point array, held in memory.
 
     A float32 array stays float32, at 12 bytes per point, as a frame file
@@ -104,7 +104,7 @@ class FileCloud:
 
 
 @dataclass(frozen=True)
-class MaskRegion:
+class MaskRegion(FrozenRecord):
     """Image-space polygon tied to one camera."""
 
     camera_id: str
@@ -117,7 +117,7 @@ class MaskRegion:
 
 
 @dataclass(frozen=True)
-class DrivableGrid:
+class DrivableGrid(FrozenRecord):
     """Row-major boolean occupancy grid over city-frame x/y.
 
     Cell (ix, iy) covers [origin_x + ix*res, origin_x + (ix+1)*res) by
@@ -157,7 +157,7 @@ class DrivableGrid:
 
 
 @dataclass(frozen=True)
-class GroundTruthBox:
+class GroundTruthBox(FrozenRecord):
     track_id: str
     center: np.ndarray  # (3,) city frame
     length: float
@@ -225,7 +225,7 @@ def _integer(value) -> int:
 
 
 def _index(value) -> int:
-    """A frame index: a JSON integer, never negative."""
+    """A frame index or a grid size: a JSON integer, never negative."""
     if _integer(value) < 0:
         raise ValueError(f"{value} is below 0")
     return value
@@ -379,6 +379,12 @@ def _jsonl(path: Path):
             yield lineno, rec
 
 
+def _write_jsonl(path: Path, rows) -> None:
+    """Each of rows as one line of JSON: the file _jsonl reads them back from."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row) + "\n" for row in rows)
+
+
 def _check_cloud_size(path: Path, size: int, expected_points: int) -> None:
     if size % 12 != 0:
         raise DatasetError(path, f"size {size} is not a multiple of 12 bytes per point")
@@ -454,8 +460,8 @@ def load_calibration(path: Path) -> dict[str, CameraModel]:
 
 def load_drivable(header_path: Path) -> DrivableGrid:
     obj = _read_json(header_path)
-    width = _require(obj, "width", header_path, _integer)
-    height = _require(obj, "height", header_path, _integer)
+    width = _require(obj, "width", header_path, _index)
+    height = _require(obj, "height", header_path, _index)
     bits_file = header_path.parent / _require(obj, "file", header_path, _path_string)
     if not bits_file.is_file():
         raise DatasetError(bits_file, "drivable bitmask file is missing")
@@ -607,10 +613,12 @@ def write_sequence(
         _write_json(root / "drivable.json", {**_encode(drivable, "bits"), **header})
 
     if ground_truth is not None:
-        with open(root / "gt.jsonl", "w", encoding="utf-8") as fh:
-            for frame in sorted(ground_truth):
-                for box in ground_truth[frame]:
-                    fh.write(json.dumps({"frame": frame, **_encode(box)}) + "\n")
+        rows = (
+            {"frame": frame, **_encode(box)}
+            for frame in sorted(ground_truth)
+            for box in ground_truth[frame]
+        )
+        _write_jsonl(root / "gt.jsonl", rows)
     return root
 
 
@@ -619,7 +627,7 @@ def write_tracks(path, records: list[TrackRecord]) -> Path:
 
     A record with a non-finite field is a ValueError, and nothing is written.
     """
-    lines = [json.dumps({"format": TRACKS_FORMAT, "version": FORMAT_VERSION})]
+    rows = [{"format": TRACKS_FORMAT, "version": FORMAT_VERSION}]
     for rec in records:
         row = _encode(rec)
         for key, value in row.items():
@@ -627,11 +635,11 @@ def write_tracks(path, records: list[TrackRecord]) -> Path:
                 raise ValueError(
                     f"track {rec.track_id} in frame {rec.frame}: {key!r} is {value}, not finite"
                 )
-        lines.append(json.dumps(row))
+        rows.append(row)
     out = Path(path)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_jsonl(out, rows)
     return out
 
 

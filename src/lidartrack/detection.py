@@ -16,10 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._frozen import check_shape, frozen
+from ._frozen import FrozenRecord, check_shape, frozen
 from .clustering import ClusterParams, dbscan
 from .dataset_io import DrivableGrid, Frame
-from .geometry import CameraModel, transform_point
+from .geometry import CameraModel, transform_points
 from .preprocess import FrameStats, PreprocessConfig, preprocess_frame
 from .spatial_index import KdTree
 
@@ -45,7 +45,7 @@ class BoxLimits:
 
 
 @dataclass(frozen=True)
-class Detection3D:
+class Detection3D(FrozenRecord):
     center: np.ndarray  # (3,)
     length: float  # x extent of the fitted box
     width: float  # y extent
@@ -146,8 +146,10 @@ def detect(
             cluster[:, :2], det.height, limits
         ):
             detections.append(det)
+    # One (1, 3) row per detection: a batched call rounds some centres differently.
     city = [
-        replace(det, center=transform_point(frame.ego_pose, det.center)) for det in detections
+        replace(det, center=transform_points(frame.ego_pose, det.center[None])[0])
+        for det in detections
     ]
     city.sort(key=lambda d: (d.center[0], d.center[1]))
     t3 = time.perf_counter()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._frozen import check_shape, frozen
+from ._frozen import FrozenRecord, check_shape, frozen
 
 _QUAT_NORM_TOL = 1e-9
 
@@ -73,7 +73,7 @@ def quat_from_yaw(yaw: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RigidTransform:
+class RigidTransform(FrozenRecord):
     """SE(3) map: p -> R(rotation) p + translation."""
 
     rotation: np.ndarray  # unit quaternion (w, x, y, z)
@@ -101,12 +101,6 @@ def invert(t: RigidTransform) -> RigidTransform:
     q_inv = quat_conjugate(t.rotation)
     t_inv = -(quat_to_matrix(q_inv) @ t.translation)
     return RigidTransform(q_inv, t_inv)
-
-
-def transform_point(t: RigidTransform, p) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    check_shape("p", p, (3,))
-    return quat_to_matrix(t.rotation) @ p + t.translation
 
 
 def transform_points(t: RigidTransform, points: np.ndarray) -> np.ndarray:

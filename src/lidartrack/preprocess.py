@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._frozen import frozen
+from ._frozen import FrozenRecord, frozen
 from .dataset_io import DrivableGrid, FileCloud, Frame, MaskRegion, PointCloud
 from .errors import ConfigError
 from .geometry import CameraModel, RigidTransform, project_points, transform_points
@@ -57,7 +57,7 @@ class PreprocessConfig:
 
 
 @dataclass(frozen=True)
-class Plane:
+class Plane(FrozenRecord):
     """Plane normal . p + offset = 0 with unit normal, z component >= 0."""
 
     normal: np.ndarray
@@ -281,8 +281,6 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit | s
     n = len(rows)
     if n < max(3, cfg.min_plane_points):
         return f"insufficient ground candidates: {n} < {max(3, cfg.min_plane_points)}"
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
     tol = cfg.ransac_inlier_tol
 
     draws = rng.integers(0, n, size=(cfg.ransac_iterations, 3))
@@ -331,8 +329,11 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit | s
     return GroundFit(Plane(normals[best], float(offsets[best])), best_inliers)
 
 
-def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng=None) -> PointCloud:
+def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng) -> PointCloud:
     """Drop ground points: fit a plane below the split height, remove its inliers.
+
+    The fit draws from rng; `preprocess_frame` passes each frame a generator
+    seeded [cfg.rng_seed, frame index], the one seed rule the pipeline has.
 
     Points at or above z = -ground_split_height never count as ground. Lower
     points that sit off the fitted plane (walls, tires, curbs) are kept, in

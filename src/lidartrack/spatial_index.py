@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._frozen import frozen
+from ._frozen import FrozenRecord, frozen
 
 # Candidate radius r * (1 + _REL_SLACK) + _ABS_SLACK. The relative part is far
 # wider than the few ulps by which two distance formulas can disagree; the
@@ -206,7 +206,7 @@ def _sweep_pairs(points: np.ndarray, r: float):
     return order, np.concatenate(firsts), np.concatenate(seconds)
 
 
-class KdTree:
+class KdTree(FrozenRecord):
     """Exact radius search over (N, 3) points by a sorted-cell sweep.
 
     There is no tree any more; the name and the `KdTree(points)` signature
@@ -231,7 +231,7 @@ class KdTree:
         return _sweep_pairs(self.points, r)
 
 
-class BruteForceIndex:
+class BruteForceIndex(FrozenRecord):
     """Linear-scan radius search; the reference `KdTree` is tested against."""
 
     def __init__(self, points):

@@ -2,9 +2,9 @@
 
 Scenes are built in the city frame: a flat ground plane, cars as boxes of
 surface points translating at constant velocity along parallel lanes, and
-uniform clutter. The ego vehicle either stands still or drives a straight
-line; clouds are stored in the ego frame of each timestamp, so a moving ego
-exercises the ego-motion compensation path end to end.
+uniform clutter. The ego vehicle drives a straight line at ego_speed (at 0
+it stands still); clouds are stored in the ego frame of each timestamp, so
+a moving ego exercises the ego-motion compensation path end to end.
 
 Everything is drawn from per-frame, per-stream seeded generators, which
 makes regeneration byte-identical for a fixed config and lets any frame be
@@ -38,8 +38,6 @@ from .geometry import (
 
 GROUND_Z = -1.7
 
-EGO_MODES = ("static", "line")
-
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -52,7 +50,6 @@ class SynthConfig:
     speed_min: float = 5.0
     speed_max: float = 15.0
     lane_spacing: float = 5.0
-    ego_mode: str = "line"
     ego_speed: float = 8.0
     points_per_car: int = 3000
     ground_density: float = 6.0  # points per square meter, before downsampling
@@ -64,8 +61,6 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_frames < 1:
             raise ValueError("n_frames must be >= 1")
-        if self.ego_mode not in EGO_MODES:
-            raise ValueError(f"ego_mode must be one of {EGO_MODES}")
         sizes = ("points_per_car", "clutter_points", "ground_density", "ground_extent")
         for key in ("n_cars", "noise_sigma") + sizes:
             if not getattr(self, key) >= 0:
@@ -96,8 +91,6 @@ def car_center(cfg: SynthConfig, car: int, t: float) -> np.ndarray:
 
 
 def ego_pose(cfg: SynthConfig, t: float) -> RigidTransform:
-    if cfg.ego_mode == "static":
-        return identity_transform()
     return RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.array([cfg.ego_speed * t, 0.0, 0.0]))
 
 
@@ -134,7 +127,7 @@ def _scene_bounds(cfg: SynthConfig):
     """xy bounding box of every car path over the whole sequence."""
     t_end = (cfg.n_frames - 1) * cfg.dt
     if cfg.n_cars == 0:
-        ex = cfg.ego_speed * t_end if cfg.ego_mode == "line" else 0.0
+        ex = cfg.ego_speed * t_end
         return np.array([min(0.0, ex) - 10.0, -10.0]), np.array([max(0.0, ex) + 10.0, 10.0])
     centers = []
     for car in range(cfg.n_cars):

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._frozen import check_shape, frozen
+from ._frozen import FrozenRecord, check_shape, frozen
 from .dataset_io import TrackRecord
 from .detection import Detection3D
 
@@ -70,7 +70,7 @@ def transition_matrices(dt: float, q_accel: float):
 
 
 @dataclass(frozen=True)
-class KalmanCV:
+class KalmanCV(FrozenRecord):
     """BEV position/velocity estimate; state is [x, y, vx, vy]."""
 
     state: np.ndarray

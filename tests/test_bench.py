@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import subprocess
 from dataclasses import replace
 from pathlib import Path
 
@@ -70,6 +72,12 @@ def test_bench_of_no_frames_has_no_stage_medians(sequence):
     assert entry["memory_mb"]["clouds"] == 0
 
 
+def test_bench_needs_a_repeat(sequence):
+    _, root = sequence
+    with pytest.raises(ValueError, match="repeats"):
+        bench_entry(root, PipelineConfig(), repeats=0)
+
+
 def test_bench_clouds_is_the_largest_frame_the_run_reads(sequence, tmp_path):
     seq, _ = sequence
     sizes = [3000, 4000, 4200]
@@ -105,23 +113,30 @@ def test_bench_json_refuses_a_file_without_a_runs_list(tmp_path, text):
     assert path.read_text(encoding="latin-1") == text
 
 
-def test_git_commit_follows_branches_and_packed_refs(tmp_path):
-    sha = "0123456789abcdef0123456789abcdef01234567"
-    git = tmp_path / "repo" / ".git"
-    (git / "refs" / "heads").mkdir(parents=True)
-    inside = tmp_path / "repo" / "src" / "pkg"
+def test_git_commit_is_the_checked_out_commit(tmp_path, monkeypatch):
+    # No repository above tmp_path is looked at, and no user config is read.
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", os.devnull)
+    monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+    repo = tmp_path / "repo"
+    inside = repo / "src" / "pkg"
     inside.mkdir(parents=True)
-    (git / "HEAD").write_text("ref: refs/heads/main\n")
-    assert git_commit(inside) is None  # an unborn branch
-    (git / "packed-refs").write_text(f"# pack-refs with: peeled\n{sha} refs/heads/main\n")
-    assert git_commit(inside) == sha
-    (git / "refs" / "heads" / "main").write_text(sha[::-1] + "\n")
-    assert git_commit(inside) == sha[::-1]
-    (git / "HEAD").write_text(sha + "\n")  # detached
-    assert git_commit(inside) == sha
-    (tmp_path / "linked").mkdir()
-    (tmp_path / "linked" / ".git").write_text(f"gitdir: {git}\n")  # a linked work tree
-    assert git_commit(tmp_path / "linked") is None
+
+    def git(*args):
+        who = ["-c", "user.name=t", "-c", "user.email=t@example.com"]
+        return subprocess.run(["git", *who, *args], cwd=repo, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    assert git_commit(inside) is None  # not in a work tree
+    git("init", "-q")
+    assert git_commit(inside) is None  # before the first commit
+    git("commit", "-q", "--allow-empty", "-m", "first")
+    first = git("rev-parse", "HEAD")
+    assert len(first) == 40 and git_commit(inside) == first
+    git("commit", "-q", "--allow-empty", "-m", "second")
+    assert git_commit(inside) == git("rev-parse", "HEAD") != first
+    git("checkout", "-q", "--detach", first)
+    assert git_commit(inside) == first
     assert git_commit(tmp_path) is None
 
 

@@ -144,7 +144,7 @@ def test_negative_max_frames_is_a_usage_error(dataset, tmp_path, capsys, command
     assert not out.exists()
 
 
-@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("workers", ["0", "-2", "abc"])
 def test_nonpositive_workers_is_a_usage_error(tmp_path, capsys, workers):
     out = tmp_path / "t.jsonl"
     # The dataset does not exist: the flag is rejected before anything loads.
@@ -629,7 +629,8 @@ def test_non_finite_score_input_is_a_data_error(dataset, tracked, tmp_path, caps
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1
-    assert main(["track"]) == 1  # dataset argument missing
+    for command in ("track", "plot", "bench"):
+        assert main([command]) == 1  # dataset argument missing
     assert main(["eval"]) == 1
     cfg = tmp_path / "nope.json"
     assert main(["track", "--config", str(cfg), "--print-config"]) == 1

@@ -93,18 +93,22 @@ def test_dump_covers_every_section():
     assert data["preprocess"]["stride"] == 10
 
 
+# A value each of these fields refuses for its size alone.
+OUT_OF_RANGE = {"rng_seed": -1, "match_distance": 0, "min_plane_points": 0, "measurement_noise_pos": 0}
+
+
 def wrong_values():
     """(section, key, value) for every field of every section and each kind
     of value it must refuse: a non-finite number, a value of another JSON
-    type, a fraction for an integer and a negative seed."""
+    type, a fraction for an integer and, for some, a value out of range."""
     for section, cls in _SECTIONS.items():
         for key, kind in get_type_hints(cls).items():
             other = 1 if kind is bool else True
             values = [math.nan, math.inf, other, "1"]
             if kind is int:
                 values.append(2.5)
-            if key == "rng_seed":
-                values.append(-1)
+            if key in OUT_OF_RANGE:
+                values.append(OUT_OF_RANGE[key])
             for value in values:
                 yield pytest.param(section, key, value, id=f"{section}.{key}={value!r}")
 

@@ -360,6 +360,19 @@ def test_drivable_bit_length_check(tmp_path):
         load_sequence(root)
 
 
+def test_drivable_grid_of_negative_size_names_the_header(tmp_path):
+    # -17 x -12 needs as many packed bytes as 17 x 12, so only the size
+    # rule can refuse it.
+    root, _ = write_full(tmp_path)
+    header_path = root / "drivable.json"
+    header = json.loads(header_path.read_text())
+    header["width"], header["height"] = -header["width"], -header["height"]
+    header_path.write_text(json.dumps(header))
+    with pytest.raises(DatasetError, match="'width'") as err:
+        load_sequence(root)
+    assert err.value.path == str(header_path)
+
+
 def test_gt_error_carries_line_number(tmp_path):
     path = tmp_path / "gt.jsonl"
     good = {
@@ -517,6 +530,13 @@ def test_write_tracks_refuses_non_finite_field(tmp_path, key):
     with pytest.raises(ValueError, match=repr(key)):
         write_tracks(path, records)
     assert not path.exists()
+
+
+def test_tracks_missing_file_names_it(tmp_path):
+    path = tmp_path / "tracks.jsonl"
+    with pytest.raises(DatasetError, match="missing") as err:
+        load_tracks(path)
+    assert err.value.path == str(path)
 
 
 def test_tracks_empty_file_rejected(tmp_path):

@@ -65,6 +65,18 @@ def car_box(length=4.4, width=1.9, height=1.6):
     )
 
 
+@pytest.mark.parametrize(
+    "extents, n_points, match",
+    [
+        pytest.param((4.4, 1.9, 1.6), 0, "at least one point", id="no-points"),
+        pytest.param((4.4, -0.1, 1.6), 100, "negative", id="negative-width"),
+    ],
+)
+def test_detection_refuses_an_impossible_box(extents, n_points, match):
+    with pytest.raises(ValueError, match=match):
+        Detection3D(np.zeros(3), *extents, n_points=n_points)
+
+
 def test_heuristics_accept_a_car():
     assert passes_heuristics(car_box(), BoxLimits())
 

@@ -2,10 +2,13 @@
 
 `PointCloud` is the one record that holds a read-only view instead, so a
 stride-1 cloud is not held twice; it still leaves the caller's array
-writable. Functions that take points or vectors word a wrong shape the
+writable. A record keeps its arrays read-only through pickle and
+copy.deepcopy. Functions that take points or vectors word a wrong shape the
 same way as records do.
 """
 
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -14,12 +17,7 @@ import pytest
 from lidartrack.clustering import ClusterLabels
 from lidartrack.dataset_io import DrivableGrid, GroundTruthBox, MaskRegion, PointCloud
 from lidartrack.detection import Detection3D, fit_box
-from lidartrack.geometry import (
-    RigidTransform,
-    identity_transform,
-    transform_point,
-    transform_points,
-)
+from lidartrack.geometry import RigidTransform, identity_transform, transform_points
 from lidartrack.preprocess import Plane
 from lidartrack.spatial_index import BruteForceIndex, KdTree
 from lidartrack.tracking import KalmanCV, cost_matrix, kalman_update
@@ -68,13 +66,29 @@ def test_record_holds_a_read_only_array_and_leaves_the_callers_alone(name):
         build(np.array(value)[None])
 
 
+COPIES = {"pickle": lambda record: pickle.loads(pickle.dumps(record)), "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("how", list(COPIES))
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_record_keeps_its_array_read_only_through_a_copy(name, how):
+    value, build = FIELDS[name]
+    record = build(np.array(value))
+    field = name.split(".")[1]
+    again = COPIES[how](record)
+    held = getattr(again, field)
+    assert type(again) is type(record)
+    assert not held.flags.writeable
+    assert held.dtype == getattr(record, field).dtype
+    assert np.array_equal(held, getattr(record, field))
+
+
 # function(argument): (a call given that argument, the shape it wants, a wrong one).
 # Reshaped to fit, the (4,) track_xy would read as two points and the (2, 1)
 # z_xy as one measurement.
 IDENTITY = identity_transform()
 ROW = np.zeros((1, 2))
 ARGUMENTS = {
-    "transform_point(p)": (lambda a: transform_point(IDENTITY, a), "(3,)", (1, 3)),
     "transform_points(points)": (lambda a: transform_points(IDENTITY, a), "(N, 3)", (2, 4)),
     "fit_box(points)": (fit_box, "(N, 3)", (3,)),
     "cost_matrix(track_xy)": (lambda a: cost_matrix(a, ROW, 1.0), "(N, 2)", (4,)),

@@ -13,7 +13,6 @@ from lidartrack.geometry import (
     quat_from_matrix,
     quat_from_yaw,
     quat_to_matrix,
-    transform_point,
     transform_points,
 )
 
@@ -59,22 +58,23 @@ def test_quat_conjugate_inverts_rotation():
         assert np.allclose(quat_to_matrix(quat_conjugate(q)), quat_to_matrix(q).T, atol=1e-12)
 
 
-def test_transform_point_matches_matrix_form():
+def test_transform_points_of_one_row_matches_matrix_form():
+    # detect moves each box centre to the city frame as one (1, 3) row.
     rng = np.random.default_rng(14)
     for _ in range(50):
         t = random_transform(rng)
         p = rng.uniform(-5, 5, size=3)
         expected = quat_to_matrix(t.rotation) @ p + t.translation
-        assert np.allclose(transform_point(t, p), expected, atol=1e-12)
+        assert np.allclose(transform_points(t, p[None])[0], expected, atol=1e-12)
 
 
-def test_transform_points_vectorized_matches_scalar():
+def test_transform_points_vectorized_matches_row_by_row():
     rng = np.random.default_rng(15)
     t = random_transform(rng)
     pts = rng.uniform(-5, 5, size=(40, 3))
     batch = transform_points(t, pts)
     for i in range(len(pts)):
-        assert np.allclose(batch[i], transform_point(t, pts[i]), atol=1e-12)
+        assert np.allclose(batch[i], transform_points(t, pts[i : i + 1])[0], atol=1e-12)
 
 
 def test_invert_roundtrip():
@@ -82,14 +82,14 @@ def test_invert_roundtrip():
     for _ in range(50):
         t = random_transform(rng)
         inv = invert(t)
-        p = rng.uniform(-5, 5, size=3)
-        assert np.allclose(transform_point(inv, transform_point(t, p)), p, atol=1e-10)
+        p = rng.uniform(-5, 5, size=(1, 3))
+        assert np.allclose(transform_points(inv, transform_points(t, p)), p, atol=1e-10)
 
 
 def test_identity_transform_is_noop():
     t = identity_transform()
-    p = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(transform_point(t, p), p)
+    p = np.array([[1.0, -2.0, 3.0]])
+    assert np.array_equal(transform_points(t, p), p)
 
 
 def test_rotation_is_normalized_on_construction():
@@ -97,9 +97,17 @@ def test_rotation_is_normalized_on_construction():
     assert np.isclose(np.linalg.norm(t.rotation), 1.0)
 
 
-def test_zero_quaternion_rejected():
-    with pytest.raises(ValueError):
-        RigidTransform(rotation=np.zeros(4), translation=np.zeros(3))
+@pytest.mark.parametrize(
+    "rotation, translation, match",
+    [
+        pytest.param([0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0], "zero-norm", id="zero-quaternion"),
+        pytest.param([np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0], "finite", id="nan-rotation"),
+        pytest.param([1.0, 0.0, 0.0, 0.0], [0.0, np.inf, 0.0], "finite", id="inf-translation"),
+    ],
+)
+def test_transform_rejected(rotation, translation, match):
+    with pytest.raises(ValueError, match=match):
+        RigidTransform(rotation=np.array(rotation), translation=np.array(translation))
 
 
 def simple_camera(width=640, height=480, fx=500.0, fy=500.0):
@@ -120,7 +128,7 @@ def simple_camera(width=640, height=480, fx=500.0, fy=500.0):
 def reference_project(cam, p_ego):
     """Scalar pinhole projection of one ego-frame point: (u, v, depth), or
     None when it lies behind the camera (depth <= 0) or off the image."""
-    p_cam = transform_point(cam.extrinsics, p_ego)
+    p_cam = quat_to_matrix(cam.extrinsics.rotation) @ p_ego + cam.extrinsics.translation
     depth = p_cam[2]
     if depth <= 0:
         return None

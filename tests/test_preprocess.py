@@ -772,6 +772,20 @@ def test_mask_filter_drops_visible_unmasked_points():
     assert np.array_equal(out.points, pts[1:])
 
 
+def test_mask_filter_passes_over_a_camera_that_sees_no_point():
+    cam = camera_looking_forward()
+    # Looking along ego +z from the ego origin: every point below sits at
+    # depth 0, in no camera's view but the forward one's.
+    blind = CameraModel(camera_id="cam_up", fx=400.0, fy=400.0, cx=320.0, cy=240.0,
+                        width=640, height=480, extrinsics=identity_transform())
+    pts = np.array([[10.0, 0.0, 0.0], [-10.0, 0.0, 0.0]])
+    masks = [full_image_mask(), full_image_mask("cam_up")]
+    for strict, kept in ((False, pts), (True, pts[:1])):
+        out = filter_by_masks(make_cloud(pts), {"cam_front": cam, "cam_up": blind}, masks,
+                              strict=strict)
+        assert np.array_equal(out.points, kept)
+
+
 def test_mask_filter_strict_drops_invisible_points():
     cam = camera_looking_forward()
     cams = {cam.camera_id: cam}
@@ -973,7 +987,9 @@ def test_stages_called_on_a_float32_cloud_give_the_float64_answers(loaded, scene
     for split in (1e3, 1e300):
         with warnings.catch_warnings(), pytest.warns(GroundFitWarning):
             warnings.simplefilter("error", RuntimeWarning)
-            skipped = remove_ground(c32, replace(cfg, ground_split_height=split))
+            skipped = remove_ground(
+                c32, replace(cfg, ground_split_height=split), rng=np.random.default_rng(7)
+            )
         assert_same_float64(skipped.points, c64.points)
 
     assert_same_float64(filter_drivable(c32, seq.drivable, frame.ego_pose).points,

@@ -72,6 +72,17 @@ def test_empty_result():
         assert sorted_pairs(index, 0.99) == []
 
 
+def test_a_span_that_overflows_is_one_cell():
+    # x spans 2e308, past the float range: the sweep puts every point in
+    # one cell and still finds exactly the scan's pairs.
+    pts = np.array([[-1e308, 0.0, 0.0], [1e308, 0.0, 0.0], [1e308, 0.5, 0.0], [0.0, 0.0, 0.0]])
+    with np.errstate(over="ignore"):
+        assert (spatial_index._cells(pts[:, 0], 1.0) == 0).all()
+        want = sorted_pairs(BruteForceIndex(pts), 1.0)
+        assert want == scan_pairs(pts, 1.0) == [(1, 2)]
+        assert sorted_pairs(KdTree(pts), 1.0) == want
+
+
 def test_single_point_tree():
     tree = KdTree(np.array([[1.0, 2.0, 3.0]]))
     assert len(tree.points) == 1

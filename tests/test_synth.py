@@ -10,10 +10,11 @@ import pytest
 
 from lidartrack.dataset_io import load_ground_truth, load_sequence
 from lidartrack.errors import ConfigError
-from lidartrack.geometry import transform_points
+from lidartrack.geometry import identity_transform, transform_points
 from lidartrack.synth import (
     GROUND_Z,
     SynthConfig,
+    _scene_bounds,
     bake_ego_motion,
     car_center,
     ego_pose,
@@ -69,14 +70,25 @@ def test_car_speeds_span_configured_range():
     assert np.allclose(v, [5.0, 10.0, 15.0])
 
 
-def test_ego_pose_modes():
-    cfg = SynthConfig(ego_mode="static")
-    p = ego_pose(cfg, 3.0)
-    assert np.array_equal(p.translation, np.zeros(3))
-    cfg = SynthConfig(ego_mode="line", ego_speed=8.0)
-    p = ego_pose(cfg, 2.0)
+def test_ego_pose_drives_a_line_at_ego_speed():
+    p = ego_pose(SynthConfig(ego_speed=8.0), 2.0)
     assert np.allclose(p.translation, [16.0, 0.0, 0.0])
     assert np.array_equal(p.rotation, [1.0, 0.0, 0.0, 0.0])
+
+
+def test_a_static_ego_is_ego_speed_zero():
+    # The identity pose and the bounds around the origin, bit for bit.
+    cfg = SynthConfig(n_cars=0, n_frames=20, ego_speed=0.0)
+    for t in (0.0, 1.9):
+        pose = ego_pose(cfg, t)
+        for got, want in zip(
+            (pose.rotation, pose.translation),
+            (identity_transform().rotation, identity_transform().translation),
+        ):
+            assert got.tobytes() == want.tobytes()
+    lo, hi = _scene_bounds(cfg)
+    assert lo.tobytes() == np.array([-10.0, -10.0]).tobytes()
+    assert hi.tobytes() == np.array([10.0, 10.0]).tobytes()
 
 
 def test_gt_has_one_box_per_car_per_frame():
@@ -90,12 +102,15 @@ def test_gt_has_one_box_per_car_per_frame():
             assert np.allclose(box.center, car_center(cfg, c, fi * cfg.dt))
 
 
-def test_car_points_stay_inside_inflated_box():
+# At 1 point a car, four of the five faces draw none.
+@pytest.mark.parametrize("points_per_car", [500, 1])
+def test_car_points_stay_inside_inflated_box(points_per_car):
     cfg = SynthConfig(
-        n_cars=2, n_frames=4, points_per_car=500, ground_density=0.0,
+        n_cars=2, n_frames=4, points_per_car=points_per_car, ground_density=0.0,
         clutter_points=0, noise_sigma=0.01,
     )
     seq = generate(cfg)
+    assert all(len(fr.cloud) == cfg.n_cars * points_per_car for fr in seq.frames)
     pad = 3.0 * cfg.noise_sigma + 1e-12
     half = np.array([cfg.car_length / 2, cfg.car_width / 2, cfg.car_height / 2]) + pad
     for fr in seq.frames:
@@ -129,7 +144,7 @@ def test_drivable_grid_covers_all_car_positions():
 
 def test_bake_ego_motion_preserves_city_geometry():
     cfg = SynthConfig(n_cars=2, n_frames=4, points_per_car=200, ground_density=0.5,
-                      clutter_points=20, ego_mode="line")
+                      clutter_points=20)
     seq = generate(cfg)
     baked = bake_ego_motion(seq)
     for orig, flat in zip(seq.frames, baked.frames):
@@ -141,7 +156,7 @@ def test_bake_ego_motion_preserves_city_geometry():
 
 def test_moving_ego_shifts_stored_clouds():
     cfg = SynthConfig(n_cars=0, n_frames=3, ground_density=1.0, clutter_points=0,
-                      ego_mode="line", ego_speed=10.0, noise_sigma=0.0)
+                      ego_speed=10.0, noise_sigma=0.0)
     seq = generate(cfg)
     # Ground is sampled around the ego, so in the ego frame its xy mean
     # stays near zero even though the city-frame patch moves.
@@ -192,8 +207,6 @@ def test_config_validation():
         SynthConfig(n_frames=0)
     with pytest.raises(ValueError):
         SynthConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        SynthConfig(ego_mode="circle")
     with pytest.raises(ValueError):
         SynthConfig(noise_sigma=-0.1)
 

@@ -260,6 +260,8 @@ def test_lsap_matches_scipy_generated(cost):
 
 
 def test_lsap_rejects_invalid_entries():
+    with pytest.raises(ValueError, match="2-d"):
+        solve_lsap(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         solve_lsap(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):

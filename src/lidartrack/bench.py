@@ -34,16 +34,17 @@ from .preprocess import STAGES
 
 
 def git_commit(start: Path) -> str | None:
-    """The commit checked out in the git work tree that holds start, as
-    `git rev-parse HEAD` run there says; None outside a work tree, before
-    the first commit or where git cannot be run."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=start, capture_output=True, text=True, timeout=10
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    """`git rev-parse HEAD` run at start, if git tracks files there: None for
+    an untracked copy inside some other work tree (a venv in a user's
+    project), outside a work tree, before the first commit or without git."""
+    for args in (("ls-files", "--error-unmatch", "--", "."), ("rev-parse", "HEAD")):
+        try:
+            proc = subprocess.run(["git", *args], cwd=start, capture_output=True, timeout=10)
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        if proc.returncode != 0:
+            return None
+    return proc.stdout.decode().strip()
 
 
 def source_sha256(package: Path) -> str:

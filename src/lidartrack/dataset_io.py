@@ -53,16 +53,15 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class PointCloud(FrozenRecord):
-    """Read-only, C-contiguous (N, 3) point array, held in memory.
+    """An in-memory frame's cloud: a read-only, C-contiguous (N, 3) point
+    array. A loaded frame's cloud is a FileCloud.
 
     A float32 array stays float32, at 12 bytes per point, as a frame file
-    stores it. Any other array becomes float64. The downsample keeps the
-    dtype; ground removal fits on float32 rows and widens only the rows it
-    keeps to float64, which is exact, so every stage after it sees float64
-    points.
+    stores it. Any other array becomes float64.
 
-    Unlike the other records it holds a read-only view, not a copy, so a
-    stride-1 cloud is not held twice; the caller's array stays writable.
+    Unlike the other records it holds a read-only view, not a copy:
+    `synth.generate` builds each frame's array once, and a copy would hold
+    every frame twice. The caller's array stays writable.
     """
 
     points: np.ndarray
@@ -271,9 +270,14 @@ def _finite(value) -> float:
     return number
 
 
-def _read_json(path: Path):
+def _require_file(path: Path) -> None:
+    """The missing-file rule of the JSON and JSON Lines readers."""
     if not path.is_file():
         raise DatasetError(path, "file is missing")
+
+
+def _read_json(path: Path):
+    _require_file(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -367,6 +371,7 @@ def _encode(obj, *skip) -> dict:
 
 def _jsonl(path: Path):
     """(line number, JSON value) for each non-blank line of path."""
+    _require_file(path)
     with open(path, "rb") as fh:  # json.loads decodes each line itself
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -513,10 +518,10 @@ def load_sequence(path) -> Sequence:
     poses_path = root / "poses.json"
     poses_obj = _read_json(poses_path)
     poses = {}
+    posed: set[int] = set()
     for rec in _require(poses_obj, "frames", poses_path, _array):
         index = _require(rec, "index", poses_path, _index)
-        if index in poses:
-            raise DatasetError(poses_path, f"duplicate frame index {index}")
+        _claim(posed, index, poses_path, f"frame index {index}")
         poses[index] = _decode(RigidTransform, rec, poses_path)
 
     drivable = None
@@ -646,8 +651,6 @@ def write_tracks(path, records: list[TrackRecord]) -> Path:
 def load_tracks(path) -> list[TrackRecord]:
     """Track records in file order. A track_id may appear once per frame."""
     p = Path(path)
-    if not p.is_file():
-        raise DatasetError(p, "tracks file is missing")
     lines = _jsonl(p)
     lineno, header = next(lines, (None, None))
     if lineno is None:

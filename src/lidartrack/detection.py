@@ -131,8 +131,7 @@ def detect(
     numbered. The record gains n_clusters, n_detections and three stage times;
     box_fit covers the fit, the gate, the move to the city frame and the sort.
     """
-    cloud, stats = preprocess_frame(frame, preprocess_cfg, cameras=cameras, drivable=drivable)
-    pts = cloud.points
+    pts, stats = preprocess_frame(frame, preprocess_cfg, cameras=cameras, drivable=drivable)
     t0 = time.perf_counter()
     index = KdTree(pts)
     t1 = time.perf_counter()

@@ -1,15 +1,15 @@
 """Point cloud reduction ahead of clustering.
 
 Stage order is fixed: stride downsample, ground removal, drivable-area
-filter, camera-mask filter. Every stage returns a subset of its input rows;
-coordinates are never modified, so a point surviving to the end is the same
-float triple that came off the sensor. A loaded frame's cloud is read from
-its file by the downsample, float32 as stored, and the downsample keeps
-that dtype. Ground removal fits its plane on the float32 rows and widens
-only the rows it keeps to float64, which is exact, so every later stage
-sees float64 points. Every stage after the downsample returns float64
-points, and one called on a float32 cloud gives the same answer as on the
-widened cloud.
+filter, camera-mask filter. The downsample takes the frame's cloud, the
+others a plain (N, 3) array, and each returns a C-contiguous (N, 3) array
+of a subset of its input rows; coordinates are never modified, so a point
+surviving to the end is the same float triple that came off the sensor. A
+loaded frame's cloud is read from its file by the downsample, float32 as
+stored, and the downsample keeps that dtype. Ground removal fits its plane
+on the float32 rows and widens only the rows it keeps to float64, which is
+exact. Every stage after the downsample returns float64 points, and one
+called on float32 points gives the same answer as on the widened points.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._frozen import FrozenRecord, frozen
+from ._frozen import FrozenRecord, check_shape, frozen
 from .dataset_io import DrivableGrid, FileCloud, Frame, MaskRegion, PointCloud
 from .errors import ConfigError
 from .geometry import CameraModel, RigidTransform, project_points, transform_points
@@ -100,26 +100,18 @@ class FrameStats:
     n_tracks: int | None = None  # confirmed tracks reported this frame
 
 
-def _float64(cloud: PointCloud | FileCloud) -> PointCloud:
-    """The cloud itself if its points are float64, else a widened copy.
-    A file-backed cloud is read once."""
-    pts = cloud.points
-    if pts.dtype == np.float64:
-        return cloud
-    return PointCloud(pts.astype(np.float64))
+def downsample_stride(cloud: PointCloud | FileCloud, stride: int) -> np.ndarray:
+    """Every stride-th point of a frame's cloud, starting at index 0, as a
+    C-contiguous array in the stored dtype.
 
-
-def downsample_stride(cloud: PointCloud | FileCloud, stride: int) -> PointCloud:
-    """Keep every stride-th point starting at index 0, in the stored dtype.
-
-    At stride 1 the points are a view of the cloud's array, with no copy:
-    for a file-backed cloud, of the array its file was read into. A
-    file-backed cloud is read here, once, and at a larger stride its raw
-    points are dropped on return.
+    At stride 1 this is the cloud's own read-only array, with no copy: for
+    a file-backed cloud, the array its file was read into. A file-backed
+    cloud is read here, once, and at a larger stride its raw points are
+    dropped on return.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    return PointCloud(cloud.points[::stride])
+    return np.ascontiguousarray(cloud.points[::stride])
 
 
 # Candidates every hypothesis is scored on before any full count: the half
@@ -329,7 +321,7 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit | s
     return GroundFit(Plane(normals[best], float(offsets[best])), best_inliers)
 
 
-def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng) -> PointCloud:
+def remove_ground(points: np.ndarray, cfg: PreprocessConfig, rng) -> np.ndarray:
     """Drop ground points: fit a plane below the split height, remove its inliers.
 
     The fit draws from rng; `preprocess_frame` passes each frame a generator
@@ -338,35 +330,35 @@ def remove_ground(cloud: PointCloud, cfg: PreprocessConfig, rng) -> PointCloud:
     Points at or above z = -ground_split_height never count as ground. Lower
     points that sit off the fitted plane (walls, tires, curbs) are kept, in
     their original order, as float64. If _ransac returns a reason instead
-    of a fit, the whole cloud comes back, widened to float64 if it was
-    float32, and a GroundFitWarning with that reason is emitted.
+    of a fit, all the points come back as float64, and a GroundFitWarning
+    with that reason is emitted.
 
-    The fit (_ransac) copies no candidate out of the cloud: its full counts
-    run over the whole cloud under the candidate mask, and the kept rows are
+    The fit (_ransac) copies no candidate out of the points: its full counts
+    run over all of them under the candidate mask, and the kept rows are
     gathered once.
 
-    A float32 cloud is not widened as a whole. The fit runs on its rows and
+    Float32 points are not widened as a whole. The fit runs on their rows and
     widens only what it computes with, exactly (see _ransac), and only the
-    kept rows are widened on return, so the answer is the one on the cloud
-    widened up front. On a stride-1 sweep frame that is about 2% of the rows.
+    kept rows are widened on return, so the answer is the one on the points
+    widened up front: on a stride-1 sweep frame, about 2% of the rows. Any
+    other dtype is widened to float64 before the fit.
     """
-    pts = cloud.points
+    pts = np.asarray(points)
+    pts = pts if pts.dtype == np.float32 else pts.astype(np.float64, copy=False)
+    check_shape("points", pts, ("N", 3))
     fit = _ransac(pts, -cfg.ground_split_height, cfg, rng)
     if isinstance(fit, str):
         warnings.warn(f"ground fit skipped: {fit}", GroundFitWarning, stacklevel=2)
-        return PointCloud(pts.astype(np.float64, copy=False))
+        return np.ascontiguousarray(pts, dtype=np.float64)
     kept = np.take(pts, np.flatnonzero(~fit.inliers), axis=0)
-    return PointCloud(kept.astype(np.float64, copy=False))
+    return kept.astype(np.float64, copy=False)
 
 
-def filter_drivable(cloud: PointCloud, grid: DrivableGrid, ego_pose: RigidTransform) -> PointCloud:
+def filter_drivable(points: np.ndarray, grid: DrivableGrid, ego_pose: RigidTransform) -> np.ndarray:
     """Keep ego-frame points whose city-frame x/y falls on a drivable cell."""
-    cloud = _float64(cloud)
-    if len(cloud) == 0:
-        return cloud
-    city = transform_points(ego_pose, cloud.points)
-    keep = grid.contains(city[:, :2])
-    return PointCloud(cloud.points[keep])
+    points = np.asarray(points, dtype=np.float64)
+    city = transform_points(ego_pose, points)  # checks the shape
+    return points[grid.contains(city[:, :2])]
 
 
 def _points_in_polygon(uv: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -396,20 +388,21 @@ def _points_in_polygon(uv: np.ndarray, poly: np.ndarray) -> np.ndarray:
 
 
 def filter_by_masks(
-    cloud: PointCloud,
+    points: np.ndarray,
     cameras: dict[str, CameraModel],
     masks: list[MaskRegion],
     strict: bool = False,
-) -> PointCloud:
+) -> np.ndarray:
     """Keep points that project inside at least one mask polygon.
 
     A point visible in some camera but inside no mask is dropped. A point
     visible in no camera is kept by default (the masks say nothing about
     it); strict=True drops those too, keeping only mask-confirmed points.
     """
-    cloud = _float64(cloud)
-    if len(cloud) == 0 or (not masks and not strict):
-        return cloud
+    points = np.asarray(points, dtype=np.float64)
+    check_shape("points", points, ("N", 3))
+    if len(points) == 0 or (not masks and not strict):
+        return points
     by_camera: dict[str, list[MaskRegion]] = {}
     for region in masks:
         if region.camera_id not in cameras:
@@ -418,12 +411,12 @@ def filter_by_masks(
             )
         by_camera.setdefault(region.camera_id, []).append(region)
 
-    n = len(cloud)
+    n = len(points)
     visible_any = np.zeros(n, dtype=bool)
     in_mask = np.zeros(n, dtype=bool)
     for cam_id in sorted(cameras):
         cam = cameras[cam_id]
-        uv, _, visible = project_points(cam, cloud.points)
+        uv, _, visible = project_points(cam, points)
         visible_any |= visible
         if not np.any(visible):
             continue
@@ -432,7 +425,7 @@ def filter_by_masks(
             idx = np.nonzero(visible)[0][hit]
             in_mask[idx] = True
     keep = in_mask if strict else (in_mask | ~visible_any)
-    return PointCloud(cloud.points[keep])
+    return points[keep]
 
 
 def preprocess_frame(
@@ -440,7 +433,7 @@ def preprocess_frame(
     cfg: PreprocessConfig,
     cameras: dict[str, CameraModel] | None = None,
     drivable: DrivableGrid | None = None,
-) -> tuple[PointCloud, FrameStats]:
+) -> tuple[np.ndarray, FrameStats]:
     """Run the full reduction chain for one frame: its points and record.
 
     The RANSAC stream is a per-frame child of cfg.rng_seed, so frames can be
@@ -448,22 +441,21 @@ def preprocess_frame(
     frame's file is read once, inside the downsample stage's time.
     """
     rng = np.random.default_rng([cfg.rng_seed, frame.index])
-    cloud = frame.cloud
-    n_raw = len(cloud)
+    n_raw = len(frame.cloud)
     t0 = time.perf_counter()
-    cloud = downsample_stride(cloud, cfg.stride)
+    points = downsample_stride(frame.cloud, cfg.stride)
     t1 = time.perf_counter()
-    n_down = len(cloud)
-    cloud = remove_ground(cloud, cfg, rng=rng)
+    n_down = len(points)
+    points = remove_ground(points, cfg, rng=rng)
     t2 = time.perf_counter()
-    n_ground = len(cloud)
+    n_ground = len(points)
     if cfg.drivable_filter_enabled and drivable is not None:
-        cloud = filter_drivable(cloud, drivable, frame.ego_pose)
+        points = filter_drivable(points, drivable, frame.ego_pose)
     t3 = time.perf_counter()
-    n_driv = len(cloud)
+    n_driv = len(points)
     if cfg.mask_filter_enabled:
-        cloud = filter_by_masks(cloud, cameras or {}, frame.masks, strict=cfg.mask_filter_strict)
+        points = filter_by_masks(points, cameras or {}, frame.masks, strict=cfg.mask_filter_strict)
     t4 = time.perf_counter()
-    n_mask = len(cloud)
+    n_mask = len(points)
     seconds = (t1 - t0, t2 - t1, t3 - t2, t4 - t3)
-    return cloud, FrameStats(frame.index, n_raw, n_down, n_ground, n_driv, n_mask, seconds)
+    return points, FrameStats(frame.index, n_raw, n_down, n_ground, n_driv, n_mask, seconds)

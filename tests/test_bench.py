@@ -127,10 +127,13 @@ def test_git_commit_is_the_checked_out_commit(tmp_path, monkeypatch):
         return subprocess.run(["git", *who, *args], cwd=repo, check=True,
                               capture_output=True, text=True).stdout.strip()
 
+    (inside / "mod.py").write_text("")
     assert git_commit(inside) is None  # not in a work tree
     git("init", "-q")
+    assert git_commit(inside) is None  # its files not tracked
+    git("add", "src/pkg/mod.py")
     assert git_commit(inside) is None  # before the first commit
-    git("commit", "-q", "--allow-empty", "-m", "first")
+    git("commit", "-q", "-m", "first")
     first = git("rev-parse", "HEAD")
     assert len(first) == 40 and git_commit(inside) == first
     git("commit", "-q", "--allow-empty", "-m", "second")
@@ -138,6 +141,12 @@ def test_git_commit_is_the_checked_out_commit(tmp_path, monkeypatch):
     git("checkout", "-q", "--detach", first)
     assert git_commit(inside) == first
     assert git_commit(tmp_path) is None
+    # A copy git does not track, such as one installed in a venv inside the
+    # work tree, is not the work tree's commit.
+    copy = repo / "venv" / "site-packages" / "pkg"
+    copy.mkdir(parents=True)
+    (copy / "mod.py").write_text("")
+    assert git_commit(copy) is None
 
 
 def test_minor_faults_is_the_median_of_the_run_tracking_deltas(sequence, monkeypatch):

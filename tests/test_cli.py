@@ -76,6 +76,12 @@ def test_eval_reports_expected_counts(dataset, tracked, capsys):
     assert report["mota"] == pytest.approx(1.0 - (CARS * 4) / (CARS * FRAMES))
 
 
+def test_eval_without_ground_truth_is_a_data_error_naming_it(tracked, tmp_path, capsys):
+    # A sequence directory with no gt.jsonl: the file is named, not an OS error.
+    assert main(["eval", str(tmp_path), str(tracked)]) == 2
+    assert f"{tmp_path / 'gt.jsonl'}: file is missing" in capsys.readouterr().err
+
+
 def test_eval_per_frame_csv(dataset, tracked, tmp_path, capsys):
     csv_path = tmp_path / "per_frame.csv"
     assert main(["eval", str(dataset), str(tracked), "--per-frame", str(csv_path)]) == 0

@@ -539,6 +539,13 @@ def test_tracks_missing_file_names_it(tmp_path):
     assert err.value.path == str(path)
 
 
+def test_ground_truth_missing_file_names_it(tmp_path):
+    path = tmp_path / "gt.jsonl"
+    with pytest.raises(DatasetError, match="^.*gt.jsonl: file is missing$") as err:
+        load_ground_truth(path)
+    assert err.value.path == str(path)
+
+
 def test_tracks_empty_file_rejected(tmp_path):
     path = tmp_path / "tracks.jsonl"
     write_tracks(path, [])

@@ -69,13 +69,13 @@ def flat_ground(rng, n, z=-1.8, extent=20.0, sigma=0.0):
 def test_downsample_keeps_every_stride_th_point():
     pts = np.arange(30, dtype=np.float64).reshape(10, 3)
     out = downsample_stride(make_cloud(pts), 3)
-    assert np.array_equal(out.points, pts[[0, 3, 6, 9]])
+    assert np.array_equal(out, pts[[0, 3, 6, 9]])
 
 
 def test_downsample_stride_one_is_identity():
     pts = np.random.default_rng(0).uniform(size=(11, 3))
     out = downsample_stride(make_cloud(pts), 1)
-    assert np.array_equal(out.points, pts)
+    assert np.array_equal(out, pts)
 
 
 def test_downsample_rejects_bad_stride():
@@ -136,10 +136,10 @@ def test_remove_ground_drops_plane_keeps_objects():
     car = rng.normal(scale=0.3, size=(60, 3)) + [5.0, 2.0, -0.5]
     curb = rng.normal(scale=0.02, size=(30, 3)) + [8.0, -3.0, -1.55 - 0.0]
     curb[:, 2] = -1.6  # 0.2 above the plane: outside the 0.15 tolerance
-    cloud = make_cloud(np.vstack([ground, car, curb]))
-    out = remove_ground(cloud, PreprocessConfig(), rng=np.random.default_rng(4))
+    pts = np.vstack([ground, car, curb])
+    out = remove_ground(pts, PreprocessConfig(), rng=np.random.default_rng(4))
     assert len(out) == 90
-    assert np.array_equal(out.points, np.vstack([car, curb]))
+    assert np.array_equal(out, np.vstack([car, curb]))
 
 
 def test_remove_ground_ignores_points_above_split():
@@ -149,10 +149,10 @@ def test_remove_ground_ignores_points_above_split():
     # gate alone is what keeps it.
     ground = flat_ground(rng, 300, z=-1.55)
     high = np.array([[0.0, 0.0, -1.45], [1.0, 1.0, 0.5]])
-    cloud = make_cloud(np.vstack([ground, high]))
-    out = remove_ground(cloud, PreprocessConfig(), rng=np.random.default_rng(5))
+    pts = np.vstack([ground, high])
+    out = remove_ground(pts, PreprocessConfig(), rng=np.random.default_rng(5))
     assert len(out) == 2
-    assert np.array_equal(out.points, high)
+    assert np.array_equal(out, high)
 
 
 def test_remove_ground_preserves_order():
@@ -165,17 +165,16 @@ def test_remove_ground_preserves_order():
     slots = np.ones(240, dtype=bool)
     slots[0::6] = False
     mixed[slots] = ground
-    out = remove_ground(make_cloud(mixed), PreprocessConfig(), rng=np.random.default_rng(6))
-    assert np.array_equal(out.points, objects)
+    out = remove_ground(mixed, PreprocessConfig(), rng=np.random.default_rng(6))
+    assert np.array_equal(out, objects)
 
 
 def test_remove_ground_warns_and_passes_through_when_too_few():
     pts = np.array([[0.0, 0.0, 0.5], [1.0, 0.0, 0.3], [0.0, 1.0, 0.2]])
-    cloud = make_cloud(pts)
     reason = "ground fit skipped: insufficient ground candidates: 0 < 50"
     with pytest.warns(GroundFitWarning, match=f"^{reason}$"):
-        out = remove_ground(cloud, PreprocessConfig(), rng=np.random.default_rng(8))
-    assert np.array_equal(out.points, pts)
+        out = remove_ground(pts, PreprocessConfig(), rng=np.random.default_rng(8))
+    assert np.array_equal(out, pts)
 
 
 # --- ground fit against the per-sample loop -------------------------------
@@ -435,7 +434,7 @@ def test_remove_ground_matches_the_gather_path_bit_for_bit(case):
     pts, cfg, seed = case
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want = remove_ground_by_gather(pts, cfg, ref_rng)
-    got = remove_ground(make_cloud(pts), cfg, rng=rng).points
+    got = remove_ground(pts, cfg, rng=rng)
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -467,7 +466,7 @@ def test_distances_over_the_cloud_equal_distances_over_the_candidates(scene):
                                      clutter_points=200, rng_seed=1)).frames[0]
         stride = 1
     cfg = PreprocessConfig(stride=stride)
-    pts = downsample_stride(frame.cloud, stride).points
+    pts = downsample_stride(frame.cloud, stride)
     rows = np.flatnonzero(pts[:, 2] < -cfg.ground_split_height)
     assert len(rows) > (_SAMPLED_PROBE_ABOVE if stride == 1 else _PROBE_POINTS)
     cand = pts[rows]
@@ -536,7 +535,7 @@ def test_remove_ground_is_the_same_for_every_probe_size(monkeypatch, n_cand, ite
         monkeypatch.setattr(preprocess, "_probe_size", lambda n, it, size=size: size)
         fit_rng, rg_rng = np.random.default_rng(3), np.random.default_rng(3)
         plane, inliers = preprocess._ransac(pts, -cfg.ground_split_height, cfg, fit_rng)
-        kept = remove_ground(make_cloud(pts), cfg, rng=rg_rng).points
+        kept = remove_ground(pts, cfg, rng=rg_rng)
         assert fit_rng.bit_generator.state == rg_rng.bit_generator.state
         assert kept.tobytes() == pts[~inliers].tobytes()
         results.append((
@@ -623,7 +622,7 @@ def test_float32_and_float64_ground_removal_agree_at_an_unrepresentable_split(ca
     for pts in (pts32, pts64):
         fit_rng, rg_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         plane, inliers = preprocess._ransac(pts, -cfg.ground_split_height, cfg, fit_rng)
-        kept = remove_ground(PointCloud(pts), cfg, rng=rg_rng).points
+        kept = remove_ground(pts, cfg, rng=rg_rng)
         assert kept.dtype == np.float64
         assert fit_rng.bit_generator.state == rg_rng.bit_generator.state
         results.append((
@@ -652,8 +651,8 @@ def test_filter_drivable_keeps_inside_cells():
             [10.1, 5.0, 0.0],  # outside east
         ]
     )
-    out = filter_drivable(make_cloud(pts), grid, identity_transform())
-    assert np.array_equal(out.points, pts[:2])
+    out = filter_drivable(pts, grid, identity_transform())
+    assert np.array_equal(out, pts[:2])
 
 
 def test_filter_drivable_respects_ego_pose():
@@ -669,9 +668,9 @@ def test_filter_drivable_respects_ego_pose():
             [5.0, 5.0, 0.0],  # city (15, 5): outside
         ]
     )
-    out = filter_drivable(make_cloud(pts), grid, pose)
+    out = filter_drivable(pts, grid, pose)
     assert len(out) == 1
-    assert np.array_equal(out.points, pts[:1])
+    assert np.array_equal(out, pts[:1])
 
 
 def test_filter_drivable_false_cells_drop():
@@ -679,8 +678,8 @@ def test_filter_drivable_false_cells_drop():
     bits[0:5, :] = False  # southern half off (rows index y)
     grid = square_grid(bits=bits)
     pts = np.array([[2.0, 2.0, 0.0], [2.0, 7.0, 0.0]])
-    out = filter_drivable(make_cloud(pts), grid, identity_transform())
-    assert np.array_equal(out.points, pts[1:])
+    out = filter_drivable(pts, grid, identity_transform())
+    assert np.array_equal(out, pts[1:])
 
 
 def test_points_in_polygon_square():
@@ -747,7 +746,7 @@ def test_mask_filter_keeps_masked_points():
             [-10.0, 0.0, 0.0],  # behind the camera: not visible anywhere
         ]
     )
-    out = filter_by_masks(make_cloud(pts), cams, [full_image_mask()])
+    out = filter_by_masks(pts, cams, [full_image_mask()])
     # Visible point kept by the mask, invisible point kept by default.
     assert len(out) == 2
 
@@ -767,9 +766,9 @@ def test_mask_filter_drops_visible_unmasked_points():
             [-10.0, 0.0, 0.0],  # invisible: kept
         ]
     )
-    out = filter_by_masks(make_cloud(pts), cams, [half])
+    out = filter_by_masks(pts, cams, [half])
     assert len(out) == 2
-    assert np.array_equal(out.points, pts[1:])
+    assert np.array_equal(out, pts[1:])
 
 
 def test_mask_filter_passes_over_a_camera_that_sees_no_point():
@@ -781,32 +780,31 @@ def test_mask_filter_passes_over_a_camera_that_sees_no_point():
     pts = np.array([[10.0, 0.0, 0.0], [-10.0, 0.0, 0.0]])
     masks = [full_image_mask(), full_image_mask("cam_up")]
     for strict, kept in ((False, pts), (True, pts[:1])):
-        out = filter_by_masks(make_cloud(pts), {"cam_front": cam, "cam_up": blind}, masks,
-                              strict=strict)
-        assert np.array_equal(out.points, kept)
+        out = filter_by_masks(pts, {"cam_front": cam, "cam_up": blind}, masks, strict=strict)
+        assert np.array_equal(out, kept)
 
 
 def test_mask_filter_strict_drops_invisible_points():
     cam = camera_looking_forward()
     cams = {cam.camera_id: cam}
     pts = np.array([[10.0, 0.0, 0.0], [-10.0, 0.0, 0.0]])
-    out = filter_by_masks(make_cloud(pts), cams, [full_image_mask()], strict=True)
+    out = filter_by_masks(pts, cams, [full_image_mask()], strict=True)
     assert len(out) == 1
-    assert np.array_equal(out.points, pts[:1])
+    assert np.array_equal(out, pts[:1])
 
 
 def test_mask_filter_no_masks_is_identity_when_lenient():
     cam = camera_looking_forward()
     pts = np.random.default_rng(310).uniform(-5, 5, size=(20, 3))
-    out = filter_by_masks(make_cloud(pts), {cam.camera_id: cam}, [])
-    assert np.array_equal(out.points, pts)
+    out = filter_by_masks(pts, {cam.camera_id: cam}, [])
+    assert np.array_equal(out, pts)
 
 
 def test_mask_filter_unknown_camera_rejected():
     cam = camera_looking_forward()
     bad = full_image_mask(cam_id="cam_rear")
     with pytest.raises(ConfigError):
-        filter_by_masks(make_cloud(np.zeros((3, 3))), {cam.camera_id: cam}, [bad])
+        filter_by_masks(np.zeros((3, 3)), {cam.camera_id: cam}, [bad])
 
 
 def build_frame(rng, index=0, n_ground=400, n_car=80):
@@ -829,12 +827,12 @@ def test_preprocess_frame_stats_chain():
     grid = DrivableGrid(
         origin_xy=np.array([-20.0, -20.0]), resolution=1.0, bits=np.ones((40, 40), bool)
     )
-    cloud, stats = preprocess_frame(frame, cfg, cameras={}, drivable=grid)
+    points, stats = preprocess_frame(frame, cfg, cameras={}, drivable=grid)
     assert stats.n_raw == 480
     assert stats.n_downsampled == 240
     assert stats.n_after_ground <= stats.n_downsampled
     assert stats.n_after_drivable <= stats.n_after_ground
-    assert stats.n_after_masks == stats.n_after_drivable == len(cloud)
+    assert stats.n_after_masks == stats.n_after_drivable == len(points)
 
 
 def test_preprocess_frame_rng_depends_only_on_frame_index():
@@ -847,8 +845,8 @@ def test_preprocess_frame_rng_depends_only_on_frame_index():
     b1, _ = preprocess_frame(frame_b, cfg)
     b2, _ = preprocess_frame(frame_b, cfg)
     a2, _ = preprocess_frame(frame_a, cfg)
-    assert np.array_equal(a1.points, a2.points)
-    assert np.array_equal(b1.points, b2.points)
+    assert np.array_equal(a1, a2)
+    assert np.array_equal(b1, b2)
 
 
 def test_preprocess_config_validation():
@@ -922,7 +920,7 @@ def test_loaded_float32_frame_detects_as_the_float64_frame(loaded, monkeypatch, 
     for name in ("downsample_stride", "remove_ground", "filter_drivable", "filter_by_masks"):
         def recorded(*args, _stage=getattr(preprocess, name), **kwargs):
             out = _stage(*args, **kwargs)
-            stages.append(out.points)
+            stages.append(out)
             return out
         monkeypatch.setattr(preprocess, name, recorded)
 
@@ -950,9 +948,9 @@ def test_loaded_float32_frame_detects_as_the_float64_frame(loaded, monkeypatch, 
             assert a.center.tobytes() == b.center.tobytes()
             assert (a.length, a.width, a.height, a.n_points) == (b.length, b.width, b.height, b.n_points)
 
-        cloud32, stats32 = preprocess.preprocess_frame(frame, pre, seq.cameras, seq.drivable)
-        cloud64, stats64 = preprocess.preprocess_frame(widened(frame), pre, seq.cameras, seq.drivable)
-        assert_same_float64(cloud32.points, cloud64.points)
+        points32, stats32 = preprocess.preprocess_frame(frame, pre, seq.cameras, seq.drivable)
+        points64, stats64 = preprocess.preprocess_frame(widened(frame), pre, seq.cameras, seq.drivable)
+        assert_same_float64(points32, points64)
         assert counts(stats32) == counts(stats64)
 
 
@@ -965,40 +963,40 @@ def test_stages_called_on_a_float32_cloud_give_the_float64_answers(loaded, scene
     cfg = PreprocessConfig()
 
     for stride in (1, 2, 10):
-        down32 = downsample_stride(c32, stride).points
+        down32 = downsample_stride(c32, stride)
         assert down32.dtype == np.float32
-        assert_same_after_widening(down32, downsample_stride(c64, stride).points)
+        assert_same_after_widening(down32, downsample_stride(c64, stride))
 
+    p32, p64 = c32.points, c64.points
     rngs = [np.random.default_rng(5) for _ in range(2)]
-    out32, out64 = (remove_ground(c, cfg, rng=rng) for c, rng in zip((c32, c64), rngs))
-    assert_same_float64(out32.points, out64.points)
-    assert len(out32) < len(c32)
+    out32, out64 = (remove_ground(p, cfg, rng=rng) for p, rng in zip((p32, p64), rngs))
+    assert_same_float64(out32, out64)
+    assert len(out32) < len(p32)
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     below = -cfg.ground_split_height
-    fit32 = preprocess._ransac(c32.points, below, cfg, np.random.default_rng(6))
-    fit64 = preprocess._ransac(c64.points, below, cfg, np.random.default_rng(6))
+    fit32 = preprocess._ransac(p32, below, cfg, np.random.default_rng(6))
+    fit64 = preprocess._ransac(p64, below, cfg, np.random.default_rng(6))
     assert_same_float64(fit32.plane.normal, fit64.plane.normal)
     assert fit32.plane.offset == fit64.plane.offset
     assert np.array_equal(fit32.inliers, fit64.inliers)
 
-    # A skipped fit hands back the cloud widened, not the float32 one. A
+    # A skipped fit hands back the points widened, not the float32 ones. A
     # split past float32's range is compared without an overflowing cast.
     for split in (1e3, 1e300):
         with warnings.catch_warnings(), pytest.warns(GroundFitWarning):
             warnings.simplefilter("error", RuntimeWarning)
             skipped = remove_ground(
-                c32, replace(cfg, ground_split_height=split), rng=np.random.default_rng(7)
+                p32, replace(cfg, ground_split_height=split), rng=np.random.default_rng(7)
             )
-        assert_same_float64(skipped.points, c64.points)
+        assert_same_float64(skipped, p64)
 
-    assert_same_float64(filter_drivable(c32, seq.drivable, frame.ego_pose).points,
-                        filter_drivable(c64, seq.drivable, frame.ego_pose).points)
+    assert_same_float64(filter_drivable(p32, seq.drivable, frame.ego_pose),
+                        filter_drivable(p64, seq.drivable, frame.ego_pose))
     for strict in (False, True):
-        kept = [filter_by_masks(c, seq.cameras, frame.masks, strict=strict).points
-                for c in (c32, c64)]
+        kept = [filter_by_masks(p, seq.cameras, frame.masks, strict=strict) for p in (p32, p64)]
         assert_same_float64(*kept)
-        assert 0 < len(kept[0]) < len(c32)
+        assert 0 < len(kept[0]) < len(p32)
 
 
 @st.composite
@@ -1044,11 +1042,12 @@ def test_downsample_keeps_the_stored_dtype(dtype, stride, n):
     cloud = PointCloud(pts)
     assert cloud.points.dtype == dtype
     out = downsample_stride(cloud, stride)
-    assert out.points.dtype == dtype
-    assert out.points.flags.c_contiguous and not out.points.flags.writeable
-    assert_same_after_widening(out.points, pts[::stride])
+    assert out.dtype == dtype
+    assert out.flags.c_contiguous
+    assert_same_after_widening(out, pts[::stride])
     if stride == 1 and n:
-        assert np.shares_memory(out.points, cloud.points)  # no copy
+        assert np.shares_memory(out, cloud.points)  # no copy
+        assert not out.flags.writeable  # the frame's own read-only array
 
 
 def test_downsample_at_stride_one_hands_on_the_read_array(loaded, monkeypatch):
@@ -1058,5 +1057,41 @@ def test_downsample_at_stride_one_hands_on_the_read_array(loaded, monkeypatch):
         return reads[-1]
     monkeypatch.setattr(dataset_io, "_read_cloud", read_cloud)
     out = downsample_stride(loaded["sweep"].frames[0].cloud, 1)
-    assert len(reads) == 1 and out.points.base is reads[0]
-    assert out.points.dtype == np.float32
+    assert len(reads) == 1 and out.base is reads[0]
+    assert out.dtype == np.float32
+
+
+# --- the stage contract ----------------------------------------------------
+
+def left_half_mask(cam_id="cam_front"):
+    return MaskRegion(cam_id, np.array([[0.0, 0.0], [319.0, 0.0], [319.0, 479.0], [0.0, 479.0]]))
+
+
+# Each stage called on an (N, 3) array; the downsample on an in-memory
+# frame cloud of it, as a frame's cloud is what it takes.
+STAGE_CALLS = {
+    "downsample_stride": lambda pts: downsample_stride(PointCloud(pts), 2),
+    "remove_ground": lambda pts: remove_ground(pts, PreprocessConfig(), rng=np.random.default_rng(0)),
+    "filter_drivable": lambda pts: filter_drivable(
+        pts, square_grid(-20.0, -20.0, size=30), identity_transform()
+    ),
+    "filter_by_masks": lambda pts: filter_by_masks(
+        pts, {"cam_front": camera_looking_forward()}, [left_half_mask()]
+    ),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stage", list(STAGE_CALLS))
+def test_every_stage_takes_and_returns_an_n_by_3_array(stage, dtype):
+    # Ground over 40 x 40 m, a car ahead and to the left; the grid covers
+    # x and y below 10 m, the mask the left half of the forward image.
+    rng = np.random.default_rng(320)
+    car = rng.normal(scale=0.4, size=(80, 3)) + [6.0, 1.0, -0.8]
+    pts = np.vstack([flat_ground(rng, 400, z=-1.8), car]).astype(dtype)
+    out = STAGE_CALLS[stage](pts)
+    assert type(out) is np.ndarray and out.flags.c_contiguous
+    assert out.ndim == 2 and out.shape[1] == 3 and 0 < len(out) < len(pts)
+    assert out.dtype == (dtype if stage == "downsample_stride" else np.float64)
+    with pytest.raises(ValueError, match=r"^points must have shape \(N, 3\), got \(480, 2\)$"):
+        STAGE_CALLS[stage](pts[:, :2].copy())

@@ -453,7 +453,9 @@ def _load_masks(path: Path, cameras: dict[str, CameraModel]) -> list[MaskRegion]
     return regions
 
 
-def load_calibration(path: Path) -> dict[str, CameraModel]:
+def load_calibration(path) -> dict[str, CameraModel]:
+    """Camera models by id, from a calibration.json path (a str or a Path)."""
+    path = Path(path)
     obj = _read_json(path)
     cameras = {}
     for cam_id, rec in sorted(_require(obj, "cameras", path, _object).items()):
@@ -463,7 +465,10 @@ def load_calibration(path: Path) -> dict[str, CameraModel]:
     return cameras
 
 
-def load_drivable(header_path: Path) -> DrivableGrid:
+def load_drivable(header_path) -> DrivableGrid:
+    """The drivable grid of a drivable.json header path (a str or a Path),
+    with the bitmask file it names beside it."""
+    header_path = Path(header_path)
     obj = _read_json(header_path)
     width = _require(obj, "width", header_path, _index)
     height = _require(obj, "height", header_path, _index)
@@ -487,8 +492,9 @@ def _claim(seen: set, key, path: Path, what: str, line=None) -> None:
     seen.add(key)
 
 
-def load_ground_truth(path: Path) -> dict[int, list[GroundTruthBox]]:
+def load_ground_truth(path) -> dict[int, list[GroundTruthBox]]:
     """Ground truth boxes by frame. A track_id may appear once per frame."""
+    path = Path(path)
     gt: dict[int, list[GroundTruthBox]] = {}
     seen: set = set()
     for lineno, rec in _jsonl(path):

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._draws import FrameDraws
 from ._frozen import FrozenRecord, check_shape, frozen
 from .dataset_io import DrivableGrid, FileCloud, Frame, MaskRegion, PointCloud
 from .errors import ConfigError
@@ -324,8 +325,10 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit | s
 def remove_ground(points: np.ndarray, cfg: PreprocessConfig, rng) -> np.ndarray:
     """Drop ground points: fit a plane below the split height, remove its inliers.
 
-    The fit draws from rng; `preprocess_frame` passes each frame a generator
-    seeded [cfg.rng_seed, frame index], the one seed rule the pipeline has.
+    The fit draws from rng, any object with numpy's
+    integers(low, high, size); `preprocess_frame` passes each frame a
+    FrameDraws([cfg.rng_seed, frame index]), the one seed rule the pipeline
+    has: the draws np.random.default_rng of that seed would give.
 
     Points at or above z = -ground_split_height never count as ground. Lower
     points that sit off the fitted plane (walls, tires, curbs) are kept, in
@@ -436,11 +439,13 @@ def preprocess_frame(
 ) -> tuple[np.ndarray, FrameStats]:
     """Run the full reduction chain for one frame: its points and record.
 
-    The RANSAC stream is a per-frame child of cfg.rng_seed, so frames can be
-    processed in any order (or in parallel) with identical results. A loaded
-    frame's file is read once, inside the downsample stage's time.
+    The RANSAC draws come from the package's own PCG64 stream, seeded
+    [cfg.rng_seed, frame index]: the draws np.random.default_rng of that
+    seed gives, without loading numpy.random. So frames can be processed in
+    any order (or in parallel) with identical results. A loaded frame's
+    file is read once, inside the downsample stage's time.
     """
-    rng = np.random.default_rng([cfg.rng_seed, frame.index])
+    rng = FrameDraws([cfg.rng_seed, frame.index])
     n_raw = len(frame.cloud)
     t0 = time.perf_counter()
     points = downsample_stride(frame.cloud, cfg.stride)

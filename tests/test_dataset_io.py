@@ -18,6 +18,8 @@ from lidartrack.dataset_io import (
     TrackRecord,
     _decode,
     _encode,
+    load_calibration,
+    load_drivable,
     load_ground_truth,
     load_sequence,
     load_tracks,
@@ -544,6 +546,32 @@ def test_ground_truth_missing_file_names_it(tmp_path):
     with pytest.raises(DatasetError, match="^.*gt.jsonl: file is missing$") as err:
         load_ground_truth(path)
     assert err.value.path == str(path)
+
+
+# Each public reader and the path it reads, relative to a written sequence.
+READERS = [
+    pytest.param(load_sequence, "seq", id="load_sequence"),
+    pytest.param(load_ground_truth, "seq/gt.jsonl", id="load_ground_truth"),
+    pytest.param(load_tracks, "tracks.jsonl", id="load_tracks"),
+    pytest.param(load_calibration, "seq/calibration.json", id="load_calibration"),
+    pytest.param(load_drivable, "seq/drivable.json", id="load_drivable"),
+]
+
+
+@pytest.mark.parametrize("reader, rel", READERS)
+def test_reader_takes_a_str_or_a_path(tmp_path, reader, rel):
+    write_full(tmp_path)
+    write_tracks(tmp_path / "tracks.jsonl", sample_records())
+    path = tmp_path / rel
+    assert pickle.dumps(reader(str(path))) == pickle.dumps(reader(path))
+
+
+@pytest.mark.parametrize("reader, rel", READERS)
+def test_reader_names_a_missing_str_path(tmp_path, reader, rel):
+    path = str(tmp_path / "absent" / rel)
+    with pytest.raises(DatasetError) as err:
+        reader(path)
+    assert err.value.path == path
 
 
 def test_tracks_empty_file_rejected(tmp_path):

@@ -12,7 +12,6 @@ of measurements.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
@@ -50,7 +49,12 @@ def git_commit(start: Path) -> str | None:
 def source_sha256(package: Path) -> str:
     """sha256 over the package's *.py files in name order: each file's name,
     a NUL, its size in decimal, a NUL and its bytes. It tells apart trees
-    that share a commit, such as an uncommitted change and its parent."""
+    that share a commit, such as an uncommitted change and its parent.
+    hashlib is imported here, not with the module: it loads OpenSSL, about
+    3.5 MiB that the tracking path never uses, so `bench_entry` hashes after
+    it reads the peak resident set size."""
+    import hashlib
+
     digest = hashlib.sha256()
     for path in sorted(package.glob("*.py"), key=lambda p: p.name):
         data = path.read_bytes()
@@ -113,6 +117,7 @@ def bench_entry(
                 for stage, seconds in zip(STAGES, fr.seconds):
                     stages.setdefault(stage, []).append(seconds)
     clouds = 12 * max((len(fr.cloud) for fr in seq.frames), default=0)
+    memory = {"clouds": round(clouds / 2**20, 4), "peak_rss": _peak_rss_mb()}
     return {
         "label": label,
         "dataset": Path(dataset).resolve().name,
@@ -122,7 +127,7 @@ def bench_entry(
         "config": config_to_dict(cfg),
         "wall_ms": {step: _median_ms(runs) for step, runs in walls.items()},
         "stage_ms": {stage: _median_ms(runs) for stage, runs in stages.items()},
-        "memory_mb": {"clouds": round(clouds / 2**20, 4), "peak_rss": _peak_rss_mb()},
+        "memory_mb": memory,
         "minor_faults": statistics.median(faults) if faults else None,
         "environment": {
             "python": platform.python_version(),

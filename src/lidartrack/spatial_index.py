@@ -133,11 +133,13 @@ def _cell_windows(cols: np.ndarray, h: float):
     # plus the point's position in x order. An x-window [x - h, x + h] in row
     # R is then the key range R * (n + 1) + [#(x < x - h), #(x <= x + h)).
     width = n + 1
-    key = row * width + x_rank[order]
+    rank = x_rank[order]  # each sorted point's position in x order
+    key = row * width + rank
+    # Searched in x order, where the queries are sorted too, then taken to
+    # the sweep order: x_sorted[rank] is x[order].
     x_sorted = x[by_x]
-    xo = x[order]
-    lo_rank = np.searchsorted(x_sorted, xo - h, "left")
-    hi_rank = np.searchsorted(x_sorted, xo + h, "right")
+    lo_rank = np.searchsorted(x_sorted, x_sorted - h, "left")[rank]
+    hi_rank = np.searchsorted(x_sorted, x_sorted + h, "right")[rank]
 
     # Own row: only the points after this one, so each pair comes once. The
     # forward rows have larger keys, so they lie after the point too.

@@ -54,7 +54,8 @@ def test_bench_entry_schema(sequence):
     peak = entry["memory_mb"]["peak_rss"]
     assert peak is None or peak > entry["memory_mb"]["clouds"]
     assert list(entry["environment"]) == ["python", "numpy", "nproc"]
-    assert entry["commit"] is None or len(entry["commit"]) == 40
+    # Checked against git itself in test_git_commit_is_the_checked_out_commit.
+    assert entry["commit"] == git_commit(Path(bench.__file__).parent)
     # Two repeats: the median of two fault counts, each at least 0.
     faults = entry["minor_faults"]
     assert faults is None or (faults >= 0 and 2 * faults == int(2 * faults))
@@ -158,6 +159,15 @@ def test_minor_faults_is_the_median_of_the_run_tracking_deltas(sequence, monkeyp
     assert next(readings, None) is None
     monkeypatch.setattr(bench, "_minor_faults", lambda: None)
     assert bench_entry(root, PipelineConfig(), max_frames=1)["minor_faults"] is None
+
+
+def test_bench_reads_the_peak_rss_before_it_hashes_the_source(sequence, monkeypatch):
+    # Hashing imports hashlib, and with it OpenSSL, which tracking never loads.
+    calls = []
+    monkeypatch.setattr(bench, "_peak_rss_mb", lambda: calls.append("peak_rss"))
+    monkeypatch.setattr(bench, "source_sha256", lambda package: calls.append("source_sha256"))
+    bench_entry(sequence[1], PipelineConfig(), max_frames=1)
+    assert calls == ["peak_rss", "source_sha256"]
 
 
 def test_source_sha256_covers_every_module_in_name_order(tmp_path):

@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lidartrack.cli import main
 from lidartrack.config import PipelineConfig, config_from_dict
 from lidartrack.dataset_io import load_sequence
 from lidartrack.pipeline import run_tracking
+from lidartrack.preprocess import _COUNT_BLOCK, _SAMPLED_PROBE_ABOVE, STAGES, GroundFitWarning
 
 CARS = 3
 FRAMES = 15
@@ -51,19 +53,46 @@ def test_track_prints_per_frame_table(dataset, tmp_path, capsys):
     assert out.exists()
 
 
-def test_worker_count_leaves_tracks_bytes_identical(dataset, tmp_path, capsys):
+# Stride 1 is the sweep path: every frame has more ground candidates than
+# the sampled probe starts at, and its full counts run over several blocks.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stride", [10, 1])
+def test_worker_count_leaves_tracks_bytes_identical(dataset, tmp_path, capsys, stride):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preprocess": {"stride": stride}}))
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
     capsys.readouterr()
-    assert main(["track", str(dataset), "--output", str(a), "--workers", "1"]) == 0
+    assert main(["track", str(dataset), "--config", str(cfg), "--output", str(a), "--workers", "1"]) == 0
     table_a = capsys.readouterr().out.splitlines()
-    assert main(["track", str(dataset), "--output", str(b), "--workers", "4"]) == 0
+    assert main(["track", str(dataset), "--config", str(cfg), "--output", str(b), "--workers", "4"]) == 0
     table_b = capsys.readouterr().out.splitlines()
     assert a.read_bytes() == b.read_bytes()
     # The per-frame table too, up to the summary's elapsed time.
     assert len(table_a) == FRAMES + 2
     assert table_a[:-1] == table_b[:-1]
     assert table_a[-1].split(" elapsed=")[0] == table_b[-1].split(" elapsed=")[0]
+    if stride == 1:  # every frame whole, as the table's sampled column shows
+        below = -PipelineConfig().preprocess.ground_split_height
+        for line, frame in zip(table_a[1:-1], load_sequence(dataset).frames):
+            z = frame.cloud.points[:, 2]
+            assert int(line.split()[2]) == len(z) > _COUNT_BLOCK
+            assert np.count_nonzero(z < below) > _SAMPLED_PROBE_ABOVE
+
+    # One bench entry each on 1 and 2 workers, appended to one file.
+    bench = tmp_path / "BENCH.json"
+    for workers in ("1", "2"):
+        argv = ["bench", str(dataset), "--config", str(cfg), "--max-frames", "2",
+                "--workers", workers, "--json", str(bench)]
+        assert main(argv) == 0
+    capsys.readouterr()
+    runs = json.loads(bench.read_text())["runs"]
+    assert [run["workers"] for run in runs] == [1, 2]
+    for run in runs:
+        assert run["config"]["preprocess"]["stride"] == stride
+        assert list(run["stage_ms"]) == list(STAGES)
+        memory = run["memory_mb"]
+        assert memory["peak_rss"] is None or 0 < memory["clouds"] < memory["peak_rss"]
 
 
 def test_eval_reports_expected_counts(dataset, tracked, capsys):
@@ -298,6 +327,14 @@ def test_frame_failing_mid_run_writes_no_tracks_file(tmp_path, capsys, workers):
     err = capsys.readouterr().err
     assert str(frame) in err and "frame 4: 1 point(s) have NaN or infinite" in err
     assert not out.exists()
+    # plot and bench stop at the bad frame too, and run over the frames before it.
+    plots = tmp_path / "plots"
+    for max_frames, status in (("4", 0), ("5", 2)):
+        assert main(["plot", str(root), "--max-frames", max_frames, "--output", str(plots)]) == status
+        assert main(["bench", str(root), "--max-frames", max_frames, "--workers", workers]) == status
+        err = capsys.readouterr().err
+        assert err.count(f"{frame}: frame 4: 1 point(s)") == (2 if status else 0)
+    assert len(list(plots.glob("frame_*.svg"))) == 4
 
 
 DELETE = object()
@@ -321,6 +358,11 @@ CAMERA_FX = ["cameras", "cam_front", "intrinsics", "fx"]
         pytest.param("manifest.json", ["frames", 0, "index"], -1, id="negative-frame-index"),
         pytest.param("poses.json", ["frames", 0, "index"], -1, id="negative-pose-index"),
         pytest.param("drivable.json", ["origin_xy"], [[0.0, 0.0]], id="nested-origin"),
+        # -w x -h needs as many packed bytes as w x h, so only the size rule refuses it.
+        pytest.param(
+            "drivable.json", [], lambda h: {**h, "width": -h["width"], "height": -h["height"]},
+            id="negative-drivable-size",
+        ),
         # Path fields are relative path strings; anything else names its file.
         pytest.param("manifest.json", ["frames", 0, "masks"], 5, id="masks-is-a-number"),
         pytest.param("manifest.json", ["frames", 0, "masks"], True, id="masks-is-true"),
@@ -338,9 +380,10 @@ CAMERA_FX = ["cameras", "cam_front", "intrinsics", "fx"]
     ],
 )
 def test_malformed_sequence_file_is_a_data_error(tmp_path, capsys, name, keys, value):
+    # value replaces the one at keys, or, if callable, maps the old one to the new.
     root = tmp_path / "seq"
     assert main(["synth", str(root), "--cars", "1", "--frames", "2"]) == 0
-    edit_json(root / name, keys, lambda _: value)
+    edit_json(root / name, keys, value if callable(value) else lambda _: value)
     capsys.readouterr()
     assert main(["track", str(root)]) == 2
     assert name in capsys.readouterr().err
@@ -680,6 +723,35 @@ def test_config_value_of_the_wrong_kind_stops_track(
         err = capsys.readouterr().err
         assert f"'{section}'" in err and f"'{key}'" in err
         assert not out.exists()
+
+
+def test_static_ego_scene_through_the_cli(tmp_path, capsys):
+    root = tmp_path / "static"
+    argv = ["synth", str(root), "--cars", "2", "--frames", "8", "--ego-mode", "static"]
+    assert main(argv) == 0
+    poses = json.loads((root / "poses.json").read_text())["frames"]
+    assert len(poses) == 8
+    assert all(p["translation"] == [0.0, 0.0, 0.0] for p in poses)
+    assert main(["track", str(root)]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(root), str(root / "tracks.jsonl")]) == 0
+    assert json.loads(capsys.readouterr().out)["gt_count"] == 2 * 8
+    assert main(["bench", str(root), "--max-frames", "0"]) == 0
+    assert "frames=0 " in capsys.readouterr().out
+
+
+# The candidate test compares float32 z with a split beyond float32's range
+# without an overflowing cast: every frame's fit is skipped with a warning,
+# and nothing raises a RuntimeWarning.
+def test_a_split_past_float32_range_skips_every_ground_fit(dataset, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preprocess": {"ground_split_height": 1e300}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["track", str(dataset), "--config", str(cfg), "--output", str(tmp_path / "t.jsonl")]) == 0
+    capsys.readouterr()
+    assert [w.category for w in caught] == [GroundFitWarning] * FRAMES
 
 
 def test_empty_scene_tracks_cleanly(tmp_path, capsys):

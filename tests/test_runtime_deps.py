@@ -4,7 +4,8 @@ and every command but synth with numpy.random blocked.
 scipy stays a development dependency (a test oracle for the assignment
 solver), so nothing under src/ may import it, not even lazily. numpy.random
 loads secrets, hashlib and OpenSSL on first use; the ground fit draws from
-the package's own stream instead, so only synth may import it.
+the package's own stream instead, so only synth may import it. bench
+imports hashlib only to hash the source, after it reads the peak memory.
 """
 
 import json
@@ -38,7 +39,8 @@ class Blocker:
 
 if sys.argv[1] == "blocked":
     sys.meta_path.insert(0, Blocker())
-import lidartrack.config, lidartrack.evaluation, lidartrack.pipeline, lidartrack.synth
+import lidartrack.bench, lidartrack.config, lidartrack.evaluation, lidartrack.pipeline
+import lidartrack.synth
 from lidartrack.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[3])]
 loaded = sorted(m for m in sys.modules if named(m))
@@ -107,4 +109,10 @@ def test_every_command_but_synth_runs_with_numpy_random_blocked(tmp_path, capsys
 
 def test_importing_the_package_loads_no_scipy():
     out = run("open", ["scipy"], [["track", "--print-config"]])
+    assert out == {"codes": [0], "loaded": []}
+
+
+def test_importing_bench_loads_no_hashlib():
+    # hashlib loads OpenSSL, which bench's peak_rss would count.
+    out = run("open", ["hashlib"], [["track", "--print-config"]])
     assert out == {"codes": [0], "loaded": []}

@@ -118,16 +118,15 @@ def cmd_plot(args) -> int:
                 (rec.track_id, rec.x, rec.y, rec.length, rec.width)
             )
 
-    out_dir = Path(args.output) if args.output else Path(args.dataset) / "plots"
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     # A steady viewport makes frames comparable when flipping through them.
     bounds = view_bounds(None, None, seq.drivable) if seq.drivable is not None else None
 
+    # Render every frame before writing any, so a bad frame leaves no SVG.
     frames = seq.frames if args.max_frames is None else seq.frames[: args.max_frames]
+    svgs = {}
     for frame, found in detect_frames(dataclasses.replace(seq, frames=frames), cfg):
         detections = [(d.center[0], d.center[1], d.length, d.width) for d in found.detections]
-        svg = render_frame_svg(
+        svgs[f"frame_{frame.index:06d}.svg"] = render_frame_svg(
             frame.index,
             transform_points(frame.ego_pose, found.points)[:, :2],
             detections,
@@ -135,7 +134,10 @@ def cmd_plot(args) -> int:
             drivable=seq.drivable,
             bounds=bounds,
         )
-        (out_dir / f"frame_{frame.index:06d}.svg").write_text(svg)
+    out_dir = Path(args.output) if args.output else Path(args.dataset) / "plots"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, svg in svgs.items():
+        (out_dir / name).write_text(svg)
     print(f"wrote {len(frames)} SVG files -> {out_dir}")
     return 0
 

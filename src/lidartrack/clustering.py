@@ -58,12 +58,13 @@ class ClusterLabels(FrozenRecord):
 
 
 def dbscan(index, params: ClusterParams) -> ClusterLabels:
-    """Cluster the points of `index`, a `KdTree` or `BruteForceIndex`, with
-    the given eps / min_points: one label per point, in the index's order.
+    """Cluster the points of `index`, a `KdTree` or any index with its
+    `sweep_pairs`, with the given eps / min_points: one label per point, in
+    the index's order.
 
     The index supplies every pair of points within eps as positions in its
-    sweep order (the identity order for `BruteForceIndex`), and the labels
-    follow from those pairs in whole-array steps.
+    sweep order, and the labels follow from those pairs in whole-array
+    steps.
     """
     order, a, b = index.sweep_pairs(params.eps)
     return ClusterLabels(_sweep_labels(order, a, b, params.min_points))

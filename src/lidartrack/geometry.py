@@ -67,11 +67,6 @@ def quat_from_matrix(m: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-def quat_from_yaw(yaw: float) -> np.ndarray:
-    """Quaternion for a rotation of `yaw` radians about +z."""
-    return np.array([np.cos(yaw / 2.0), 0.0, 0.0, np.sin(yaw / 2.0)])
-
-
 @dataclass(frozen=True)
 class RigidTransform(FrozenRecord):
     """SE(3) map: p -> R(rotation) p + translation."""

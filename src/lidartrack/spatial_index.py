@@ -18,10 +18,6 @@ windows round. The pairs come back as sweep positions a < b with the
 sweep order, which maps them to point indices. The index is rebuilt per
 frame (clouds change completely between sweeps, so incremental updates
 buy nothing).
-
-`BruteForceIndex`, the oracle `KdTree` is tested against, answers the same
-pair question by testing every pair, a block of rows at a time, with
-`_within`. Its sweep order is the identity.
 """
 
 from __future__ import annotations
@@ -57,10 +53,6 @@ _FORWARD_ROWS = (1, _ROW_STRIDE - 1, _ROW_STRIDE, _ROW_STRIDE + 1)
 # hands them back on free.
 _BLOCK = 8192
 
-# Pairs `BruteForceIndex.radius_pairs` tests in one block of rows; each of
-# the test's (rows, points) temporaries takes 8 bytes a pair, 2 MiB here.
-_SCAN_PAIRS = 2**18
-
 
 def _finite_points(points) -> np.ndarray:
     """The index's own frozen copy of its points, which must be finite."""
@@ -74,23 +66,6 @@ def _check_radius(r: float) -> float:
     if not r >= 0:
         raise ValueError("radius must be non-negative")
     return float(r)
-
-
-def _within(cols, center, r: float) -> np.ndarray:
-    """The inclusive distance test every index answers with.
-
-    cols holds the points' x, y and z columns and center the centres' x, y
-    and z as (B, 1) columns, which broadcast against them: the (B, N) mask's
-    rows are bitwise the masks of one centre each.
-    """
-    dx, dy, dz = (p - c for p, c in zip(cols, center))
-    # (dx*dx + dy*dy) + dz*dz, in place: a third faster on large blocks.
-    dx *= dx
-    dy *= dy
-    dx += dy
-    dz *= dz
-    dx += dz
-    return dx <= r * r
 
 
 def _candidate_radius(r: float) -> float:
@@ -188,7 +163,7 @@ def _sweep_pairs(points: np.ndarray, r: float):
         a = np.repeat(src[w], cut)
         b = np.repeat(shift[w] - s, cut)
         np.subtract(steps[: e - s], b, out=b)
-        # Same sum order as _within, (dx*dx + dy*dy) + dz*dz, in place.
+        # The documented test's sum order, (dx*dx + dy*dy) + dz*dz, in place.
         d2 = x[b]
         d2 -= x[a]
         d2 *= d2
@@ -232,40 +207,3 @@ class KdTree(FrozenRecord):
             return tuple(np.empty(0, dtype=np.int64) for _ in range(3))
         return _sweep_pairs(self.points, r)
 
-
-class BruteForceIndex(FrozenRecord):
-    """Linear-scan radius search; the reference `KdTree` is tested against."""
-
-    def __init__(self, points):
-        self.points = _finite_points(points)
-
-    def radius_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """Every pair (i, j), i < j, of points within distance r of each
-        other, as two int64 arrays sorted by i, then j.
-
-        Each block of rows i is tested against the points after its first
-        row with `_within`, so row i's pairs are those of the module's
-        inclusive test from points[i] alone, bit for bit.
-        """
-        r = _check_radius(r)
-        firsts, seconds = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        cols = self.points.T.copy()  # contiguous columns scan several times faster
-        n = len(self.points)
-        start = 0
-        while start < n - 1:
-            stop = min(n, start + max(1, _SCAN_PAIRS // (n - start)))
-            hit = _within(cols[:, start + 1 :], cols[:, start:stop, None], r)
-            i, j = np.nonzero(hit)
-            i += start
-            j += start + 1
-            keep = j > i
-            firsts.append(i[keep])
-            seconds.append(j[keep])
-            start = stop
-        return np.concatenate(firsts), np.concatenate(seconds)
-
-    def sweep_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`KdTree.sweep_pairs` over the identity order: the pairs of
-        `radius_pairs` with their order 0..n-1."""
-        i, j = self.radius_pairs(r)
-        return np.arange(len(self.points)), i, j

@@ -30,7 +30,6 @@ from .dataset_io import (
 from .geometry import (
     CameraModel,
     RigidTransform,
-    identity_transform,
     invert,
     quat_from_matrix,
     transform_points,
@@ -244,24 +243,3 @@ def generate_to(path, cfg: SynthConfig) -> Path:
         path, seq.frames, seq.cameras, drivable=seq.drivable, ground_truth=ground_truth(cfg)
     )
 
-
-def bake_ego_motion(seq: Sequence) -> Sequence:
-    """Rewrite a sequence as seen by a motionless observer at the city origin.
-
-    Each cloud is transformed by its ego pose and the poses are replaced
-    with the identity. Tracking output in the city frame must not care
-    which of the two representations it was fed.
-    """
-    frames = []
-    for fr in seq.frames:
-        city_pts = transform_points(fr.ego_pose, fr.cloud.points)
-        frames.append(
-            Frame(
-                index=fr.index,
-                timestamp=fr.timestamp,
-                cloud=PointCloud(city_pts),
-                ego_pose=identity_transform(),
-                masks=fr.masks,
-            )
-        )
-    return Sequence(frames=frames, cameras=seq.cameras, drivable=seq.drivable)

@@ -6,10 +6,13 @@ filter only has to explain how the cars move, not how the sensor does.
 
 One track per object: a constant-velocity Kalman filter over the
 bird's-eye-view state [x, y, vx, vy] plus the latest matched box, whose z
-and extents are reported unfiltered. Association is min-cost assignment on
-BEV centroid distance with a gate; lifecycle is hit/miss counting
-(confirmed once enough hits, deleted after enough consecutive misses).
-Track ids are never reused.
+and extents are reported unfiltered. The tracks are the rows of one track
+table, and the filter runs over a stack of them at once: `kalman_init`,
+`kalman_predict` and `kalman_update` take (T, 4) states and (T, 4, 4)
+covariances, T = 1 being a single track. Association is min-cost
+assignment on BEV centroid distance with a gate; lifecycle is hit/miss
+counting (confirmed once enough hits, deleted after enough consecutive
+misses). Track ids are never reused.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._frozen import FrozenRecord, check_shape, frozen
+from ._frozen import check_shape
 from .dataset_io import TrackRecord
-from .detection import Detection3D
 
 
 # Cost assigned to gated-out pairs. Any pair carrying this cost is reported
@@ -51,77 +53,54 @@ class TrackerConfig:
 
 def transition_matrices(dt: float, q_accel: float):
     """State transition F and white-acceleration process noise Q for one
-    predict step of the [x, y, vx, vy] state."""
-    F = np.eye(4)
-    F[0, 2] = dt
-    F[1, 3] = dt
+    predict step of the [x, y, vx, vy] state: on each axis, the blocks
+    [[1, dt], [0, 1]] and q^2 [[dt^4/4, dt^3/2], [dt^3/2, dt^2]]."""
     d2 = dt * dt
     d3 = d2 * dt
     d4 = d3 * dt
-    Q = (q_accel * q_accel) * np.array(
-        [
-            [d4 / 4, 0, d3 / 2, 0],
-            [0, d4 / 4, 0, d3 / 2],
-            [d3 / 2, 0, d2, 0],
-            [0, d3 / 2, 0, d2],
-        ]
-    )
+    F = np.kron([[1.0, dt], [0.0, 1.0]], np.eye(2))
+    Q = (q_accel * q_accel) * np.kron([[d4 / 4, d3 / 2], [d3 / 2, d2]], np.eye(2))
     return F, Q
 
 
-@dataclass(frozen=True)
-class KalmanCV(FrozenRecord):
-    """BEV position/velocity estimate; state is [x, y, vx, vy]."""
-
-    state: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        for name, shape in (("state", (4,)), ("covariance", (4, 4))):
-            object.__setattr__(self, name, frozen(name, getattr(self, name), np.float64, shape))
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.state[:2]
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.state[2:4]
+def kalman_init(xy, cfg: TrackerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh estimates at (T, 2) detections: zero velocity, inflated
+    velocity variance. Returns (T, 4) states and (T, 4, 4) covariances."""
+    xy = np.asarray(xy, dtype=np.float64)
+    check_shape("xy", xy, ("T", 2))
+    r2, v2 = cfg.measurement_noise_pos**2, cfg.initial_velocity_std**2
+    cov = np.diag([r2, r2, v2, v2])
+    return np.hstack([xy, np.zeros_like(xy)]), np.repeat(cov[None], len(xy), axis=0)
 
 
-def kalman_init(xy: np.ndarray, cfg: TrackerConfig) -> KalmanCV:
-    """Fresh estimate at a detection: zero velocity, inflated velocity variance."""
-    state = np.zeros(4)
-    state[:2] = xy
-    r2 = cfg.measurement_noise_pos**2
-    v2 = cfg.initial_velocity_std**2
-    return KalmanCV(state, np.diag([r2, r2, v2, v2]))
-
-
-def kalman_predict(k: KalmanCV, dt: float, q_accel: float) -> KalmanCV:
-    """Advance the estimate by dt. dt = 0 is an exact no-op on the state."""
+def kalman_predict(states, covs, dt: float, q_accel: float) -> tuple[np.ndarray, np.ndarray]:
+    """Advance (T, 4) states and (T, 4, 4) covariances by dt. dt = 0 is an
+    exact no-op on the states."""
+    check_shape("states", states, ("T", 4))
+    check_shape("covs", covs, (len(states), 4, 4))
     if dt < 0:
         raise ValueError("dt must be non-negative")
     F, Q = transition_matrices(dt, q_accel)
-    state = F @ k.state
-    cov = F @ k.covariance @ F.T + Q
-    cov = (cov + cov.T) / 2.0
-    return KalmanCV(state, cov)
+    states = (F @ states[..., None])[..., 0]
+    covs = F @ covs @ F.T + Q
+    return states, (covs + covs.swapaxes(1, 2)) / 2.0
 
 
-def kalman_update(k: KalmanCV, z_xy, r_pos: float) -> KalmanCV:
-    """Fold in a BEV position measurement with noise std r_pos per axis."""
+def kalman_update(states, covs, z_xy, r_pos: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fold one BEV position measurement per track, (T, 2) with noise std
+    r_pos per axis, into (T, 4) states and (T, 4, 4) covariances."""
+    check_shape("states", states, ("T", 4))
+    check_shape("covs", covs, (len(states), 4, 4))
     z = np.asarray(z_xy, dtype=np.float64)
-    check_shape("z_xy", z, (2,))
+    check_shape("z_xy", z, (len(states), 2))
     H = np.eye(2, 4)
     R = np.eye(2) * (r_pos * r_pos)
-    innovation = z - H @ k.state
-    S = H @ k.covariance @ H.T + R
-    K = k.covariance @ H.T @ np.linalg.inv(S)
-    state = k.state + K @ innovation
-    cov = (np.eye(4) - K @ H) @ k.covariance
-    cov = (cov + cov.T) / 2.0
-    return KalmanCV(state, cov)
+    innovation = z - (H @ states[..., None])[..., 0]
+    S = H @ covs @ H.T + R
+    K = covs @ H.T @ np.linalg.inv(S)
+    states = states + (K @ innovation[..., None])[..., 0]
+    covs = (np.eye(4) - K @ H) @ covs
+    return states, (covs + covs.swapaxes(1, 2)) / 2.0
 
 
 def cost_matrix(track_xy: np.ndarray, det_xy: np.ndarray, gate: float) -> np.ndarray:
@@ -130,8 +109,6 @@ def cost_matrix(track_xy: np.ndarray, det_xy: np.ndarray, gate: float) -> np.nda
     d = np.asarray(det_xy, dtype=np.float64)
     check_shape("track_xy", t, ("N", 2))
     check_shape("det_xy", d, ("M", 2))
-    if len(t) == 0 or len(d) == 0:
-        return np.zeros((len(t), len(d)))
     diff = t[:, None, :] - d[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
     return np.where(dist <= gate, dist, GATE_SENTINEL)
@@ -246,39 +223,39 @@ def hungarian(cost: np.ndarray) -> Assignment:
     )
 
 
-@dataclass
-class Track:
-    """A filter, the latest matched box and two counters. hits never goes
-    down, so a track stays confirmed once it has enough of them."""
-
-    track_id: int
-    kalman: KalmanCV
-    box: Detection3D
-    hits: int = 1
-    consecutive_misses: int = 0
-
-
-def _record(tr: Track, frame: int) -> TrackRecord:
-    x, y, vx, vy = (float(v) for v in tr.kalman.state)
-    b = tr.box
-    z = float(b.center[2])
-    return TrackRecord(frame, tr.track_id, x, y, z, vx, vy, b.length, b.width, b.height)
+# One row of `Tracker.tracks`.
+TRACK_ROW = np.dtype(
+    [
+        ("id", np.int64),
+        ("state", np.float64, (4,)),
+        ("cov", np.float64, (4, 4)),
+        ("box", np.float64, (4,)),
+        ("hits", np.int64),
+        ("misses", np.int64),
+    ]
+)
 
 
 class Tracker:
     """Multi-object tracker consuming city-frame detections frame by frame.
 
+    `tracks` is the track table, one TRACK_ROW per live track, oldest first,
+    so len(tracks) is the live count. A row's box is its latest matched
+    detection's z, length, width and height. A step predicts and updates
+    all rows at once, drops the deleted ones with one boolean filter and
+    appends the births.
+
     Tentative and confirmed tracks associate identically; confirmation
-    (hits >= hit_confirm_threshold) only controls what step() returns.
-    Records reflect the post-update state of this frame, so a confirmed
-    track coasting through a missed frame still reports its predicted
-    position. A track is dropped in the step that brings its consecutive
-    misses to miss_delete_threshold.
+    (hits >= hit_confirm_threshold; hits never goes down) only controls
+    what step() returns. Records reflect the post-update state of this
+    frame, so a confirmed track coasting through a missed frame still
+    reports its predicted position. A track is dropped in the step that
+    brings its consecutive misses to miss_delete_threshold.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
-        self.tracks: list[Track] = []
+        self.tracks = np.zeros(0, TRACK_ROW)
         self._next_id = 0
         self._last_timestamp: Optional[float] = None
 
@@ -292,31 +269,32 @@ class Tracker:
         dt = 0.0 if self._last_timestamp is None else timestamp - self._last_timestamp
         self._last_timestamp = timestamp
 
-        for tr in self.tracks:
-            tr.kalman = kalman_predict(tr.kalman, dt, cfg.process_noise_accel)
+        t = self.tracks
+        t["state"], t["cov"] = kalman_predict(t["state"], t["cov"], dt, cfg.process_noise_accel)
+        dets = np.reshape([(*d.center, d.length, d.width, d.height) for d in detections], (-1, 6))
+        det_xy, boxes = dets[:, :2], dets[:, 2:]
+        assignment = hungarian(cost_matrix(t["state"][:, :2], det_xy, cfg.gate_distance))
 
-        track_xy = np.array([tr.kalman.position for tr in self.tracks]).reshape(-1, 2)
-        det_xy = np.array([d.center[:2] for d in detections]).reshape(-1, 2)
-        assignment = hungarian(cost_matrix(track_xy, det_xy, cfg.gate_distance))
+        ti, di = np.array(assignment.matches, dtype=np.int64).reshape(-1, 2).T
+        t["state"][ti], t["cov"][ti] = kalman_update(
+            t["state"][ti], t["cov"][ti], det_xy[di], cfg.measurement_noise_pos
+        )
+        t["box"][ti] = boxes[di]
+        t["hits"][ti] += 1
+        t["misses"][ti] = 0
+        t["misses"][assignment.unmatched_tracks] += 1
 
-        for ti, di in assignment.matches:
-            tr = self.tracks[ti]
-            tr.box = detections[di]
-            tr.kalman = kalman_update(tr.kalman, tr.box.center[:2], cfg.measurement_noise_pos)
-            tr.hits += 1
-            tr.consecutive_misses = 0
+        new = assignment.unmatched_detections
+        born = np.zeros(len(new), TRACK_ROW)
+        born["id"] = self._next_id + np.arange(len(new))
+        born["state"], born["cov"] = kalman_init(det_xy[new], cfg)
+        born["box"] = boxes[new]
+        born["hits"] = 1
+        self._next_id += len(new)
+        self.tracks = np.concatenate([t[t["misses"] < cfg.miss_delete_threshold], born])
 
-        for ti in assignment.unmatched_tracks:
-            self.tracks[ti].consecutive_misses += 1
-        self.tracks = [
-            tr for tr in self.tracks if tr.consecutive_misses < cfg.miss_delete_threshold
-        ]
-
-        for di in assignment.unmatched_detections:
-            det = detections[di]
-            self.tracks.append(Track(self._next_id, kalman_init(det.center[:2], cfg), det))
-            self._next_id += 1
-
+        c = self.tracks[self.tracks["hits"] >= cfg.hit_confirm_threshold]
+        rows = zip(c["id"].tolist(), c["state"].tolist(), c["box"].tolist())
         return [
-            _record(tr, frame) for tr in self.tracks if tr.hits >= cfg.hit_confirm_threshold
+            TrackRecord(frame, i, x, y, z, vx, vy, *dims) for i, (x, y, vx, vy), (z, *dims) in rows
         ]

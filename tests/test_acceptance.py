@@ -11,6 +11,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from oracles import BruteForceIndex, bake_ego_motion
 
 from lidartrack.clustering import ClusterParams, dbscan
 from lidartrack.config import PipelineConfig
@@ -19,10 +20,9 @@ from lidartrack.detection import Detection3D
 from lidartrack.evaluation import gt_to_eval_frames, mota, tracks_to_eval_frames
 from lidartrack.pipeline import run_tracking
 from lidartrack.preprocess import PreprocessConfig, _ransac
-from lidartrack.spatial_index import BruteForceIndex, KdTree
+from lidartrack.spatial_index import KdTree
 from lidartrack.synth import (
     SynthConfig,
-    bake_ego_motion,
     car_center,
     generate,
     generate_to,
@@ -218,20 +218,22 @@ def test_kalman_velocity_convergence_and_psd():
     cfg = TrackerConfig()
     truth_v = np.array([6.0, -2.0])
     dt = 0.5
-    k = kalman_init(np.zeros(2), cfg)
+    state, cov = kalman_init(np.zeros((1, 2)), cfg)
     for i in range(1, 20):
-        k = kalman_predict(k, dt, cfg.process_noise_accel)
-        k = kalman_update(k, truth_v * i * dt, cfg.measurement_noise_pos)
-    v_err = float(np.linalg.norm(k.velocity - truth_v))
+        state, cov = kalman_predict(state, cov, dt, cfg.process_noise_accel)
+        state, cov = kalman_update(state, cov, [truth_v * i * dt], cfg.measurement_noise_pos)
+    v_err = float(np.linalg.norm(state[0, 2:] - truth_v))
 
     rng = np.random.default_rng(904)
     min_eig = np.inf
-    k = kalman_init(rng.normal(size=2), cfg)
+    state, cov = kalman_init(rng.normal(size=(1, 2)), cfg)
     for _ in range(1000):
-        k = kalman_predict(k, float(rng.uniform(0.02, 0.6)), cfg.process_noise_accel)
-        k = kalman_update(k, k.position + rng.normal(scale=0.5, size=2), 0.5)
-        assert np.array_equal(k.covariance, k.covariance.T)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(k.covariance).min()))
+        gap = float(rng.uniform(0.02, 0.6))
+        state, cov = kalman_predict(state, cov, gap, cfg.process_noise_accel)
+        z = state[:, :2] + rng.normal(scale=0.5, size=(1, 2))
+        state, cov = kalman_update(state, cov, z, 0.5)
+        assert np.array_equal(cov[0], cov[0].T)
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(cov[0]).min()))
     report(
         "kalman cv convergence and covariance health",
         v_err < 0.05 and min_eig >= -1e-9,

@@ -337,6 +337,22 @@ def test_frame_failing_mid_run_writes_no_tracks_file(tmp_path, capsys, workers):
     assert len(list(plots.glob("frame_*.svg"))) == 4
 
 
+def test_plot_writes_no_svg_when_a_frame_fails(tmp_path, capsys):
+    """Like track, plot stops at a bad frame without leaving the files of
+    the frames before it."""
+    root = tmp_path / "seq"
+    assert main(["synth", str(root), "--cars", "1", "--frames", "6"]) == 0
+    frame = root / "frames" / "000004.bin"
+    pts = np.fromfile(frame, dtype="<f4")
+    pts[7] = np.nan
+    pts.tofile(frame)
+    plots = tmp_path / "plots"
+    capsys.readouterr()
+    assert main(["plot", str(root), "--output", str(plots)]) == 2
+    assert f"{frame}: frame 4: 1 point(s) have NaN" in capsys.readouterr().err
+    assert not plots.exists()
+
+
 DELETE = object()
 CAMERA_ROTATION = ["cameras", "cam_front", "ego_to_camera", "rotation"]
 CAMERA_FX = ["cameras", "cam_front", "intrinsics", "fx"]

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import BruteForceIndex
 
 from lidartrack.clustering import ClusterLabels, ClusterParams, dbscan
 from lidartrack import spatial_index
-from lidartrack.spatial_index import BruteForceIndex, KdTree
+from lidartrack.spatial_index import KdTree
 
 
 def reference_dbscan(points: np.ndarray, eps: float, min_points: int) -> np.ndarray:

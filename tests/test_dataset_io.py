@@ -8,6 +8,7 @@ import pickle
 
 import numpy as np
 import pytest
+from oracles import quat_from_yaw
 
 from lidartrack.dataset_io import (
     DrivableGrid,
@@ -28,7 +29,7 @@ from lidartrack.dataset_io import (
 )
 from lidartrack.config import PipelineConfig
 from lidartrack.errors import DatasetError
-from lidartrack.geometry import CameraModel, RigidTransform, quat_from_yaw
+from lidartrack.geometry import CameraModel, RigidTransform
 from lidartrack.pipeline import run_tracking
 
 

@@ -7,17 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import quat_from_yaw
 
 from lidartrack.clustering import ClusterParams
 from lidartrack.config import PipelineConfig
 from lidartrack.dataset_io import Frame, PointCloud
 from lidartrack.detection import BoxLimits, Detection3D, detect, fit_box, passes_heuristics
-from lidartrack.geometry import (
-    RigidTransform,
-    quat_from_matrix,
-    quat_from_yaw,
-    quat_to_matrix,
-)
+from lidartrack.geometry import RigidTransform, quat_from_matrix, quat_to_matrix
 from lidartrack.preprocess import STAGES, PreprocessConfig
 from lidartrack.synth import SynthConfig, generate
 

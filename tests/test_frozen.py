@@ -13,14 +13,15 @@ import re
 
 import numpy as np
 import pytest
+from oracles import BruteForceIndex
 
 from lidartrack.clustering import ClusterLabels
 from lidartrack.dataset_io import DrivableGrid, GroundTruthBox, MaskRegion, PointCloud
 from lidartrack.detection import Detection3D, fit_box
 from lidartrack.geometry import RigidTransform, identity_transform, transform_points
 from lidartrack.preprocess import Plane
-from lidartrack.spatial_index import BruteForceIndex, KdTree
-from lidartrack.tracking import KalmanCV, cost_matrix, kalman_update
+from lidartrack.spatial_index import KdTree
+from lidartrack.tracking import cost_matrix, kalman_predict, kalman_update
 
 POLYGON = [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]
 POINTS = [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
@@ -30,8 +31,6 @@ FIELDS = {
     "Plane.normal": ([0.0, 0.0, 1.0], lambda a: Plane(a, -0.5)),
     "ClusterLabels.labels": (np.array([0, 0, -1, 1]), ClusterLabels),
     "Detection3D.center": ([1.0, 2.0, 3.0], lambda a: Detection3D(a, 4.0, 2.0, 1.5, 10)),
-    "KalmanCV.state": ([1.0, 2.0, 0.5, 0.0], lambda a: KalmanCV(a, np.eye(4))),
-    "KalmanCV.covariance": (np.eye(4), lambda a: KalmanCV(np.zeros(4), a)),
     "RigidTransform.rotation": ([1.0, 0.0, 0.0, 0.0], lambda a: RigidTransform(a, np.zeros(3))),
     "RigidTransform.translation": (
         [1.0, 2.0, 3.0],
@@ -84,8 +83,8 @@ def test_record_keeps_its_array_read_only_through_a_copy(name, how):
 
 
 # function(argument): (a call given that argument, the shape it wants, a wrong one).
-# Reshaped to fit, the (4,) track_xy would read as two points and the (2, 1)
-# z_xy as one measurement.
+# Reshaped to fit, the (4,) track_xy would read as two points; broadcast, the
+# (4, 4) covs and the (2,) z_xy would be those of every track.
 IDENTITY = identity_transform()
 ROW = np.zeros((1, 2))
 ARGUMENTS = {
@@ -93,10 +92,20 @@ ARGUMENTS = {
     "fit_box(points)": (fit_box, "(N, 3)", (3,)),
     "cost_matrix(track_xy)": (lambda a: cost_matrix(a, ROW, 1.0), "(N, 2)", (4,)),
     "cost_matrix(det_xy)": (lambda a: cost_matrix(ROW, a, 1.0), "(M, 2)", (1, 3)),
+    "kalman_predict(states)": (
+        lambda a: kalman_predict(a, np.eye(4)[None], 0.5, 1.0),
+        "(T, 4)",
+        (4,),
+    ),
+    "kalman_predict(covs)": (
+        lambda a: kalman_predict(np.zeros((1, 4)), a, 0.5, 1.0),
+        "(1, 4, 4)",
+        (4, 4),
+    ),
     "kalman_update(z_xy)": (
-        lambda a: kalman_update(KalmanCV(np.zeros(4), np.eye(4)), a, 0.5),
-        "(2,)",
-        (2, 1),
+        lambda a: kalman_update(np.zeros((1, 4)), np.eye(4)[None], a, 0.5),
+        "(1, 2)",
+        (2,),
     ),
 }
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import quat_from_yaw
 
 from lidartrack.geometry import (
     CameraModel,
@@ -11,7 +12,6 @@ from lidartrack.geometry import (
     project_points,
     quat_conjugate,
     quat_from_matrix,
-    quat_from_yaw,
     quat_to_matrix,
     transform_points,
 )

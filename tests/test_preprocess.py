@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import quat_from_yaw
 
 from lidartrack import dataset_io, preprocess
 from lidartrack.clustering import dbscan
@@ -27,7 +28,6 @@ from lidartrack.geometry import (
     CameraModel,
     RigidTransform,
     identity_transform,
-    quat_from_yaw,
 )
 from lidartrack.preprocess import (
     _COUNT_BLOCK,

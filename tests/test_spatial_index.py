@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import BruteForceIndex
 from lidartrack import spatial_index
-from lidartrack.spatial_index import BruteForceIndex, KdTree
+from lidartrack.spatial_index import KdTree
 
 
 def linear_scan(points, center, radius):
@@ -194,19 +196,19 @@ def per_row_pairs(index, r):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(cloud_and_radius(), st.sampled_from((1, 7, 64, spatial_index._SCAN_PAIRS)))
+@given(cloud_and_radius(), st.sampled_from((1, 7, 64, oracles._SCAN_PAIRS)))
 def test_brute_radius_pairs_match_per_row_scan_generated(case, block_pairs):
     """The block scan gives the per-row linear scan's pairs, in its order,
     for blocks of one row up to the whole cloud. Centres on the cloud's own
     points put neighbours at exactly r."""
     pts, r = case
     index = BruteForceIndex(pts)
-    old = spatial_index._SCAN_PAIRS
-    spatial_index._SCAN_PAIRS = block_pairs
+    old = oracles._SCAN_PAIRS
+    oracles._SCAN_PAIRS = block_pairs
     try:
         got = index.radius_pairs(r)
     finally:
-        spatial_index._SCAN_PAIRS = old
+        oracles._SCAN_PAIRS = old
     want = per_row_pairs(index, r)
     assert all(a.dtype == np.int64 for a in got)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))

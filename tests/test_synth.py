@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import bake_ego_motion
 
 from lidartrack.dataset_io import load_ground_truth, load_sequence
 from lidartrack.errors import ConfigError
@@ -15,7 +16,6 @@ from lidartrack.synth import (
     GROUND_Z,
     SynthConfig,
     _scene_bounds,
-    bake_ego_motion,
     car_center,
     ego_pose,
     generate,

@@ -1,8 +1,10 @@
 """Kalman filtering, gated assignment, and track lifecycle.
 
 Reference computations here are written against the textbook forms (Joseph
-covariance update, permutation-enumeration assignment) so the library code
-is checked by a second derivation, not by itself.
+covariance update, permutation-enumeration assignment, a per-track tracker
+in `oracles.ReferenceTracker`) so the library code is checked by a second
+derivation, not by itself. The filter takes stacks of tracks, (T, 4)
+states and (T, 4, 4) covariances; T = 1 is one track.
 """
 
 from itertools import permutations
@@ -12,13 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import ReferenceTracker
 from scipy.optimize import linear_sum_assignment
 
+from lidartrack.config import PipelineConfig
 from lidartrack.detection import Detection3D
+from lidartrack.pipeline import detect_frames
+from lidartrack.synth import SynthConfig, generate
 from lidartrack.tracking import (
     GATE_SENTINEL,
     Assignment,
-    KalmanCV,
     Tracker,
     TrackerConfig,
     cost_matrix,
@@ -59,37 +64,38 @@ def test_cv_transition_matrices_hand_values():
 
 def test_kalman_init_prior():
     cfg = TrackerConfig(measurement_noise_pos=0.5, initial_velocity_std=10.0)
-    k = kalman_init(np.array([3.0, -4.0]), cfg)
-    assert np.array_equal(k.position, [3.0, -4.0])
-    assert np.array_equal(k.velocity, [0.0, 0.0])
-    assert np.allclose(np.diag(k.covariance), [0.25, 0.25, 100.0, 100.0])
+    state, cov = kalman_init(np.array([[3.0, -4.0]]), cfg)
+    assert np.array_equal(state[0, :2], [3.0, -4.0])
+    assert np.array_equal(state[0, 2:], [0.0, 0.0])
+    assert np.allclose(np.diag(cov[0]), [0.25, 0.25, 100.0, 100.0])
 
 
 def test_kalman_state_is_position_and_velocity_only():
-    with pytest.raises(ValueError):
-        KalmanCV(np.zeros(6), np.eye(6))
+    with pytest.raises(ValueError, match="states must have shape"):
+        kalman_predict(np.zeros((1, 6)), np.eye(6)[None], 0.1, 1.0)
+    with pytest.raises(ValueError, match="states must have shape"):
+        kalman_update(np.zeros((1, 6)), np.eye(6)[None], np.zeros((1, 2)), 0.5)
 
 
 def test_predict_moves_state_linearly():
     cfg = TrackerConfig()
-    k = kalman_init(np.array([0.0, 0.0]), cfg)
-    k = KalmanCV(np.array([1.0, 2.0, 3.0, -1.0]), k.covariance)
-    out = kalman_predict(k, 0.5, q_accel=2.0)
-    assert np.allclose(out.state, [2.5, 1.5, 3.0, -1.0])
+    _, cov = kalman_init(np.zeros((1, 2)), cfg)
+    state, _ = kalman_predict(np.array([[1.0, 2.0, 3.0, -1.0]]), cov, 0.5, q_accel=2.0)
+    assert np.allclose(state, [[2.5, 1.5, 3.0, -1.0]])
 
 
 def test_predict_zero_dt_is_identity_on_state():
     cfg = TrackerConfig()
-    k = kalman_init(np.array([5.0, 6.0]), cfg)
-    out = kalman_predict(k, 0.0, q_accel=2.0)
-    assert np.array_equal(out.state, k.state)
-    assert np.array_equal(out.covariance, k.covariance)
+    state, cov = kalman_init(np.array([[5.0, 6.0]]), cfg)
+    out_state, out_cov = kalman_predict(state, cov, 0.0, q_accel=2.0)
+    assert np.array_equal(out_state, state)
+    assert np.array_equal(out_cov, cov)
 
 
 def test_predict_rejects_negative_dt():
-    k = kalman_init(np.zeros(2), TrackerConfig())
+    state, cov = kalman_init(np.zeros((1, 2)), TrackerConfig())
     with pytest.raises(ValueError):
-        kalman_predict(k, -0.1, 1.0)
+        kalman_predict(state, cov, -0.1, 1.0)
 
 
 def reference_update(state, cov, z, r):
@@ -118,46 +124,45 @@ def test_update_matches_joseph_form_randomized():
         cov = random_spd(rng, 4)
         z = rng.normal(scale=5.0, size=2)
         r = float(rng.uniform(0.1, 2.0))
-        k = KalmanCV(state, cov)
-        out = kalman_update(k, z, r)
+        out_state, out_cov = kalman_update(state[None], cov[None], z[None], r)
         want_state, want_cov = reference_update(state, cov, z, r)
-        assert np.allclose(out.state, want_state, atol=1e-9)
-        assert np.allclose(out.covariance, want_cov, atol=1e-8)
+        assert np.allclose(out_state[0], want_state, atol=1e-9)
+        assert np.allclose(out_cov[0], want_cov, atol=1e-8)
 
 
 def test_update_scalar_gain_case():
     # With P = diag(p, p, v, v) the position block is decoupled, so the
     # update on x collapses to the scalar gain p / (p + r^2).
     p, v, r = 4.0, 100.0, 1.0
-    k = KalmanCV(np.zeros(4), np.diag([p, p, v, v]))
-    out = kalman_update(k, np.array([2.0, -2.0]), r)
+    cov = np.diag([p, p, v, v])[None]
+    state, cov = kalman_update(np.zeros((1, 4)), cov, np.array([[2.0, -2.0]]), r)
     gain = p / (p + r * r)
-    assert np.allclose(out.state[:2], [gain * 2.0, gain * -2.0])
-    assert np.allclose(out.state[2:], [0.0, 0.0])
-    assert np.isclose(out.covariance[0, 0], (1 - gain) * p)
+    assert np.allclose(state[0, :2], [gain * 2.0, gain * -2.0])
+    assert np.allclose(state[0, 2:], [0.0, 0.0])
+    assert np.isclose(cov[0, 0, 0], (1 - gain) * p)
 
 
 def test_update_keeps_covariance_symmetric_psd():
     rng = np.random.default_rng(601)
     cfg = TrackerConfig()
-    k = kalman_init(rng.normal(size=2), cfg)
+    state, cov = kalman_init(rng.normal(size=(1, 2)), cfg)
     for _ in range(300):
-        k = kalman_predict(k, float(rng.uniform(0.05, 0.5)), 2.0)
-        k = kalman_update(k, k.position + rng.normal(scale=0.3, size=2), 0.5)
-        cov = k.covariance
-        assert np.array_equal(cov, cov.T)
-        assert np.linalg.eigvalsh(cov).min() >= -1e-9
+        state, cov = kalman_predict(state, cov, float(rng.uniform(0.05, 0.5)), 2.0)
+        z = state[:, :2] + rng.normal(scale=0.3, size=(1, 2))
+        state, cov = kalman_update(state, cov, z, 0.5)
+        assert np.array_equal(cov[0], cov[0].T)
+        assert np.linalg.eigvalsh(cov[0]).min() >= -1e-9
 
 
 def test_velocity_converges_on_noiseless_cv_target():
     cfg = TrackerConfig()
     truth_v = np.array([4.0, -1.5])
     dt = 0.5
-    k = kalman_init(np.zeros(2), cfg)
+    state, cov = kalman_init(np.zeros((1, 2)), cfg)
     for i in range(1, 20):
-        k = kalman_predict(k, dt, cfg.process_noise_accel)
-        k = kalman_update(k, truth_v * (i * dt), cfg.measurement_noise_pos)
-    assert np.linalg.norm(k.velocity - truth_v) < 0.05
+        state, cov = kalman_predict(state, cov, dt, cfg.process_noise_accel)
+        state, cov = kalman_update(state, cov, [truth_v * (i * dt)], cfg.measurement_noise_pos)
+    assert np.linalg.norm(state[0, 2:] - truth_v) < 0.05
 
 
 def test_cost_matrix_distances_and_gate():
@@ -293,7 +298,7 @@ def test_first_emission_at_exactly_the_nth_hit(threshold):
             assert len(records) == 1, f"frame {i}: expected one confirmed track"
             assert records[0].frame == i
         if i + 1 == threshold:
-            assert tracker.tracks[0].hits == threshold
+            assert tracker.tracks[0]["hits"] == threshold
 
 
 @pytest.mark.parametrize("threshold", [1, 3, 5])
@@ -306,7 +311,7 @@ def test_deletion_after_exactly_n_misses(threshold):
     for miss in range(1, threshold):
         assert len(emitted[miss]) == 1, f"should coast through miss {miss}"
     assert emitted[threshold] == []
-    assert tracker.tracks == []
+    assert len(tracker.tracks) == 0
 
 
 def test_coasting_track_advances_by_prediction():
@@ -396,3 +401,108 @@ def test_tracker_config_validation():
         TrackerConfig(miss_delete_threshold=0)
     with pytest.raises(ValueError):
         TrackerConfig(gate_distance=0.0)
+
+
+def test_a_stack_of_tracks_filters_each_row_as_if_alone():
+    """Rows of one stack never mix: predicting and updating T tracks at
+    once gives each row, bit for bit, what T = 1 gives it."""
+    rng = np.random.default_rng(603)
+    cfg = TrackerConfig()
+    state, cov = kalman_init(rng.normal(scale=10.0, size=(6, 2)), cfg)
+    for _ in range(20):
+        dt = float(rng.uniform(0.0, 0.6))
+        z = state[:, :2] + rng.normal(scale=0.5, size=(6, 2))
+        rows = [kalman_predict(state[i : i + 1], cov[i : i + 1], dt, 2.0) for i in range(6)]
+        rows = [kalman_update(s, c, z[i : i + 1], 0.5) for i, (s, c) in enumerate(rows)]
+        state, cov = kalman_update(*kalman_predict(state, cov, dt, 2.0), z, 0.5)
+        assert state.tobytes() == np.concatenate([s for s, _ in rows]).tobytes()
+        assert cov.tobytes() == np.concatenate([c for _, c in rows]).tobytes()
+
+
+def test_len_tracks_is_the_live_count():
+    """len(tracker.tracks) counts every live track, tentative or coasting,
+    and drops a track in the step that deletes it; the benchmark's tracer
+    reads it as the live-track count."""
+    tracker = Tracker(TrackerConfig(hit_confirm_threshold=2, miss_delete_threshold=2))
+    frames = [
+        [det_at(0.0, 0.0), det_at(20.0, 0.0)],  # two births
+        [det_at(0.1, 0.0)],  # one hit, track 1 coasts
+        [det_at(0.2, 0.0), det_at(40.0, 0.0)],  # track 1 deleted, track 2 born
+        [],  # both coast
+        [],  # both deleted
+    ]
+    live = []
+    for i, dets in enumerate(frames):
+        tracker.step(dets, timestamp=i * 0.1, frame=i)
+        live.append((len(tracker.tracks), tracker.tracks["id"].tolist()))
+    assert live == [(2, [0, 1]), (2, [0, 1]), (2, [0, 2]), (2, [0, 2]), (0, [])]
+
+
+def assert_same_as_reference(tracker, reference, detections, timestamp, frame):
+    """One step of both trackers: the same records, bit for bit (repr tells
+    floats apart by their bits, -0.0 included), and the same live tracks."""
+    got = tracker.step(detections, timestamp, frame)
+    want = reference.step(detections, timestamp, frame)
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert tracker.tracks["id"].tolist() == [tr.track_id for tr in reference.tracks]
+    assert tracker.tracks["hits"].tolist() == [tr.hits for tr in reference.tracks]
+    assert tracker.tracks["misses"].tolist() == [tr.misses for tr in reference.tracks]
+    want_state = np.array([tr.x for tr in reference.tracks]).reshape(-1, 4)
+    want_cov = np.array([tr.P for tr in reference.tracks]).reshape(-1, 4, 4)
+    assert tracker.tracks["state"].tobytes() == want_state.tobytes()
+    assert tracker.tracks["cov"].tobytes() == want_cov.tobytes()
+
+
+coord = st.floats(-15.0, 15.0)
+speed = st.floats(-6.0, 6.0)
+jitter = st.floats(-0.6, 0.6)
+
+
+@st.composite
+def tracker_stream(draw):
+    """A tracker config and frames of (timestamp, detections).
+
+    A few constant-velocity targets are each seen (with position jitter) or
+    missed in every frame, and clutter lands anywhere in the scene, so the
+    streams hold random gaps between frames, empty frames, matches,
+    coasting, gated-out detections, births and deaths.
+    """
+    cfg = TrackerConfig(
+        hit_confirm_threshold=draw(st.integers(1, 4)),
+        miss_delete_threshold=draw(st.integers(1, 4)),
+        gate_distance=draw(st.floats(0.5, 6.0)),
+    )
+    targets = draw(st.lists(st.tuples(coord, coord, speed, speed), max_size=4))
+    start = t = draw(st.floats(0.0, 100.0))
+    frames = []
+    for _ in range(draw(st.integers(1, 20))):
+        t += draw(st.floats(0.01, 1.0))
+        dets = [
+            det_at(x + vx * (t - start) + draw(jitter), y + vy * (t - start) + draw(jitter))
+            for x, y, vx, vy in targets
+            if draw(st.booleans())
+        ]
+        for _ in range(draw(st.integers(0, 2))):
+            box = draw(st.tuples(coord, coord, st.floats(-2.0, 1.0), st.floats(0.0, 6.0)))
+            dets.insert(draw(st.integers(0, len(dets))), det_at(*box))
+        frames.append((t, dets))
+    return cfg, frames
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(tracker_stream())
+def test_tracker_matches_the_per_track_reference_generated(case):
+    cfg, frames = case
+    tracker, reference = Tracker(cfg), ReferenceTracker(cfg)
+    for i, (t, dets) in enumerate(frames):
+        assert_same_as_reference(tracker, reference, dets, t, i)
+
+
+def test_tracker_matches_the_per_track_reference_on_golden_detections():
+    """Golden seed 1's detections, 5 cars over 50 frames."""
+    cfg = PipelineConfig()
+    seq = generate(SynthConfig(rng_seed=1))
+    tracker, reference = Tracker(cfg.tracker), ReferenceTracker(cfg.tracker)
+    for frame, found in detect_frames(seq, cfg):
+        assert_same_as_reference(tracker, reference, found.detections, frame.timestamp, frame.index)
+    assert tracker.tracks["id"].tolist() == [0, 1, 2, 3, 4]

@@ -96,7 +96,7 @@ def cmd_synth(args) -> int:
     cfg = SynthConfig(
         n_cars=args.cars,
         n_frames=args.frames,
-        rng_seed=args.seed if args.seed is not None else 0,
+        rng_seed=args.seed,
         **static,
     )
     out = generate_to(args.output, cfg)
@@ -125,11 +125,10 @@ def cmd_plot(args) -> int:
     frames = seq.frames if args.max_frames is None else seq.frames[: args.max_frames]
     svgs = {}
     for frame, found in detect_frames(dataclasses.replace(seq, frames=frames), cfg):
-        detections = [(d.center[0], d.center[1], d.length, d.width) for d in found.detections]
         svgs[f"frame_{frame.index:06d}.svg"] = render_frame_svg(
             frame.index,
             transform_points(frame.ego_pose, found.points)[:, :2],
-            detections,
+            found.detections[:, [0, 1, 3, 4]],
             sorted(tracks_by_frame.get(frame.index, [])),
             drivable=seq.drivable,
             bounds=bounds,
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ego-mode", choices=["line", "static"], default="line", help="static is ego_speed 0"
     )
-    p.add_argument("--seed", type=_non_negative_int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("plot", help="render per-frame BEV SVGs")

@@ -6,6 +6,9 @@ whichever horizontal extent is larger playing the role of length. The
 reported box is axis-aligned in the frame the points are expressed in,
 but the gate also takes the cluster's extents along every heading on a 1°
 grid, so a car passes at any yaw to the sensor's axes.
+
+A box is one float64 row (cx, cy, cz, length, width, height), its center
+and its x, y and z extents; a frame's detections are a (D, 6) table of them.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._frozen import FrozenRecord, check_shape, frozen
+from ._frozen import check_shape
 from .clustering import ClusterParams, dbscan
 from .dataset_io import DrivableGrid, Frame
 from .geometry import CameraModel, transform_points
@@ -44,38 +47,15 @@ class BoxLimits:
                 raise ValueError(f"'min_{dim}' ({low}) must be >= 0 and <= 'max_{dim}' ({high})")
 
 
-@dataclass(frozen=True)
-class Detection3D(FrozenRecord):
-    center: np.ndarray  # (3,)
-    length: float  # x extent of the fitted box
-    width: float  # y extent
-    height: float  # z extent
-    n_points: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", frozen("center", self.center, np.float64, (3,)))
-        if self.n_points < 1:
-            raise ValueError("a detection needs at least one point")
-        if min(self.length, self.width, self.height) < 0:
-            raise ValueError("box extents cannot be negative")
-
-
-def fit_box(points) -> Detection3D:
-    """Axis-aligned bounding box of a cluster: per-axis extremes, center at
-    the midpoint. A single point yields a zero-size box."""
+def fit_box(points) -> np.ndarray:
+    """Axis-aligned bounding box of a cluster as one (6,) row: per-axis
+    extremes, center at the midpoint. A single point yields a zero-size box."""
     pts = np.asarray(points, dtype=np.float64)
     check_shape("points", pts, ("N", 3))
     if len(pts) == 0:
         raise ValueError("cannot fit a box to an empty cluster")
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    return Detection3D(
-        center=(lo + hi) / 2.0,
-        length=float(hi[0] - lo[0]),
-        width=float(hi[1] - lo[1]),
-        height=float(hi[2] - lo[2]),
-        n_points=len(pts),
-    )
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    return np.concatenate(((lo + hi) / 2.0, hi - lo))
 
 
 def _car_sized(a, b, height, limits: BoxLimits):
@@ -91,18 +71,17 @@ def _car_sized(a, b, height, limits: BoxLimits):
     )
 
 
-def passes_heuristics(det: Detection3D, limits: BoxLimits) -> bool:
-    """Car-size test of the box as fitted, along the axes of its points."""
-    return bool(_car_sized(det.length, det.width, det.height, limits))
-
-
 # Unit vectors at 1° steps over a half turn: column k points along heading k°.
 _HEADINGS = np.stack((np.cos(np.radians(np.arange(180))), np.sin(np.radians(np.arange(180)))))
 
 
-def _car_sized_at_some_heading(xy: np.ndarray, height: float, limits: BoxLimits) -> bool:
-    """Whether the (N, 2) cluster footprint, boxed along some heading k in
-    1..89° (extents along k and k + 90°), passes the limits with this height."""
+def passes_heuristics(box: np.ndarray, xy: np.ndarray, limits: BoxLimits) -> bool:
+    """Car-size test of a fitted box with its cluster's (N, 2) footprint xy:
+    the box as fitted, or else the footprint boxed along some heading k in
+    1..89° (extents along k and k + 90°) with the box's height."""
+    _, _, _, length, width, height = box
+    if _car_sized(length, width, height, limits):
+        return True
     along = xy @ _HEADINGS
     extents = along.max(axis=0) - along.min(axis=0)
     return bool(_car_sized(extents[1:90], extents[91:], height, limits).any())
@@ -111,7 +90,9 @@ def _car_sized_at_some_heading(xy: np.ndarray, height: float, limits: BoxLimits)
 class FrameDetections(NamedTuple):
     """What `detect` found in one frame."""
 
-    detections: list[Detection3D]  # city frame, sorted by center x then y
+    # (D, 6) read-only rows (cx, cy, cz, length, width, height), centres in
+    # the city frame, sorted by cx then cy
+    detections: np.ndarray
     points: np.ndarray  # (N, 3) ego-frame points that reached clustering
     stats: FrameStats  # filled up to n_detections and box_fit
 
@@ -126,7 +107,7 @@ def detect(
 ) -> FrameDetections:
     """Full single-frame detection: preprocess, cluster, fit, gate.
 
-    Detections are in the city frame, sorted by center x then y so
+    Detections are box rows with city-frame centres, sorted by cx then cy so
     downstream consumers see a stable order no matter how clusters were
     numbered. The record gains n_clusters, n_detections and three stage times;
     box_fit covers the fit, the gate, the move to the city frame and the sort.
@@ -137,25 +118,22 @@ def detect(
     t1 = time.perf_counter()
     labels = dbscan(index, cluster_params)
     t2 = time.perf_counter()
-    detections = []
-    for cid, idx in labels.iter_clusters():
+    boxes = []
+    for _, idx in labels.iter_clusters():
         cluster = pts[idx]
-        det = fit_box(cluster)
-        if passes_heuristics(det, limits) or _car_sized_at_some_heading(
-            cluster[:, :2], det.height, limits
-        ):
-            detections.append(det)
-    # One (1, 3) row per detection: a batched call rounds some centres differently.
-    city = [
-        replace(det, center=transform_points(frame.ego_pose, det.center[None])[0])
-        for det in detections
-    ]
-    city.sort(key=lambda d: (d.center[0], d.center[1]))
+        box = fit_box(cluster)
+        if passes_heuristics(box, cluster[:, :2], limits):
+            # One (1, 3) row per box: a batched call rounds some centres differently.
+            box[:3] = transform_points(frame.ego_pose, box[None, :3])[0]
+            boxes.append(box)
+    table = np.reshape(boxes, (-1, 6))
+    table = table[np.lexsort((table[:, 1], table[:, 0]))]  # stable: ties keep cluster order
+    table.flags.writeable = False
     t3 = time.perf_counter()
     stats = replace(
         stats,
         n_clusters=labels.n_clusters,
-        n_detections=len(city),
+        n_detections=len(table),
         seconds=stats.seconds + (t1 - t0, t2 - t1, t3 - t2),
     )
-    return FrameDetections(city, pts, stats)
+    return FrameDetections(table, pts, stats)

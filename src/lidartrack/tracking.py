@@ -18,7 +18,7 @@ misses). Track ids are never reused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -49,6 +49,9 @@ class TrackerConfig:
             raise ValueError("gate_distance must be positive")
         if self.measurement_noise_pos <= 0:
             raise ValueError("measurement_noise_pos must be positive")
+        for name in ("process_noise_accel", "initial_velocity_std"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def transition_matrices(dt: float, q_accel: float):
@@ -259,8 +262,11 @@ class Tracker:
         self._next_id = 0
         self._last_timestamp: Optional[float] = None
 
-    def step(self, detections: Sequence, timestamp: float, frame: int) -> list[TrackRecord]:
-        """Advance one frame; returns the records of its confirmed tracks."""
+    def step(self, detections, timestamp: float, frame: int) -> list[TrackRecord]:
+        """Advance one frame on its (D, 6) detection table (or list of rows);
+        returns the records of the frame's confirmed tracks."""
+        dets = np.asarray(detections, dtype=np.float64) if len(detections) else np.empty((0, 6))
+        check_shape("detections", dets, ("D", 6))
         cfg = self.config
         if self._last_timestamp is not None and timestamp <= self._last_timestamp:
             raise ValueError(
@@ -271,7 +277,6 @@ class Tracker:
 
         t = self.tracks
         t["state"], t["cov"] = kalman_predict(t["state"], t["cov"], dt, cfg.process_noise_accel)
-        dets = np.reshape([(*d.center, d.length, d.width, d.height) for d in detections], (-1, 6))
         det_xy, boxes = dets[:, :2], dets[:, 2:]
         assignment = hungarian(cost_matrix(t["state"][:, :2], det_xy, cfg.gate_distance))
 

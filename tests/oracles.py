@@ -2,7 +2,8 @@
 
 Nothing in the package calls these, so they live with the tests: a
 linear-scan radius index (`BruteForceIndex`), a per-track tracker
-(`ReferenceTracker`), a sequence re-expressed for a motionless observer
+(`ReferenceTracker`), a cluster-by-cluster detection table
+(`reference_detections`), a sequence re-expressed for a motionless observer
 (`bake_ego_motion`) and a yaw-only quaternion (`quat_from_yaw`).
 """
 
@@ -13,7 +14,8 @@ from scipy.optimize import linear_sum_assignment
 
 from lidartrack._frozen import FrozenRecord
 from lidartrack.dataset_io import Frame, PointCloud, Sequence, TrackRecord
-from lidartrack.geometry import identity_transform, transform_points
+from lidartrack.detection import _HEADINGS, BoxLimits
+from lidartrack.geometry import RigidTransform, identity_transform, transform_points
 from lidartrack.spatial_index import _check_radius, _finite_points
 from lidartrack.tracking import GATE_SENTINEL, TrackerConfig, cost_matrix
 
@@ -79,13 +81,14 @@ class BruteForceIndex(FrozenRecord):
 
 class ReferenceTrack:
     """One track of `ReferenceTracker`: its own (4,) state and (4, 4)
-    covariance, the latest matched detection and two counters."""
+    covariance, the latest matched detection row (cx, cy, cz, length, width,
+    height) and two counters."""
 
     def __init__(self, track_id: int, det, cfg: TrackerConfig):
         r2 = cfg.measurement_noise_pos**2
         v2 = cfg.initial_velocity_std**2
         self.track_id = track_id
-        self.x = np.array([det.center[0], det.center[1], 0.0, 0.0])
+        self.x = np.array([det[0], det[1], 0.0, 0.0])
         self.P = np.diag([r2, r2, v2, v2])
         self.det = det
         self.hits = 1
@@ -100,7 +103,7 @@ class ReferenceTrack:
         """The textbook gain form: K = P H^T S^-1, P' = (I - K H) P."""
         H = np.eye(2, 4)
         R = np.eye(2) * (r_pos * r_pos)
-        innovation = np.asarray(det.center[:2], dtype=np.float64) - H @ self.x
+        innovation = np.asarray(det[:2], dtype=np.float64) - H @ self.x
         S = H @ self.P @ H.T + R
         K = self.P @ H.T @ np.linalg.inv(S)
         self.x = self.x + K @ innovation
@@ -112,10 +115,8 @@ class ReferenceTrack:
 
     def record(self, frame: int) -> TrackRecord:
         x, y, vx, vy = (float(v) for v in self.x)
-        d = self.det
-        return TrackRecord(
-            frame, self.track_id, x, y, float(d.center[2]), vx, vy, d.length, d.width, d.height
-        )
+        z, length, width, height = (float(v) for v in self.det[2:])
+        return TrackRecord(frame, self.track_id, x, y, z, vx, vy, length, width, height)
 
 
 class ReferenceTracker:
@@ -156,7 +157,7 @@ class ReferenceTracker:
             tr.predict(F, Q)
 
         track_xy = np.array([tr.x[:2] for tr in self.tracks]).reshape(-1, 2)
-        det_xy = np.array([d.center[:2] for d in detections]).reshape(-1, 2)
+        det_xy = np.array([d[:2] for d in detections]).reshape(-1, 2)
         cost = cost_matrix(track_xy, det_xy, cfg.gate_distance)
         rows, cols = linear_sum_assignment(cost)
         matched_tracks, matched_dets = set(), set()
@@ -175,6 +176,35 @@ class ReferenceTracker:
                 self.tracks.append(ReferenceTrack(self.next_id, det, cfg))
                 self.next_id += 1
         return [tr.record(frame) for tr in self.tracks if tr.hits >= cfg.hit_confirm_threshold]
+
+
+def reference_detections(clusters, pose: RigidTransform, limits: BoxLimits) -> np.ndarray:
+    """The detection table of ego-frame clusters, built one cluster at a
+    time: fit the box from the per-axis extremes, keep it if it is car-sized
+    as fitted or along some heading k in 1..89°, move its center to the city
+    frame as a (1, 3) row, and sort the kept boxes with Python's sort on
+    (cx, cy). Returns the (D, 6) rows (cx, cy, cz, length, width, height)."""
+
+    def car_sized(a, b, height) -> bool:
+        return bool(
+            limits.min_length <= max(a, b) <= limits.max_length
+            and limits.min_width <= min(a, b) <= limits.max_width
+            and limits.min_height <= height <= limits.max_height
+            and limits.min_area <= a * b <= limits.max_area
+        )
+
+    kept = []
+    for cluster in clusters:
+        lo, hi = cluster.min(axis=0), cluster.max(axis=0)
+        length, width, height = (float(v) for v in hi - lo)
+        along = cluster[:, :2] @ _HEADINGS
+        extents = (along.max(axis=0) - along.min(axis=0)).tolist()
+        turned = (car_sized(extents[k], extents[k + 90], height) for k in range(1, 90))
+        if car_sized(length, width, height) or any(turned):
+            cx, cy, cz = transform_points(pose, ((lo + hi) / 2.0)[None])[0].tolist()
+            kept.append((cx, cy, cz, length, width, height))
+    kept.sort(key=lambda row: (row[0], row[1]))
+    return np.array(kept, dtype=np.float64).reshape(-1, 6)
 
 
 def bake_ego_motion(seq: Sequence) -> Sequence:

@@ -16,7 +16,6 @@ from oracles import BruteForceIndex, bake_ego_motion
 from lidartrack.clustering import ClusterParams, dbscan
 from lidartrack.config import PipelineConfig
 from lidartrack.dataset_io import load_ground_truth, load_sequence
-from lidartrack.detection import Detection3D
 from lidartrack.evaluation import gt_to_eval_frames, mota, tracks_to_eval_frames
 from lidartrack.pipeline import run_tracking
 from lidartrack.preprocess import PreprocessConfig, _ransac
@@ -246,8 +245,7 @@ def test_kalman_velocity_convergence_and_psd():
 
 
 def one_detection(x, y):
-    return Detection3D(center=np.array([x, y, -0.5]), length=4.4, width=1.9,
-                       height=1.6, n_points=60)
+    return np.array([x, y, -0.5, 4.4, 1.9, 1.6])
 
 
 @pytest.mark.parametrize("threshold", [1, 3, 5])

@@ -1,8 +1,10 @@
 """Benchmark helpers: one timing loop, one JSON entry per run."""
 
 import hashlib
+import importlib
 import json
 import os
+import runpy
 import subprocess
 from dataclasses import replace
 from pathlib import Path
@@ -187,3 +189,18 @@ def test_source_sha256_covers_every_module_in_name_order(tmp_path):
     (pkg / "a.py").write_bytes(b"A = 1\nB = 3")
     (pkg / "b.py").write_bytes(b"\n")
     assert source_sha256(pkg) not in (want, edited)
+
+
+def test_every_benchmark_boundary_resolves_but_the_retired_one():
+    """The benchmark's tracer wraps the package at the names in BOUNDARIES,
+    so a rename there would turn that boundary's metrics missing. Only
+    geometry.transform_point, gone from the package, is left to retire."""
+    tracer = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "tracer.py"))
+    unresolved = set()
+    for name, module, attr_path in tracer["BOUNDARIES"]:
+        owner = importlib.import_module(module)
+        for part in attr_path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            unresolved.add(name)
+    assert unresolved == {"geometry.transform_point"}

@@ -290,6 +290,14 @@ def test_synth_seed_changes_the_data(tmp_path):
     assert (a / "frames/000000.bin").read_bytes() != (b / "frames/000000.bin").read_bytes()
 
 
+def test_synth_seed_defaults_to_0(tmp_path):
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    assert main(["synth", str(a), "--cars", "1", "--frames", "2"]) == 0
+    assert main(["synth", str(b), "--cars", "1", "--frames", "2", "--seed", "0"]) == 0
+    assert (a / "frames/000000.bin").read_bytes() == (b / "frames/000000.bin").read_bytes()
+
+
 def test_missing_dataset_is_a_data_error(tmp_path, capsys):
     assert main(["track", str(tmp_path / "missing")]) == 2
     assert "missing" in capsys.readouterr().err

@@ -94,7 +94,14 @@ def test_dump_covers_every_section():
 
 
 # A value each of these fields refuses for its size alone.
-OUT_OF_RANGE = {"rng_seed": -1, "match_distance": 0, "min_plane_points": 0, "measurement_noise_pos": 0}
+OUT_OF_RANGE = {
+    "rng_seed": -1,
+    "match_distance": 0,
+    "min_plane_points": 0,
+    "measurement_noise_pos": 0,
+    "process_noise_accel": -2.0,
+    "initial_velocity_std": -10.0,
+}
 
 
 def wrong_values():

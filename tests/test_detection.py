@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import quat_from_yaw
+from oracles import quat_from_yaw, reference_detections
 
-from lidartrack.clustering import ClusterParams
+from lidartrack.clustering import ClusterParams, dbscan
 from lidartrack.config import PipelineConfig
 from lidartrack.dataset_io import Frame, PointCloud
-from lidartrack.detection import BoxLimits, Detection3D, detect, fit_box, passes_heuristics
+from lidartrack.detection import BoxLimits, detect, fit_box, passes_heuristics
 from lidartrack.geometry import RigidTransform, quat_from_matrix, quat_to_matrix
+from lidartrack.pipeline import detect_frames
 from lidartrack.preprocess import STAGES, PreprocessConfig
+from lidartrack.spatial_index import KdTree
 from lidartrack.synth import SynthConfig, generate
 
 
@@ -26,28 +28,24 @@ def test_fit_box_extremes_and_midpoint():
             [3.0, 1.0, 0.5],
         ]
     )
-    det = fit_box(pts)
-    assert np.allclose(det.center, [3.0, 1.0, 0.5])
-    assert det.length == 4.0
-    assert det.width == 6.0
-    assert det.height == 1.0
-    assert det.n_points == 3
+    box = fit_box(pts)
+    assert box.dtype == np.float64
+    assert box.tolist() == [3.0, 1.0, 0.5, 4.0, 6.0, 1.0]
 
 
 def test_fit_box_single_point_is_degenerate():
-    det = fit_box(np.array([[2.0, 3.0, 4.0]]))
-    assert np.allclose(det.center, [2.0, 3.0, 4.0])
-    assert det.length == det.width == det.height == 0.0
+    box = fit_box(np.array([[2.0, 3.0, 4.0]]))
+    assert box.tolist() == [2.0, 3.0, 4.0, 0.0, 0.0, 0.0]
 
 
 def test_fit_box_contains_all_points_randomized():
     rng = np.random.default_rng(500)
     for _ in range(50):
         pts = rng.uniform(-10, 10, size=(int(rng.integers(1, 200)), 3))
-        det = fit_box(pts)
-        half = np.array([det.length, det.width, det.height]) / 2.0
-        assert np.all(pts >= det.center - half - 1e-12)
-        assert np.all(pts <= det.center + half + 1e-12)
+        box = fit_box(pts)
+        half = box[3:] / 2.0
+        assert np.all(pts >= box[:3] - half - 1e-12)
+        assert np.all(pts <= box[:3] + half + 1e-12)
 
 
 def test_fit_box_rejects_empty():
@@ -56,47 +54,55 @@ def test_fit_box_rejects_empty():
 
 
 def car_box(length=4.4, width=1.9, height=1.6):
-    return Detection3D(
-        center=np.zeros(3), length=length, width=width, height=height, n_points=100
-    )
+    return np.array([0.0, 0.0, 0.0, length, width, height])
 
 
-@pytest.mark.parametrize(
-    "extents, n_points, match",
-    [
-        pytest.param((4.4, 1.9, 1.6), 0, "at least one point", id="no-points"),
-        pytest.param((4.4, -0.1, 1.6), 100, "negative", id="negative-width"),
-    ],
-)
-def test_detection_refuses_an_impossible_box(extents, n_points, match):
-    with pytest.raises(ValueError, match=match):
-        Detection3D(np.zeros(3), *extents, n_points=n_points)
+def footprint(box, yaw=0.0):
+    """The four corners of a box's footprint, turned by yaw about its center."""
+    half = box[3:5] / 2.0
+    corners = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]]) * half
+    c, s = np.cos(yaw), np.sin(yaw)
+    return corners @ np.array([[c, s], [-s, c]]) + box[:2]
+
+
+def passes(box, limits):
+    return passes_heuristics(box, footprint(box), limits)
 
 
 def test_heuristics_accept_a_car():
-    assert passes_heuristics(car_box(), BoxLimits())
+    assert passes(car_box(), BoxLimits())
 
 
 def test_heuristics_orientation_agnostic():
     # The same car rotated 90 degrees swaps length and width.
     limits = BoxLimits()
-    assert passes_heuristics(car_box(length=1.9, width=4.4), limits)
+    assert passes(car_box(length=1.9, width=4.4), limits)
+
+
+def test_heuristics_accept_a_car_turned_off_the_axes():
+    # Turned 45 degrees, the car's fitted box is 4.45 m square, too wide as
+    # fitted; its footprint along the 45 degree heading is the car again.
+    limits = BoxLimits()
+    xy = footprint(car_box(), yaw=np.radians(45))
+    box = np.concatenate([[0.0, 0.0, 0.0], xy.max(axis=0) - xy.min(axis=0), [1.6]])
+    assert not passes(box, limits)
+    assert passes_heuristics(box, xy, limits)
 
 
 def test_heuristics_reject_walls_and_poles():
     limits = BoxLimits()
     wall = car_box(length=12.0, width=0.8, height=2.5)
     pole = car_box(length=0.3, width=0.3, height=2.8)
-    assert not passes_heuristics(wall, limits)
-    assert not passes_heuristics(pole, limits)
+    assert not passes(wall, limits)
+    assert not passes(pole, limits)
 
 
 def test_heuristics_reject_too_tall_or_flat():
     limits = BoxLimits()
     truck = car_box(height=3.5)
     debris = car_box(height=0.2)
-    assert not passes_heuristics(truck, limits)
-    assert not passes_heuristics(debris, limits)
+    assert not passes(truck, limits)
+    assert not passes(debris, limits)
 
 
 def test_heuristics_area_gate():
@@ -104,13 +110,13 @@ def test_heuristics_area_gate():
     # Extents individually fine, footprint too large: 6.5 x 3.2 exceeds
     # max_width though... use 6.9 x 2.95 = 20.355 > 20.
     big = car_box(length=6.9, width=2.95, height=1.5)
-    assert not passes_heuristics(big, limits)
+    assert not passes(big, limits)
 
 
 def test_heuristics_bounds_inclusive():
     limits = BoxLimits()
     edge = car_box(length=7.0, width=0.5, height=0.5)
-    assert passes_heuristics(edge, limits)
+    assert passes(edge, limits)
 
 
 def cluster_at(rng, center, n=120, size=(4.0, 1.8, 1.4)):
@@ -152,13 +158,10 @@ def test_detect_reports_city_frame_centers():
     # Every point reaches clustering, still in the ego frame.
     assert np.array_equal(found.points, pts)
     # yaw 90: ego (10, 2) -> city (-2, 10) + (100, 50).
-    (det,) = found.detections
-    assert np.allclose(det.center[:2], [98.0, 60.0], atol=1e-9)
+    (box,) = found.detections
+    assert np.allclose(box[:2], [98.0, 60.0], atol=1e-9)
     # Only the center moves to the city frame; extents stay as fitted.
-    ego = fit_box(pts)
-    assert (det.length, det.width, det.height, det.n_points) == (
-        ego.length, ego.width, ego.height, ego.n_points,
-    )
+    assert box[3:].tolist() == fit_box(pts)[3:].tolist()
 
 
 def test_detect_sorts_by_city_position():
@@ -172,8 +175,8 @@ def test_detect_sorts_by_city_position():
             frame, detect_cfg(), ClusterParams(eps=2.5, min_points=10), BoxLimits()
         ).detections
     assert len(dets) == 2
-    assert dets[0].center[0] < dets[1].center[0]
-    assert np.isclose(dets[0].center[0], -15.0)
+    assert dets[0, 0] < dets[1, 0]
+    assert np.isclose(dets[0, 0], -15.0)
 
 
 @pytest.mark.parametrize("turn_deg", [0, 30, 45, 120])
@@ -185,14 +188,15 @@ def test_detect_gates_non_car_clusters(turn_deg):
     car = cluster_at(rng, [8.0, 0.0, 0.0])
     wall = cluster_at(rng, [0.0, 10.0, 0.0], n=400, size=(18.0, 0.6, 2.4))
     turn = quat_to_matrix(quat_from_yaw(np.radians(turn_deg)))
-    frame = make_frame(np.vstack([car, wall]) @ turn.T)
+    car = car @ turn.T
+    frame = make_frame(np.vstack([car, wall @ turn.T]))
     with pytest.warns(UserWarning):
         found = detect(
             frame, detect_cfg(), ClusterParams(eps=2.5, min_points=10), BoxLimits()
         )
     assert found.stats.n_clusters == 2
     assert len(found.detections) == 1
-    assert found.detections[0].n_points == len(car)
+    assert found.detections[0, 3:].tolist() == fit_box(car)[3:].tolist()
 
 
 @functools.cache
@@ -236,8 +240,81 @@ def test_detect_empty_frame():
         found = detect(
             frame, detect_cfg(), ClusterParams(), BoxLimits()
         )
-    assert found.detections == [] and found.stats.n_clusters == 0
+    assert found.detections.shape == (0, 6) and found.stats.n_clusters == 0
+    assert found.detections.dtype == np.float64 and not found.detections.flags.writeable
     assert found.stats.n_raw == 0
     assert len(found.points) == 0
     # Every stage up to box_fit has its time, the ones that had no points too.
     assert len(found.stats.seconds) == STAGES.index("box_fit") + 1
+
+
+def assert_table_is_the_reference(found, pose, params, limits):
+    """The frame's table holds, bit for bit, the boxes of its clusters as
+    `reference_detections` builds them one cluster at a time, and is a
+    read-only float64 (D, 6) array."""
+    labels = dbscan(KdTree(found.points), params)
+    clusters = [found.points[idx] for _, idx in labels.iter_clusters()]
+    want = reference_detections(clusters, pose, limits)
+    got = found.detections
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+
+
+def test_detection_table_matches_the_per_cluster_reference_on_golden_seed_1():
+    cfg = PipelineConfig()
+    seq = generate(SynthConfig(rng_seed=1))
+    n = 0
+    for frame, found in detect_frames(seq, cfg):
+        assert_table_is_the_reference(found, frame.ego_pose, cfg.clustering, cfg.box_limits)
+        n += len(found.detections)
+    assert n > 0
+
+
+def lattice_box(center, size, hollow=False, step=0.25):
+    """Points on a step-spaced lattice filling a box, its corners included;
+    hollow keeps only the two outermost layers in x and y. Every coordinate
+    is a multiple of 1/8, so a box's fitted center is its given center exactly."""
+    half = np.asarray(size) / 2.0
+    axes = [np.linspace(-h, h, int(round(2 * h / step)) + 1) for h in half]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    if hollow:
+        pts = pts[(np.abs(pts[:, :2]) >= half[:2] - step).any(axis=1)]
+    return pts + np.asarray(center, dtype=np.float64)
+
+
+CAR_SIZES = [(4.0, 1.75, 1.5), (4.5, 2.0, 1.5), (3.5, 1.5, 1.25)]
+
+
+def test_detection_table_matches_the_per_cluster_reference_on_ties():
+    """Generated frames of lattice cars on a grid of slots: cars in one
+    column share their cx bit for bit when the ego is not turned, and a
+    hollow car around a smaller one shares its (cx, cy), so the table's sort
+    meets both kinds of tie. A turned ego rounds the centers' move to the
+    city frame differently row by row than in one batch."""
+    rng = np.random.default_rng(504)
+    params, limits = ClusterParams(eps=0.4, min_points=3), BoxLimits()
+    slots = [(x, y) for x in (0.0, 12.0, 24.0) for y in (-20.0, -8.0, 4.0, 16.0)]
+    equal_cx = equal_center = 0
+    for trial in range(30):
+        cars = []
+        for k in rng.choice(len(slots), size=int(rng.integers(2, 7)), replace=False):
+            x, y = slots[k]
+            if rng.random() < 0.3:
+                cars.append(lattice_box((x, y, 0.0), (6.0, 2.75, 1.5), hollow=True))
+                cars.append(lattice_box((x, y, 0.0), (3.0, 1.0, 1.0)))
+            else:
+                cars.append(lattice_box((x, y, 0.0), CAR_SIZES[rng.integers(len(CAR_SIZES))]))
+        order = rng.permutation(len(cars))
+        yaw = 0.0 if trial % 2 else rng.uniform(-np.pi, np.pi)
+        frame = make_frame(np.vstack([cars[i] for i in order]), yaw, rng.integers(-50, 50, 2))
+        with pytest.warns(UserWarning):  # no points below the ground split
+            found = detect(frame, detect_cfg(), params, limits)
+        assert len(found.detections) == len(cars)
+        assert_table_is_the_reference(found, frame.ego_pose, params, limits)
+        cx, cy = found.detections[:, 0], found.detections[:, 1]
+        same_cx = cx[1:] == cx[:-1]
+        equal_cx += int((same_cx & (cy[1:] != cy[:-1])).sum())
+        equal_center += int((same_cx & (cy[1:] == cy[:-1])).sum())
+    assert equal_cx > 0 and equal_center > 0
+

@@ -17,11 +17,11 @@ from oracles import BruteForceIndex
 
 from lidartrack.clustering import ClusterLabels
 from lidartrack.dataset_io import DrivableGrid, GroundTruthBox, MaskRegion, PointCloud
-from lidartrack.detection import Detection3D, fit_box
+from lidartrack.detection import fit_box
 from lidartrack.geometry import RigidTransform, identity_transform, transform_points
 from lidartrack.preprocess import Plane
 from lidartrack.spatial_index import KdTree
-from lidartrack.tracking import cost_matrix, kalman_predict, kalman_update
+from lidartrack.tracking import Tracker, cost_matrix, kalman_predict, kalman_update
 
 POLYGON = [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]
 POINTS = [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
@@ -30,7 +30,6 @@ POINTS = [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
 FIELDS = {
     "Plane.normal": ([0.0, 0.0, 1.0], lambda a: Plane(a, -0.5)),
     "ClusterLabels.labels": (np.array([0, 0, -1, 1]), ClusterLabels),
-    "Detection3D.center": ([1.0, 2.0, 3.0], lambda a: Detection3D(a, 4.0, 2.0, 1.5, 10)),
     "RigidTransform.rotation": ([1.0, 0.0, 0.0, 0.0], lambda a: RigidTransform(a, np.zeros(3))),
     "RigidTransform.translation": (
         [1.0, 2.0, 3.0],
@@ -102,6 +101,7 @@ ARGUMENTS = {
         "(1, 4, 4)",
         (4, 4),
     ),
+    "Tracker.step(detections)": (lambda a: Tracker().step(a, 0.0, 0), "(D, 6)", (2, 5)),
     "kalman_update(z_xy)": (
         lambda a: kalman_update(np.zeros((1, 4)), np.eye(4)[None], a, 0.5),
         "(1, 2)",

@@ -178,8 +178,7 @@ def test_at_most_one_raw_cloud_per_worker_is_alive(written, reads, monkeypatch, 
 
 def found_as_data(found):
     """What detect found in a frame, less the stage timings."""
-    boxes = [(*d.center, d.length, d.width, d.height, d.n_points) for d in found.detections]
-    return boxes, found.points.tolist(), without_timings(found.stats)
+    return found.detections.tolist(), found.points.tolist(), without_timings(found.stats)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

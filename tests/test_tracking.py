@@ -18,7 +18,6 @@ from oracles import ReferenceTracker
 from scipy.optimize import linear_sum_assignment
 
 from lidartrack.config import PipelineConfig
-from lidartrack.detection import Detection3D
 from lidartrack.pipeline import detect_frames
 from lidartrack.synth import SynthConfig, generate
 from lidartrack.tracking import (
@@ -276,9 +275,7 @@ def test_lsap_rejects_invalid_entries():
 
 
 def det_at(x, y, z=-0.5, length=4.4, width=1.9, height=1.6):
-    return Detection3D(
-        center=np.array([x, y, z]), length=length, width=width, height=height, n_points=50
-    )
+    return np.array([x, y, z, length, width, height])
 
 
 def run_frames(tracker, frames, dt=0.1):
@@ -394,6 +391,17 @@ def test_timestamps_must_increase():
         tracker.step([], 0.5, 1)
 
 
+def test_step_refuses_a_table_of_the_wrong_width_before_anything_moves():
+    tracker = Tracker(TrackerConfig(hit_confirm_threshold=1))
+    tracker.step([det_at(0.0, 0.0)], 0.0, 0)
+    before = tracker.tracks.copy()
+    with pytest.raises(ValueError, match="^detections must have shape"):
+        tracker.step(np.zeros((1, 5)), 0.1, 1)
+    assert tracker.tracks.tobytes() == before.tobytes()
+    # The refused step took no time: the same timestamp is still to come.
+    assert len(tracker.step(np.stack([det_at(0.1, 0.0)]), 0.1, 1)) == 1
+
+
 def test_tracker_config_validation():
     with pytest.raises(ValueError):
         TrackerConfig(hit_confirm_threshold=0)
@@ -401,6 +409,10 @@ def test_tracker_config_validation():
         TrackerConfig(miss_delete_threshold=0)
     with pytest.raises(ValueError):
         TrackerConfig(gate_distance=0.0)
+    for name in ("process_noise_accel", "initial_velocity_std"):
+        with pytest.raises(ValueError, match=name):
+            TrackerConfig(**{name: -0.1})
+        assert getattr(TrackerConfig(**{name: 0.0}), name) == 0.0
 
 
 def test_a_stack_of_tracks_filters_each_row_as_if_alone():

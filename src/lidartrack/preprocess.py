@@ -133,28 +133,42 @@ def _probe_size(n_rows: int, iterations: int) -> int:
     return min(_PROBE_POINTS, max(_MIN_PROBE, _PROBE_COUNTS * n_rows // iterations))
 
 
-def _probe_rows(z: np.ndarray, rows: np.ndarray, cand: np.ndarray, size: int) -> np.ndarray:
+def _probe_rows(z: np.ndarray, cand: np.ndarray, firsts: np.ndarray, size: int) -> np.ndarray:
     """Candidate rows to score every hypothesis on: about `size` of those
     with the lowest and highest z, or all of them when there are no more
-    than that. z is the cloud's z column, rows lists the candidate rows in
-    order and cand is their mask. Any subset keeps the fit exact; the z
+    than that. z is the cloud's z column, cand the candidate mask and
+    firsts its `_block_firsts`. Any subset keeps the fit exact; the z
     extremes make it fast."""
-    n = len(rows)
+    n = int(firsts[-1])
     if n <= size:
-        return rows
+        return np.flatnonzero(cand)
     half = size // 2
     if n > _SAMPLED_PROBE_ABOVE:
-        sample = z[rows[:: n // _SAMPLED_PROBE_ABOVE]]
+        # The z of every step-th candidate, block by block: block b's first
+        # candidate has rank firsts[b]. Copied, as a view would keep all of
+        # each block's candidate z alive until the concatenate.
+        step = n // _SAMPLED_PROBE_ABOVE
+        blocks = zip(range(0, len(z), _COUNT_BLOCK), firsts.tolist())
+        sample = np.concatenate([
+            z[s : s + _COUNT_BLOCK][cand[s : s + _COUNT_BLOCK]][-first % step :: step].copy()
+            for s, first in blocks
+        ])
         k = -(-half * len(sample) // n)
         sample.partition((k - 1, len(sample) - k))
-        near = (z <= sample[k - 1]) | (z >= sample[len(sample) - k])
+        near = z <= sample[k - 1]
+        near |= z >= sample[len(sample) - k]
         near &= cand
         probe = np.flatnonzero(near)
         # Many candidates tied at a threshold make a large probe; pick exactly.
         if len(probe) <= 2 * size:
             return probe
+    rows = np.flatnonzero(cand)
     order = np.argpartition(z[rows], (half - 1, n - half))
     return rows[np.concatenate((order[:half], order[n - half :]))]
+
+
+# Probe rows scored against every hypothesis at a time.
+_SCORE_ROWS = 256
 
 
 def _proven_outliers(
@@ -162,20 +176,53 @@ def _proven_outliers(
 ) -> np.ndarray:
     """Per plane (a row of normals and its offset), the probe points whose
     |distance| exceeds tol however the distance is rounded: a lower bound on
-    the plane's outliers among the candidates the probe was taken from."""
+    the plane's outliers among the candidates the probe was taken from.
+    Scored _SCORE_ROWS probe points at a time."""
     # Any order of evaluating |n . p + offset| errs by a few ulps of
     # 3 max|p| + |offset|; the margin is some 1e6 times that.
     limit = tol + 1e-9 * (3.0 * float(np.abs(probe).max()) + np.abs(offsets) + tol)
-    dist = probe @ normals.T
-    dist += offsets
-    np.abs(dist, out=dist)
-    return np.count_nonzero(dist > limit, axis=0)
+    outliers = np.zeros(len(normals), dtype=np.intp)
+    dist = np.empty((min(len(probe), _SCORE_ROWS), len(normals)))
+    for start in range(0, len(probe), _SCORE_ROWS):
+        chunk = probe[start : start + _SCORE_ROWS]
+        d = np.matmul(chunk, normals.T, out=dist[: len(chunk)])
+        d += offsets
+        np.abs(d, out=d)
+        outliers += np.count_nonzero(d > limit, axis=0)
+    return outliers
 
 
 # Rows a full count widens at a time: one reused float64 buffer of this
 # many rows (one more for the last block) stands in for a widened copy of a
-# float32 cloud.
+# float32 cloud. The candidate mask is counted in blocks of as many rows.
 _COUNT_BLOCK = 16384
+
+
+def _block_firsts(cand: np.ndarray) -> np.ndarray:
+    """The rank of the first candidate of each block of _COUNT_BLOCK rows
+    (the last block may be short), and the candidate count last: block b
+    holds the candidates of ranks firsts[b] to firsts[b + 1] - 1."""
+    full = len(cand) // _COUNT_BLOCK * _COUNT_BLOCK
+    counts = np.count_nonzero(cand[:full].reshape(-1, _COUNT_BLOCK), axis=1)
+    if full < len(cand):
+        counts = np.append(counts, np.count_nonzero(cand[full:]))
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
+def _rank_rows(cand: np.ndarray, firsts: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """np.flatnonzero(cand)[ranks], without that list: only the blocks the
+    ranks fall in (see `_block_firsts`) have their candidate rows listed,
+    one block at a time."""
+    blocks = np.searchsorted(firsts, ranks, side="right") - 1
+    hit = np.zeros(len(firsts), dtype=bool)
+    hit[blocks] = True
+    rows = np.empty_like(ranks)
+    for b in np.flatnonzero(hit).tolist():
+        here = blocks == b
+        start = b * _COUNT_BLOCK
+        rows[here] = np.flatnonzero(cand[start : start + _COUNT_BLOCK])[ranks[here] - firsts[b]]
+        rows[here] += start
+    return rows
 
 
 def _within_tol(pts: np.ndarray, normal: np.ndarray, offset, tol: float) -> np.ndarray:
@@ -233,7 +280,10 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit | s
     is built in whole-array steps that round as the per-draw loop does:
     the cross product column by column, and the norm and the offset with
     np.vecdot, the per-row BLAS dot that x.dot(x) and normal @ p also run.
-    Only the 3 x iterations sample points are gathered.
+    Only the 3 x iterations sample points are gathered. A draw is a rank
+    among the candidates; the candidates are counted per block of
+    _COUNT_BLOCK rows (`_block_firsts`), and only the blocks the ranks fall
+    in have their rows listed (`_rank_rows`).
 
     The plane is the one a loop that counts every hypothesis's inliers over
     the gathered candidates would pick, bit for bit, ties included, but most
@@ -258,20 +308,27 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit | s
     (`_probe_size`). Up to _SAMPLED_PROBE_ABOVE candidates, np.argpartition
     picks the size / 2 lowest and highest (all candidates, if there are no
     more than size). Above that, a partition of every
-    (n // _SAMPLED_PROBE_ABOVE)-th candidate's z gives a low and a high
-    threshold, and one comparison pass keeps the candidates at or beyond
-    them, about size points.
+    (n // _SAMPLED_PROBE_ABOVE)-th candidate's z, taken block by block,
+    gives a low and a high threshold, and one comparison pass keeps the
+    candidates at or beyond them, about size points. The probe is scored
+    _SCORE_ROWS points at a time (`_proven_outliers`).
 
     No candidate is copied out of pts, and pts is never widened as a whole:
     the sample points and the probe are widened after they are gathered,
-    and a full count widens a block of rows at a time.
+    and a full count widens a block of rows at a time. Beyond pts, a fit
+    holds a copy of the z column (dropped once the probe is picked),
+    the candidate mask, the mask of the probe's comparison pass, up to two
+    inlier masks (the best so far and the one being counted), one count
+    block and the probe: about 7 bytes a float32 row at most, and no list
+    of the candidate rows unless the probe pick falls back to
+    np.argpartition.
     """
     z = pts[:, 2].copy()  # comparisons over a strided column run 10x slower
     # The rows whose z is below it in float64, compared in z's own dtype: a
     # float64 bound would have numpy cast every float32 row first.
     cand = z < _ceil_in(z.dtype, below)
-    rows = np.flatnonzero(cand)
-    n = len(rows)
+    firsts = _block_firsts(cand)
+    n = int(firsts[-1])
     if n < max(3, cfg.min_plane_points):
         return f"insufficient ground candidates: {n} < {max(3, cfg.min_plane_points)}"
     tol = cfg.ransac_inlier_tol
@@ -279,7 +336,7 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit | s
     draws = rng.integers(0, n, size=(cfg.ransac_iterations, 3))
     i, j, k = draws.T
     draws = draws[(i != j) & (i != k) & (j != k)]
-    sample = np.take(pts, rows[draws], axis=0).astype(np.float64, copy=False)
+    sample = np.take(pts, _rank_rows(cand, firsts, draws), axis=0).astype(np.float64, copy=False)
     p0 = sample[:, 0]
     a = sample[:, 1] - p0
     b = sample[:, 2] - p0
@@ -302,8 +359,9 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit | s
     if not len(normals):
         return "no non-degenerate 3-point sample found"
 
-    size = _probe_size(len(pts), cfg.ransac_iterations)
-    probe = np.take(pts, _probe_rows(z, rows, cand, size), axis=0).astype(np.float64, copy=False)
+    probe_rows = _probe_rows(z, cand, firsts, _probe_size(len(pts), cfg.ransac_iterations))
+    del z  # the full counts read pts
+    probe = np.take(pts, probe_rows, axis=0).astype(np.float64, copy=False)
     min_outliers = _proven_outliers(probe, normals, offsets, tol)
     best, best_count, best_inliers = -1, 0, None
     for h in np.argsort(min_outliers, kind="stable").tolist():
@@ -311,7 +369,7 @@ def _ransac(pts: np.ndarray, below, cfg: PreprocessConfig, rng) -> GroundFit | s
         # Visited in falling bound, then rising h: nothing after this can win.
         if bound < best_count or (bound == best_count and h > best):
             break
-        # Row by row, (pts @ normal)[rows] is bitwise pts[rows] @ normal.
+        # Row by row, (pts @ normal)[cand] is bitwise pts[cand] @ normal.
         inliers = _within_tol(pts, normals[h], offsets[h], tol)
         inliers &= cand
         count = int(np.count_nonzero(inliers))

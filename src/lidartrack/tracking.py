@@ -268,6 +268,8 @@ class Tracker:
         dets = np.asarray(detections, dtype=np.float64) if len(detections) else np.empty((0, 6))
         check_shape("detections", dets, ("D", 6))
         cfg = self.config
+        if not np.isfinite(timestamp):
+            raise ValueError(f"timestamp must be finite: {timestamp}")
         if self._last_timestamp is not None and timestamp <= self._last_timestamp:
             raise ValueError(
                 f"timestamps must be strictly increasing: {timestamp} after {self._last_timestamp}"

@@ -1,5 +1,6 @@
 """Downsampling, RANSAC ground removal, drivable and mask filters."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -34,12 +35,16 @@ from lidartrack.preprocess import (
     _MIN_PROBE,
     _PROBE_POINTS,
     _SAMPLED_PROBE_ABOVE,
+    _SCORE_ROWS,
     GroundFitWarning,
     Plane,
     PreprocessConfig,
+    _block_firsts,
     _points_in_polygon,
     _probe_rows,
     _probe_size,
+    _proven_outliers,
+    _rank_rows,
     _within_tol,
     downsample_stride,
     filter_by_masks,
@@ -428,15 +433,36 @@ def split_cloud(draw):
     return pts, cfg, draw(st.integers(0, 2**16))
 
 
+def cut_candidate_blocks(mp, block):
+    """Cut _COUNT_BLOCK to `block` rows for the candidate blocks the fit
+    counts, draws from and samples the probe from, while each full count
+    keeps the module's block. The full count's blocking is tested on its
+    own, and at 2 rows a count over 20k rows is a loop of 10k steps."""
+
+    def full_block_within_tol(*args):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(preprocess, "_COUNT_BLOCK", _COUNT_BLOCK)
+            return _within_tol(*args)
+
+    mp.setattr(preprocess, "_COUNT_BLOCK", block)
+    mp.setattr(preprocess, "_within_tol", full_block_within_tol)
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(split_cloud())
 def test_remove_ground_matches_the_gather_path_bit_for_bit(case):
+    # Also with the count block cut to 2, 7 and 64 rows: draws then fall on
+    # block edges and in blocks between ones that hold no candidate.
     pts, cfg, seed = case
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
     want = remove_ground_by_gather(pts, cfg, ref_rng)
-    got = remove_ground(pts, cfg, rng=rng)
-    assert got.tobytes() == want.tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for block in (2, 7, 64, _COUNT_BLOCK):
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            cut_candidate_blocks(mp, block)
+            got = remove_ground(pts, cfg, rng=rng)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def loop_hypotheses(cand, cfg, rng):
@@ -476,6 +502,10 @@ def test_distances_over_the_cloud_equal_distances_over_the_candidates(scene):
         assert (pts @ normal)[rows].tobytes() == (cand @ normal).tobytes()
 
 
+def probe_rows(z, cand, size):
+    return _probe_rows(z, cand, _block_firsts(cand), size)
+
+
 def test_probe_rows_samples_the_z_extremes_and_falls_back_on_ties():
     rng = np.random.default_rng(11)
     z0 = rng.normal(size=40_000)
@@ -484,7 +514,7 @@ def test_probe_rows_samples_the_z_extremes_and_falls_back_on_ties():
     rows = np.flatnonzero(cand)
     for size in (_MIN_PROBE, 147, _PROBE_POINTS):
         z = z0
-        probe = _probe_rows(z, rows, cand, size)
+        probe = probe_rows(z, cand, size)
         assert np.isin(probe, rows).all() and np.all(np.diff(probe) > 0)
         assert size // 2 <= len(probe) <= 2 * size
         order = rows[np.argsort(z[rows])]
@@ -492,15 +522,110 @@ def test_probe_rows_samples_the_z_extremes_and_falls_back_on_ties():
         assert np.isin(order[-(size // 5) :], probe).all()
         # On a z grid most candidates tie at the thresholds; the exact pick is used.
         z = np.round(z, 0)
-        probe = _probe_rows(z, rows, cand, size)
+        probe = probe_rows(z, cand, size)
         assert len(probe) == size // 2 * 2
         assert np.isin(probe, rows).all()
         # Up to the sampled-probe threshold the pick is always exact.
         few = rows[:_SAMPLED_PROBE_ABOVE]
         few_cand = np.isin(np.arange(len(z)), few)
-        assert len(_probe_rows(z, few, few_cand, size)) == size // 2 * 2
+        assert len(probe_rows(z, few_cand, size)) == size // 2 * 2
         few_cand[few[size:]] = False
-        assert np.array_equal(_probe_rows(z, few[:size], few_cand, size), few[:size])
+        assert np.array_equal(probe_rows(z, few_cand, size), few[:size])
+
+
+@pytest.mark.parametrize("block", [2, 7, 64, 1000, _COUNT_BLOCK])
+def test_probe_rows_sample_every_step_th_candidate_for_every_count_block(monkeypatch, block):
+    # The thresholds come from every step-th candidate from the first
+    # (every 4th here), gathered block by block; blocks with no candidate
+    # and a short last block must not shift which candidates those are.
+    rng = np.random.default_rng(12)
+    z = rng.normal(size=60_001)
+    z[::3] = 5.0
+    z[1000:1700] = 5.0  # blocks with no candidate at every size cut
+    cand = z < 4.0
+    rows = np.flatnonzero(cand)
+    sample = np.sort(z[rows[:: len(rows) // _SAMPLED_PROBE_ABOVE]])
+    monkeypatch.setattr(preprocess, "_COUNT_BLOCK", block)
+    for size in (_MIN_PROBE, 147, _PROBE_POINTS):
+        k = -(-(size // 2) * len(sample) // len(rows))
+        want = np.flatnonzero(cand & ((z <= sample[k - 1]) | (z >= sample[-k])))
+        assert len(want) <= 2 * size
+        assert np.array_equal(probe_rows(z, cand, size), want)
+
+
+@pytest.mark.parametrize("block", [2, 7, 64, _COUNT_BLOCK])
+def test_rank_rows_index_the_candidate_rows_by_rank(block, monkeypatch):
+    # Every rank, including each block's first and last candidate and those
+    # of a short last block, maps to the row the whole candidate list gives;
+    # runs of rows with no candidate leave blocks empty.
+    monkeypatch.setattr(preprocess, "_COUNT_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for n_rows in (3 * block, 3 * block + 1, 5 * block - 1, 40_001):
+        cand = rng.random(n_rows) < 0.6
+        cand[n_rows // 3 : n_rows // 3 + 2 * block] = False
+        cand[-1] = True
+        rows = np.flatnonzero(cand)
+        firsts = _block_firsts(cand)
+        assert len(firsts) == -(-n_rows // block) + 1 and firsts[-1] == len(rows)
+        ranks = np.arange(len(rows))
+        assert np.array_equal(_rank_rows(cand, firsts, ranks), rows)
+        draws = rng.integers(0, len(rows), size=(300, 3))
+        assert np.array_equal(_rank_rows(cand, firsts, draws), rows[draws])
+
+
+def test_proven_outliers_do_not_depend_on_the_scoring_chunk(monkeypatch):
+    # A probe of 1,000 points is 3 whole chunks of 256 and a short one.
+    rng = np.random.default_rng(13)
+    probe = rng.uniform(-30.0, 30.0, size=(1000, 3))
+    probe[:, 2] = -1.8 + rng.normal(scale=0.3, size=1000)
+    normals = rng.normal(size=(100, 3)) * [0.002, 0.002, 0.0] + [0.0, 0.0, 1.0]
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    offsets = rng.uniform(1.6, 2.0, size=100)
+    limit = 0.15 + 1e-9 * (3.0 * np.abs(probe).max() + np.abs(offsets) + 0.15)
+    want = np.count_nonzero(np.abs(probe @ normals.T + offsets) > limit, axis=0)
+    assert 0 < want.min() and want.max() < 1000
+    for chunk in (1, 7, _SCORE_ROWS, 1000, 4096):
+        monkeypatch.setattr(preprocess, "_SCORE_ROWS", chunk)
+        assert np.array_equal(_proven_outliers(probe, normals, offsets, 0.15), want)
+
+
+def test_ground_fit_holds_a_few_bytes_a_row_beyond_its_input():
+    # A float32 sweep of 300k rows, 95% of them ground candidates. Beyond
+    # the cloud and the kept rows, a fit may hold its float32 z column, three
+    # masks (candidates, and the probe's comparison pass or two inlier
+    # masks), one widened count block with its distances, the widened probe
+    # with one scoring chunk of distances and their mask, the z sample the
+    # probe thresholds come from, and the draws and hypotheses. These are
+    # never all alive at once, so their sum bounds the peak. The whole list
+    # of candidate rows (8 bytes each) would break it.
+    n = 300_000
+    rng = np.random.default_rng(14)
+    pts = rng.uniform(-40.0, 40.0, size=(n, 3)).astype(np.float32)
+    pts[:, 2] = -1.8 + rng.normal(scale=0.03, size=n)
+    pts[: n // 20, 2] = rng.uniform(-1.0, 2.0, size=n // 20)
+    cfg = PreprocessConfig(stride=1)
+    iterations = cfg.ransac_iterations
+    remove_ground(pts, cfg, rng=np.random.default_rng(0))  # warm-up
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        kept = remove_ground(pts, cfg, rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    bound = (
+        (4 + 3) * n
+        + (_COUNT_BLOCK + 1) * (3 + 1) * 8
+        + _PROBE_POINTS * 3 * 8 + _SCORE_ROWS * iterations * (8 + 1)
+        + 2 * _SAMPLED_PROBE_ABOVE * 4
+        + 64 * 1024
+        + kept.nbytes
+    )
+    assert peak <= bound, (peak / n, bound / n)
 
 
 def test_probe_size_follows_the_cloud_and_the_draws():
@@ -529,10 +654,15 @@ def probe_size_cloud(seed: int, n_cand: int, iterations: int):
 def test_remove_ground_is_the_same_for_every_probe_size(monkeypatch, n_cand, iterations):
     # The probe only orders the full counts; the plane, the inlier mask, the
     # kept points and the generator state must not depend on its size.
+    # Nor on the count block: cut to 2, 7 or 64 rows, the draws fall on
+    # block edges and between blocks that hold no candidate. The probe
+    # sizes take 1, 2 or 4 scoring chunks, some of them short.
     pts, cfg = probe_size_cloud(n_cand + iterations, n_cand, iterations)
     results = []
-    for size in (64, 100, 147, 256, 511, 1024):
+    cases = [(size, _COUNT_BLOCK) for size in (64, 100, 147, 256, 511, 1024)]
+    for size, block in cases + [(511, block) for block in (2, 7, 64)]:
         monkeypatch.setattr(preprocess, "_probe_size", lambda n, it, size=size: size)
+        cut_candidate_blocks(monkeypatch, block)
         fit_rng, rg_rng = np.random.default_rng(3), np.random.default_rng(3)
         plane, inliers = preprocess._ransac(pts, -cfg.ground_split_height, cfg, fit_rng)
         kept = remove_ground(pts, cfg, rng=rg_rng)

@@ -1,11 +1,13 @@
 """The runtime path needs numpy alone: every command runs with scipy blocked,
-and every command but synth with numpy.random blocked.
+and every command but synth with numpy.random and numpy.ma blocked.
 
 scipy stays a development dependency (a test oracle for the assignment
 solver), so nothing under src/ may import it, not even lazily. numpy.random
 loads secrets, hashlib and OpenSSL on first use; the ground fit draws from
-the package's own stream instead, so only synth may import it. bench
-imports hashlib only to hash the source, after it reads the peak memory.
+the package's own stream instead, so only synth may import it. numpy.ma
+takes some 1.7 MiB on import, and np.unique is one numpy call that loads
+it. bench imports hashlib only to hash the source, after it reads the peak
+memory.
 """
 
 import json
@@ -85,6 +87,7 @@ def test_every_command_runs_with_scipy_blocked(tmp_path, capsys):
 
 
 def test_every_command_but_synth_runs_with_numpy_random_blocked(tmp_path, capsys):
+    blocked = ["numpy.random", "numpy.ma"]
     seq = str(tmp_path / "seq")
     assert main(["synth", seq, "--cars", "2", "--frames", "8"]) == 0
     capsys.readouterr()
@@ -96,12 +99,12 @@ def test_every_command_but_synth_runs_with_numpy_random_blocked(tmp_path, capsys
         ["plot", seq, serial, "--max-frames", "2", "--output", str(tmp_path / "plots")],
         ["bench", seq, "--max-frames", "2"],
     ]
-    out = run("blocked", ["numpy.random"], commands)
+    out = run("blocked", blocked, commands)
     assert out == {"codes": [0] * len(commands), "loaded": []}
 
-    # Unblocked, a track run still leaves numpy.random unloaded.
+    # Unblocked, a track run still leaves both unloaded.
     unblocked = tmp_path / "unblocked.jsonl"
-    out = run("open", ["numpy.random"], [["track", seq, "--output", str(unblocked)]])
+    out = run("open", blocked, [["track", seq, "--output", str(unblocked)]])
     assert out == {"codes": [0], "loaded": []}
     assert Path(serial).read_bytes() == unblocked.read_bytes()
     assert Path(threaded).read_bytes() == unblocked.read_bytes()

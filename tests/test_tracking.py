@@ -389,6 +389,11 @@ def test_timestamps_must_increase():
         tracker.step([], 1.0, 1)
     with pytest.raises(ValueError):
         tracker.step([], 0.5, 1)
+    # NaN compares False with everything, so it would pass the order test.
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^timestamp must be finite"):
+            tracker.step([], bad, 1)
+    assert tracker.step([], 1.5, 1) == []
 
 
 def test_step_refuses_a_table_of_the_wrong_width_before_anything_moves():

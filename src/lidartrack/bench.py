@@ -169,7 +169,7 @@ def _peak_rss_mb() -> float | None:
 
 def append_run(path, entry: dict) -> Path:
     """Add entry to the `runs` list of the JSON file at path, creating the
-    file if it does not exist."""
+    file and its parent directories if they do not exist."""
     p = Path(path)
     doc: dict = {"runs": []}
     if p.is_file():
@@ -177,5 +177,6 @@ def append_run(path, entry: dict) -> Path:
         if not isinstance(doc.get("runs"), list):
             raise DatasetError(p, 'expected a "runs" list')
     doc["runs"].append(entry)
+    p.parent.mkdir(parents=True, exist_ok=True)
     p.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return p

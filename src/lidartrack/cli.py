@@ -81,6 +81,7 @@ def cmd_eval(args) -> int:
     )
     print(json.dumps(dataclasses.asdict(result), indent=2))
     if args.per_frame:
+        Path(args.per_frame).parent.mkdir(parents=True, exist_ok=True)
         with open(args.per_frame, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow([fld.name for fld in dataclasses.fields(FrameCounts)])

@@ -472,14 +472,18 @@ def load_drivable(header_path) -> DrivableGrid:
     obj = _read_json(header_path)
     width = _require(obj, "width", header_path, _index)
     height = _require(obj, "height", header_path, _index)
-    bits_file = header_path.parent / _require(obj, "file", header_path, _path_string)
+    bits_name = _require(obj, "file", header_path, _path_string)
+    bits_file = header_path.parent / bits_name
     if not bits_file.is_file():
         raise DatasetError(bits_file, "drivable bitmask file is missing")
     packed = np.frombuffer(bits_file.read_bytes(), dtype=np.uint8)
     expected = (width * height + 7) // 8
     if len(packed) != expected:
+        # Either file may be at fault; the header's size is the claim the
+        # bitmask is held to, so the error names the header and both files.
         raise DatasetError(
-            bits_file, f"expected {expected} packed bytes for {width}x{height}, got {len(packed)}"
+            header_path,
+            f"{width}x{height} needs {expected} packed bytes; {bits_name} holds {len(packed)}",
         )
     bits = np.unpackbits(packed)[: width * height].reshape(height, width)
     return _decode(DrivableGrid, obj, header_path, bits=bits)

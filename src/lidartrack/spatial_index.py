@@ -5,11 +5,12 @@ on float64 coordinate differences, summed in that order (the order of
 ``(d * d).sum(axis=1)``), with the boundary inclusive.
 
 `KdTree.sweep_pairs`, the all-pairs search DBSCAN asks for once per frame,
-is a sorted-cell sweep. Points are bucketed into rows of (y, z) cells whose
-side is at least a candidate radius h slightly above r, and sorted by row,
-then x: the sweep order. Each point looks in its own row and the four
-forward neighbour rows for the x-window [x - h, x + h], found by binary
-search. The windows are expanded into candidate pairs and re-checked with
+is a sorted-cell sweep. Points are bucketed into rows of y cells whose side
+is at least a candidate radius h slightly above r, and sorted by row, then
+x: the sweep order. Each point looks in its own row and the next one up for
+the x-window [x - h, x + h], found by binary search. There are no z cells:
+the clouds that reach clustering are objects on the road, a few metres tall
+at most. The windows are expanded into candidate pairs and re-checked with
 the test above a block of at most _BLOCK candidates at a time, so the
 expansion's temporaries keep one size however many candidates there are.
 The candidates are a superset of the pairs within r, each unordered pair
@@ -33,19 +34,13 @@ from ._frozen import FrozenRecord, frozen
 _REL_SLACK = 1e-9
 _ABS_SLACK = 1e-150
 
-# A cell side is at least h * (1 + _CELL_MARGIN) and at least the axis span
-# over _MAX_CELLS. With at most 2**30 cells per axis, rounding moves a
-# coordinate's cell quotient by under 3e-7, so two points within h in y (or
-# z) always land in the same or adjacent cells, and cell numbers fit the row
-# key below (y cell * 2**31 + z cell) with room to spare.
+# A cell side is at least h * (1 + _CELL_MARGIN) and at least the y span
+# over _MAX_CELLS. With at most 2**30 cells, rounding moves a coordinate's
+# cell quotient by under 3e-7, so two points within h in y always land in the
+# same or adjacent cells, and the window key (cell * (n + 1) + x rank) stays
+# below 2**63 for n < 2**32.
 _CELL_MARGIN = 1e-6
 _MAX_CELLS = 2**30
-_ROW_STRIDE = 2**31
-
-# Row-key offsets of the rows a point searches: its own, then the forward
-# neighbours (y, z + 1), (y + 1, z - 1), (y + 1, z) and (y + 1, z + 1). The
-# other four neighbours find the point from their side.
-_FORWARD_ROWS = (1, _ROW_STRIDE - 1, _ROW_STRIDE, _ROW_STRIDE + 1)
 
 # Candidates `KdTree.sweep_pairs` expands and re-checks at once. Its
 # temporaries, 8 bytes a candidate, then stay small (64 KiB here), below
@@ -84,54 +79,39 @@ def _cells(v: np.ndarray, h: float) -> np.ndarray:
 def _cell_windows(cols: np.ndarray, h: float):
     """Candidate windows for radius h, as positions in the returned sort order.
 
-    Returns (order, src, lo, hi): `order` sorts the points by (y, z) cell
-    row, then x, and the pairs (order[src[w]], order[k]) for lo[w] <= k <
-    hi[w], over every window w, run over every pair of points within h on
-    each axis, plus some farther ones, each unordered pair once. Every
-    window lies after its source point: src[w] < lo[w].
+    Returns (order, src, lo, hi): `order` sorts the points by y cell, then
+    x, and the pairs (order[src[w]], order[k]) for lo[w] <= k < hi[w], over
+    every window w, run over every pair of points within h in x and y, plus
+    some farther ones, each unordered pair once. Every window lies after its
+    source point: src[w] < lo[w].
     """
-    x, y, z = cols
+    x, y = cols[0], cols[1]
     n = len(x)
     by_x = np.argsort(x)
-    x_rank = np.empty(n, dtype=np.int64)
-    x_rank[by_x] = np.arange(n)
-    row_key = _cells(y, h) * _ROW_STRIDE + _cells(z, h)
-    order = by_x[np.argsort(row_key[by_x], kind="stable")]
-    row_key = row_key[order]
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    np.not_equal(row_key[1:], row_key[:-1], out=starts[1:])
-    row = np.cumsum(starts) - 1  # row rank of each sorted point
-    rows = row_key[starts]
-
-    # One increasing integer key over the sort order: row rank times (n + 1)
-    # plus the point's position in x order. An x-window [x - h, x + h] in row
-    # R is then the key range R * (n + 1) + [#(x < x - h), #(x <= x + h)).
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_x] = np.arange(n)
+    # One increasing integer key over the sort order: y cell times (n + 1)
+    # plus the point's position in x order. An x-window [x - h, x + h] in
+    # cell C is then the key range C * (n + 1) + [#(x < x - h), #(x <= x + h)),
+    # empty when no point lies in C.
     width = n + 1
-    rank = x_rank[order]  # each sorted point's position in x order
-    key = row * width + rank
+    key = _cells(y, h) * width + rank
+    order = np.argsort(key)
+    key = key[order]
+    rank = rank[order]
     # Searched in x order, where the queries are sorted too, then taken to
     # the sweep order: x_sorted[rank] is x[order].
     x_sorted = x[by_x]
     lo_rank = np.searchsorted(x_sorted, x_sorted - h, "left")[rank]
     hi_rank = np.searchsorted(x_sorted, x_sorted + h, "right")[rank]
-
-    # Own row: only the points after this one, so each pair comes once. The
-    # forward rows have larger keys, so they lie after the point too.
-    srcs = [np.arange(n)]
-    los = [srcs[0] + 1]
-    his = [np.searchsorted(key, row * width + hi_rank)]
-    for offset in _FORWARD_ROWS:
-        target = rows + offset
-        at = np.minimum(np.searchsorted(rows, target), len(rows) - 1)
-        # Neighbour row rank of each point's row, or -1 if that row is empty.
-        nb = np.where(rows[at] == target, at, -1)[row]
-        src = np.flatnonzero(nb >= 0)
-        base = nb[src] * width
-        srcs.append(src)
-        los.append(np.searchsorted(key, base + lo_rank[src]))
-        his.append(np.searchsorted(key, base + hi_rank[src]))
-    return order, *(np.concatenate(a) for a in (srcs, los, his))
+    # Each point searches its own cell, only after itself so that each pair
+    # comes once, and the next cell up, whose keys all lie after it. The cell
+    # below finds the point from its side.
+    src = np.arange(n)
+    up = key - rank + width  # the next cell's base key
+    lo = np.concatenate((src + 1, np.searchsorted(key, up + lo_rank)))
+    hi = np.searchsorted(key, np.concatenate((up - width + hi_rank, up + hi_rank)))
+    return order, np.concatenate((src, src)), lo, hi
 
 
 def _sweep_pairs(points: np.ndarray, r: float):

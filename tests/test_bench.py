@@ -107,6 +107,14 @@ def test_bench_json_appends_one_entry_per_call(sequence, tmp_path, capsys):
     assert len(json.loads(out.read_text())["runs"]) == 2
 
 
+def test_bench_json_creates_missing_parent_directories(sequence, tmp_path, capsys):
+    _, root = sequence
+    out = tmp_path / "new" / "dir" / "BENCH.json"
+    assert main(["bench", str(root), "--max-frames", "1", "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert len(json.loads(out.read_text())["runs"]) == 1
+
+
 @pytest.mark.parametrize("text", ["[]", '{"runs": {}}', "{", "\xff"])
 def test_bench_json_refuses_a_file_without_a_runs_list(tmp_path, text):
     path = tmp_path / "BENCH.json"

@@ -120,6 +120,13 @@ def test_eval_per_frame_csv(dataset, tracked, tmp_path, capsys):
     assert len(rows) == 1 + FRAMES
 
 
+def test_eval_per_frame_csv_creates_missing_parent_directories(dataset, tracked, tmp_path, capsys):
+    csv_path = tmp_path / "new" / "dir" / "per_frame.csv"
+    assert main(["eval", str(dataset), str(tracked), "--per-frame", str(csv_path)]) == 0
+    capsys.readouterr()
+    assert len(csv_path.read_text().splitlines()) == 1 + FRAMES
+
+
 def test_eval_per_frame_csv_header_without_frames(dataset, tracked, tmp_path, capsys):
     full = tmp_path / "full.csv"
     assert main(["eval", str(dataset), str(tracked), "--per-frame", str(full)]) == 0

@@ -359,8 +359,9 @@ def test_drivable_bit_length_check(tmp_path):
     root, _ = write_full(tmp_path)
     bin_path = root / "drivable.bin"
     bin_path.write_bytes(bin_path.read_bytes() + b"\x00\x00")
-    with pytest.raises(DatasetError, match="packed bytes"):
+    with pytest.raises(DatasetError, match="packed bytes; drivable.bin holds") as err:
         load_sequence(root)
+    assert err.value.path == str(root / "drivable.json")
 
 
 def test_drivable_grid_of_negative_size_names_the_header(tmp_path):

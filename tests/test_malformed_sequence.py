@@ -8,15 +8,23 @@ exception fails, and so does an error that names an unrelated file.
 One record of `gt.jsonl` and one of a tracks file are broken the same way,
 and their loaders must load the file or raise a `DatasetError` naming it
 and the broken record's line.
+
+Last, generated mutants of every file of a synth sequence go through the
+command line, which must exit 0 or 2 and, on 2, name the broken file.
 """
 
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lidartrack.cli import main
 from lidartrack.dataset_io import (
     MaskRegion,
     TrackRecord,
@@ -27,21 +35,26 @@ from lidartrack.dataset_io import (
     write_tracks,
 )
 from lidartrack.errors import DatasetError
-from lidartrack.synth import SynthConfig, generate, ground_truth
+from lidartrack.synth import SynthConfig, generate, generate_to, ground_truth
 
 MASK_FILE = "masks/000000.json"
 # What an error may name besides the broken file: the files it points at
 # (the manifest names the clouds, the mask file and, by frame index, the
-# poses; drivable.json names its bitmask), and the mask file when the
-# calibration breaks, since its regions name the cameras.
+# poses), and the mask file when the calibration breaks, since its regions
+# name the cameras. A drivable.json whose size does not fit its bitmask is
+# the header's fault, so it names only itself.
 TIED = {
-    "manifest.json": ("frames/000000.bin", "frames/000001.bin", MASK_FILE, "poses.json"),
+    "manifest.json": (*(f"frames/{i:06d}.bin" for i in range(4)), MASK_FILE, "poses.json"),
     "poses.json": (),
     "calibration.json": (MASK_FILE,),
-    "drivable.json": ("drivable.bin",),
+    "drivable.json": (),
     MASK_FILE: (),
 }
+# The same for the files that are not JSON: a bitmask whose length does not
+# fit the header is reported against the header, with the bitmask's name.
+TIED_BEYOND_JSON = {"drivable.bin": ("drivable.json",)}
 DELETE = object()
+RENAMED = object()  # the key at the path gets a new name, its value kept
 VALUES = (DELETE, None, 0, -1, 5, "", "x", [], [1], {}, {"x": 1}, True, False)
 
 
@@ -81,6 +94,8 @@ def edited(obj, path, value):
         parent = parent[key]
     if value is DELETE:
         del parent[path[-1]]
+    elif value is RENAMED:
+        parent[f"{path[-1]}_"] = parent.pop(path[-1])
     else:
         parent[path[-1]] = value
     return json.dumps(obj, indent=2)
@@ -108,7 +123,8 @@ def load_with(root, name, data):
 def misnamed(root, name, named):
     """Why a DatasetError naming `named` is wrong for broken `name`, or None.
     A path field may also name a file that does not exist."""
-    if named is None or named in {root / name, *(root / p for p in TIED[name])}:
+    tied = {**TIED, **TIED_BEYOND_JSON}.get(name, ())
+    if named is None or named in {root / name, *(root / p for p in tied)}:
         return None
     if root in named.parents and not named.exists():
         return None
@@ -233,3 +249,89 @@ def test_every_record_key_edited_loads_or_names_file_and_line(jsonl_files, name)
     finally:
         path.write_text(original)
     assert not failures, "\n".join(failures)
+
+
+@pytest.fixture(scope="module")
+def synth_run(tmp_path_factory):
+    """A 4-frame, 2-car synth sequence and the tracks file `track` writes for it."""
+    base = tmp_path_factory.mktemp("cli")
+    root = generate_to(base / "seq", SynthConfig(n_cars=2, n_frames=4))
+    tracks = base / "tracks.jsonl"
+    with redirect_stdout(io.StringIO()):
+        assert main(["track", str(root), "--output", str(tracks)]) == 0
+    return root, tracks
+
+
+def json_edits(original: bytes):
+    """The JSON text with one value replaced or one key deleted or renamed
+    (None when the whole file is deleted). A replacement is one of VALUES or
+    a small integer, which a grid size or a point count takes."""
+    obj = json.loads(original)
+
+    def values(path):
+        renamed = (RENAMED,) if path and isinstance(path[-1], str) else ()
+        value = st.one_of(st.sampled_from(VALUES + renamed), st.integers(0, 1000))
+        return value.map(lambda value: edited(obj, path, value))
+
+    return st.sampled_from(list(key_paths(obj))).flatmap(values)
+
+
+def line_edits(original: bytes):
+    """The text with one record line edited as `record_cases` edits it."""
+    lines = original.decode().splitlines()
+
+    def edit(i):
+        cases = [line for _, line, _ in record_cases(lines[i])]
+        edited_line = st.sampled_from(cases)
+        return edited_line.map(lambda line: "\n".join(lines[:i] + [line] + lines[i + 1 :]) + "\n")
+
+    return st.integers(0, len(lines) - 1).flatmap(edit)
+
+
+def byte_edits(original: bytes):
+    """The file cut short, grown, or with one byte overwritten."""
+    return st.one_of(
+        st.integers(0, len(original) - 1).map(lambda size: original[:size]),
+        st.binary(min_size=1, max_size=16).map(lambda tail: original + tail),
+        st.tuples(st.integers(0, len(original) - 1), st.integers(0, 255)).map(
+            lambda at: original[: at[0]] + bytes([at[1]]) + original[at[0] + 1 :]
+        ),
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cli_exits_0_or_2_naming_the_mutated_file(synth_run, data):
+    # One JSON value or key, one gt.jsonl line, or the bytes of any one file;
+    # then `eval` for gt.jsonl, which only it reads, and `track` for the rest.
+    root, tracks = synth_run
+    files = sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+    kind = data.draw(st.sampled_from(["json", "line", "bytes"]), label="kind")
+    names = {"json": [f for f in files if f.endswith(".json")], "line": ["gt.jsonl"], "bytes": files}
+    name = data.draw(st.sampled_from(names[kind]), label="file")
+    target = root / name
+    original = target.read_bytes()
+    edits = {"json": json_edits, "line": line_edits, "bytes": byte_edits}[kind]
+    mutant = data.draw(edits(original), label="mutant")
+    out = root.parent / "out" / "tracks.jsonl"
+    out.unlink(missing_ok=True)
+    if name == "gt.jsonl":
+        argv = ["eval", str(root), str(tracks)]
+    else:
+        argv = ["track", str(root), "--output", str(out)]
+    err = io.StringIO()
+    try:
+        if mutant is None:
+            target.unlink()
+        else:
+            target.write_bytes(mutant.encode() if isinstance(mutant, str) else mutant)
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            status = main(argv)
+    finally:
+        target.write_bytes(original)
+    err = err.getvalue()
+    assert status in (0, 2), err
+    if status == 2:
+        named = Path(err.removeprefix("lidartrack: error: ").split(":")[0])
+        assert misnamed(root, name, named) is None, err
+        assert not out.exists()

@@ -79,14 +79,14 @@ def cmd_eval(args) -> int:
         tracks_to_eval_frames(records),
         match_distance=cfg.eval.match_distance,
     )
-    print(json.dumps(dataclasses.asdict(result), indent=2))
-    if args.per_frame:
+    if args.per_frame:  # before the result, so a CSV that cannot be written prints nothing
         Path(args.per_frame).parent.mkdir(parents=True, exist_ok=True)
         with open(args.per_frame, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow([fld.name for fld in dataclasses.fields(FrameCounts)])
             for counts in per_frame:
                 writer.writerow(dataclasses.astuple(counts))
+    print(json.dumps(dataclasses.asdict(result), indent=2))
     return 0
 
 
@@ -295,6 +295,8 @@ def main(argv=None) -> int:
             return 1
         raise
     except (DatasetError, EvaluationError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"{exc.filename}: {exc.strerror}"  # worded as a DatasetError is
         print(f"lidartrack: error: {exc}", file=sys.stderr)
         return 2
     except (LidartrackError, ValueError) as exc:

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .clustering import ClusterParams
-from .dataset_io import _field_casts
+from .dataset_io import _field_casts, _read_json
 from .detection import BoxLimits
-from .errors import ConfigError
+from .errors import ConfigError, DatasetError
 from .preprocess import PreprocessConfig
 from .tracking import TrackerConfig
 
@@ -88,15 +88,14 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 
 
 def load_config(path) -> PipelineConfig:
+    """The config in a JSON file. Every error is a ConfigError naming it."""
     p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file does not exist: {p}")
     try:
-        with open(p, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8 text
-        raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
-    return config_from_dict(data)
+        return config_from_dict(_read_json(p))
+    except DatasetError as exc:
+        raise ConfigError(str(exc)) from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{p}: {exc}") from exc
 
 
 def dump_config(cfg: PipelineConfig) -> str:

@@ -147,11 +147,12 @@ class DrivableGrid(FrozenRecord):
         Points outside the grid extent are not drivable.
         """
         xy = np.asarray(xy, dtype=np.float64)
-        ix = np.floor((xy[:, 0] - self.origin_xy[0]) / self.resolution).astype(np.int64)
-        iy = np.floor((xy[:, 1] - self.origin_xy[1]) / self.resolution).astype(np.int64)
+        # Floats until the range check: a far coordinate has no int64 value.
+        ix = np.floor((xy[:, 0] - self.origin_xy[0]) / self.resolution)
+        iy = np.floor((xy[:, 1] - self.origin_xy[1]) / self.resolution)
         ok = (ix >= 0) & (ix < self.width) & (iy >= 0) & (iy < self.height)
         out = np.zeros(len(xy), dtype=bool)
-        out[ok] = self.bits[iy[ok], ix[ok]]
+        out[ok] = self.bits[iy[ok].astype(np.int64), ix[ok].astype(np.int64)]
         return out
 
 
@@ -271,7 +272,7 @@ def _finite(value) -> float:
 
 
 def _require_file(path: Path) -> None:
-    """The missing-file rule of the JSON and JSON Lines readers."""
+    """The missing-file rule of every whole-file reader."""
     if not path.is_file():
         raise DatasetError(path, "file is missing")
 
@@ -390,16 +391,21 @@ def _write_jsonl(path: Path, rows) -> None:
         fh.writelines(json.dumps(row) + "\n" for row in rows)
 
 
-def _check_cloud_size(path: Path, size: int, expected_points: int) -> None:
+def _cloud_error(path: Path, frame_index: int, message: str) -> DatasetError:
+    """Every cloud-file error names the file and starts with the frame."""
+    return DatasetError(path, f"frame {frame_index}: {message}")
+
+
+def _check_cloud_size(path: Path, size: int, expected_points: int, frame_index: int) -> None:
     if size % 12 != 0:
-        raise DatasetError(path, f"size {size} is not a multiple of 12 bytes per point")
+        problem = f"size {size} is not a multiple of 12 bytes per point"
+        raise _cloud_error(path, frame_index, problem)
     if size // 12 != expected_points:
-        raise DatasetError(
-            path, f"manifest promises {expected_points} points but file holds {size // 12}"
-        )
+        problem = f"manifest promises {expected_points} points but file holds {size // 12}"
+        raise _cloud_error(path, frame_index, problem)
 
 
-def _stat_cloud(path: Path, expected_points: int) -> None:
+def _stat_cloud(path: Path, expected_points: int, frame_index: int) -> None:
     """Check, by one stat, that the file is there, is a regular file and
     holds the manifest's point count. Its points are not read."""
     try:
@@ -407,8 +413,8 @@ def _stat_cloud(path: Path, expected_points: int) -> None:
     except (OSError, ValueError):  # ValueError: a NUL in the manifest's path
         info = None
     if info is None or not stat.S_ISREG(info.st_mode):
-        raise DatasetError(path, "point cloud file is missing")
-    _check_cloud_size(path, info.st_size, expected_points)
+        raise _cloud_error(path, frame_index, "point cloud file is missing")
+    _check_cloud_size(path, info.st_size, expected_points, frame_index)
 
 
 def _read_cloud(path: Path, expected_points: int, frame_index: int) -> np.ndarray:
@@ -417,15 +423,15 @@ def _read_cloud(path: Path, expected_points: int, frame_index: int) -> np.ndarra
     a DatasetError naming it."""
     try:
         with open(path, "rb") as fh:
-            _check_cloud_size(path, os.fstat(fh.fileno()).st_size, expected_points)
+            _check_cloud_size(path, os.fstat(fh.fileno()).st_size, expected_points, frame_index)
             pts = np.empty((expected_points, 3), dtype="<f4")  # float32 on any little-endian host
             got = fh.readinto(pts)
     except FileNotFoundError as exc:
-        raise DatasetError(path, "point cloud file is missing") from exc
+        raise _cloud_error(path, frame_index, "point cloud file is missing") from exc
     except OSError as exc:
-        raise DatasetError(path, f"cannot read point cloud file: {exc}") from exc
+        raise _cloud_error(path, frame_index, f"cannot read point cloud file: {exc}") from exc
     if got != pts.nbytes:
-        raise DatasetError(path, f"file ended after {got} of {pts.nbytes} bytes")
+        raise _cloud_error(path, frame_index, f"file ended after {got} of {pts.nbytes} bytes")
     # A float64 sum of finite float32 values cannot overflow, and a NaN or
     # an infinity makes it non-finite, so one reduction with no temporary
     # tests them all (inf - inf is NaN). The bad rows are counted only for
@@ -434,9 +440,7 @@ def _read_cloud(path: Path, expected_points: int, frame_index: int) -> np.ndarra
         total = pts.sum(dtype=np.float64)
     if not np.isfinite(total):
         bad = int(np.count_nonzero(~np.isfinite(pts).all(axis=1)))
-        raise DatasetError(
-            path, f"frame {frame_index}: {bad} point(s) have NaN or infinite coordinates"
-        )
+        raise _cloud_error(path, frame_index, f"{bad} point(s) have NaN or infinite coordinates")
     pts.flags.writeable = False
     return pts
 
@@ -474,8 +478,7 @@ def load_drivable(header_path) -> DrivableGrid:
     height = _require(obj, "height", header_path, _index)
     bits_name = _require(obj, "file", header_path, _path_string)
     bits_file = header_path.parent / bits_name
-    if not bits_file.is_file():
-        raise DatasetError(bits_file, "drivable bitmask file is missing")
+    _require_file(bits_file)
     packed = np.frombuffer(bits_file.read_bytes(), dtype=np.uint8)
     expected = (width * height + 7) // 8
     if len(packed) != expected:
@@ -554,7 +557,7 @@ def load_sequence(path) -> Sequence:
         prev_ts = ts
         n_points = _require(rec, "points", manifest_path, _integer)
         cloud_file = root / _require(rec, "file", manifest_path, _path_string)
-        _stat_cloud(cloud_file, n_points)
+        _stat_cloud(cloud_file, n_points, index)
         if index not in poses:
             raise DatasetError(poses_path, f"no ego pose for frame {index}")
         masks: list[MaskRegion] = []

@@ -34,39 +34,6 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     )
 
 
-def quat_from_matrix(m: np.ndarray) -> np.ndarray:
-    """Quaternion (w, x, y, z) for a proper rotation matrix.
-
-    Shepperd's method: pick the largest diagonal combination to stay away
-    from the small-divisor cases.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    t = np.trace(m)
-    if t > 0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-        )
-    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        q = np.array(
-            [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
-        )
-    elif m[1, 1] >= m[2, 2]:
-        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        q = np.array(
-            [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
-        )
-    else:
-        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        q = np.array(
-            [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
-        )
-    if q[0] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
-
-
 @dataclass(frozen=True)
 class RigidTransform(FrozenRecord):
     """SE(3) map: p -> R(rotation) p + translation."""

@@ -27,13 +27,7 @@ from .dataset_io import (
     Sequence,
     write_sequence,
 )
-from .geometry import (
-    CameraModel,
-    RigidTransform,
-    invert,
-    quat_from_matrix,
-    transform_points,
-)
+from .geometry import CameraModel, RigidTransform, invert, transform_points
 
 GROUND_Z = -1.7
 
@@ -148,8 +142,9 @@ def make_drivable_grid(cfg: SynthConfig, margin: float = 3.0, resolution: float 
 
 
 def _default_camera() -> CameraModel:
-    # Forward camera: x right (-ego y), y down (-ego z), z forward (+ego x).
-    rot = quat_from_matrix(np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]))
+    # Forward camera: x right (-ego y), y down (-ego z), z forward (+ego x);
+    # the quaternion of the rotation matrix [[0, -1, 0], [0, 0, -1], [1, 0, 0]].
+    rot = np.array([0.5, 0.5, -0.5, 0.5])
     return CameraModel(
         camera_id="cam_front",
         fx=1000.0,

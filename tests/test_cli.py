@@ -127,6 +127,25 @@ def test_eval_per_frame_csv_creates_missing_parent_directories(dataset, tracked,
     assert len(csv_path.read_text().splitlines()) == 1 + FRAMES
 
 
+def test_eval_per_frame_path_that_is_a_directory_prints_nothing(dataset, tracked, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["eval", str(dataset), str(tracked), "--per-frame", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lidartrack: error: {tmp_path}: Is a directory\n"
+
+
+def test_track_output_path_that_is_a_directory_names_it(dataset, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["track", str(dataset), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lidartrack: error: {out}: Is a directory\n"
+    assert list(out.iterdir()) == []
+
+
 def test_eval_per_frame_csv_header_without_frames(dataset, tracked, tmp_path, capsys):
     full = tmp_path / "full.csv"
     assert main(["eval", str(dataset), str(tracked), "--per-frame", str(full)]) == 0
@@ -325,6 +344,21 @@ def test_non_finite_point_is_a_data_error(tmp_path, capsys, drivable_filter):
     err = capsys.readouterr().err
     assert frame.name in err
     assert "frame 1: 1 point(s) have NaN" in err
+
+
+def test_coordinates_past_int64_range_track_cleanly(tmp_path, capsys):
+    # Finite float32 values far outside the drivable grid: the grid's cell
+    # lookup leaves them out without an int64 cast of an out-of-range value.
+    root = tmp_path / "seq"
+    assert main(["synth", str(root), "--cars", "2", "--frames", "4"]) == 0
+    frame = root / "frames" / "000001.bin"
+    pts = np.fromfile(frame, dtype="<f4").reshape(-1, 3)
+    pts[0, 0], pts[10, 1], pts[20, 0] = 1e38, -1e38, 3e38  # kept by stride 10
+    pts.tofile(frame)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["track", str(root), "--output", str(tmp_path / "t.jsonl")]) == 0
+    assert "frames=4 " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -75,8 +75,26 @@ def test_load_config_file(tmp_path):
 
 
 def test_load_config_missing_file(tmp_path):
-    with pytest.raises(ConfigError, match="does not exist"):
+    with pytest.raises(ConfigError, match="file is missing"):
         load_config(tmp_path / "nope.json")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "top level must be a JSON object, got list"),
+        ('{"tracker": {"gate_distance": -1.0}}', "invalid value in section 'tracker'"),
+        ('{"tracker": {"gate": 1.0}}', "unknown key(s) in section 'tracker'"),
+        ('{"trackers": {}}', "unknown config section(s)"),
+    ],
+    ids=["top-level", "value", "key", "section"],
+)
+def test_every_config_file_error_names_the_file(tmp_path, text, message):
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        load_config(p)
+    assert str(exc.value).startswith(f"{p}: {message}")
 
 
 def test_load_config_invalid_json(tmp_path):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -203,7 +204,7 @@ def test_truncated_cloud_file(tmp_path):
     root, _ = write_full(tmp_path)
     bin_path = root / "frames" / "000001.bin"
     bin_path.write_bytes(bin_path.read_bytes()[:-5])
-    with pytest.raises(DatasetError, match="multiple of 12"):
+    with pytest.raises(DatasetError, match="frame 1: size .* multiple of 12"):
         load_sequence(root)
 
 
@@ -211,7 +212,7 @@ def test_point_count_mismatch(tmp_path):
     root, _ = write_full(tmp_path)
     bin_path = root / "frames" / "000001.bin"
     bin_path.write_bytes(bin_path.read_bytes()[:-12])
-    with pytest.raises(DatasetError, match="promises"):
+    with pytest.raises(DatasetError, match="frame 1: manifest promises"):
         load_sequence(root)
 
 
@@ -353,6 +354,22 @@ def test_mask_referencing_unknown_camera(tmp_path):
     mask_path.write_text(json.dumps(obj))
     with pytest.raises(DatasetError, match="cam_ghost"):
         load_sequence(root)
+
+
+def test_missing_drivable_bitmask_is_a_missing_file(tmp_path):
+    root, _ = write_full(tmp_path)
+    (root / "drivable.bin").unlink()
+    with pytest.raises(DatasetError) as err:
+        load_sequence(root)
+    assert str(err.value) == f"{root / 'drivable.bin'}: file is missing"
+
+
+def test_drivable_grid_leaves_out_coordinates_past_int64_range():
+    grid = DrivableGrid(np.zeros(2), 0.5, np.ones((4, 4), bool))
+    xy = np.array([[1e38, 0.0], [1.0, 1.0], [-3e38, 1.0], [0.5, 3e38], [0.5, -1e38]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert grid.contains(xy).tolist() == [False, True, False, False, False]
 
 
 def test_drivable_bit_length_check(tmp_path):

@@ -13,7 +13,7 @@ from lidartrack.clustering import ClusterParams, dbscan
 from lidartrack.config import PipelineConfig
 from lidartrack.dataset_io import Frame, PointCloud
 from lidartrack.detection import BoxLimits, detect, fit_box, passes_heuristics
-from lidartrack.geometry import RigidTransform, quat_from_matrix, quat_to_matrix
+from lidartrack.geometry import RigidTransform, quat_to_matrix
 from lidartrack.pipeline import detect_frames
 from lidartrack.preprocess import STAGES, PreprocessConfig
 from lidartrack.spatial_index import KdTree
@@ -216,20 +216,20 @@ def n_detections(frame, drivable) -> int:
 @given(yaw=st.floats(-np.pi, np.pi), turn=st.floats(-np.pi, np.pi))
 def test_detection_count_does_not_depend_on_heading(yaw, turn):
     frame, drivable = golden_like_frame()
-    pose = quat_to_matrix(frame.ego_pose.rotation)
+    # The synth ego does not turn, so a yaw composed onto its pose is the yaw.
+    assert np.array_equal(frame.ego_pose.rotation, [1.0, 0.0, 0.0, 0.0])
     # The sensor yawed on the ego: the same city points, seen along turned axes.
-    yawed = quat_to_matrix(quat_from_yaw(yaw))
     sensor = replace(
         frame,
-        cloud=PointCloud(frame.cloud.points @ yawed),
-        ego_pose=RigidTransform(quat_from_matrix(pose @ yawed), frame.ego_pose.translation),
+        cloud=PointCloud(frame.cloud.points @ quat_to_matrix(quat_from_yaw(yaw))),
+        ego_pose=RigidTransform(quat_from_yaw(yaw), frame.ego_pose.translation),
     )
     assert n_detections(sensor, drivable) == n_detections(frame, drivable) == 3
     # The city frame turned about its origin, the ego frame as it was. The
     # drivable grid is laid out in the unturned city, so it is left out.
-    turned = quat_to_matrix(quat_from_yaw(turn))
+    turned = quat_from_yaw(turn)
     city = replace(frame, ego_pose=RigidTransform(
-        quat_from_matrix(turned @ pose), turned @ frame.ego_pose.translation
+        turned, quat_to_matrix(turned) @ frame.ego_pose.translation
     ))
     assert n_detections(city, None) == n_detections(frame, None)
 

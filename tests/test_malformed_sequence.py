@@ -335,3 +335,5 @@ def test_cli_exits_0_or_2_naming_the_mutated_file(synth_run, data):
         named = Path(err.removeprefix("lidartrack: error: ").split(":")[0])
         assert misnamed(root, name, named) is None, err
         assert not out.exists()
+        if name.startswith("frames/"):
+            assert f"frame {int(Path(name).stem)}: " in err, err

@@ -840,18 +840,10 @@ def test_points_in_polygon_concave():
 
 def camera_looking_forward(cam_id="cam_front"):
     # Camera at the ego origin looking along ego +x; ego y maps to image -u,
-    # ego z to image -v.
-    rot = np.array(
-        [
-            [0.0, -1.0, 0.0],
-            [0.0, 0.0, -1.0],
-            [1.0, 0.0, 0.0],
-        ]
-    )
-    from lidartrack.geometry import quat_from_matrix
-
+    # ego z to image -v: the rotation matrix [[0, -1, 0], [0, 0, -1], [1, 0, 0]]
+    # as a quaternion.
     ext = RigidTransform(
-        rotation=quat_from_matrix(rot),
+        rotation=np.array([0.5, 0.5, -0.5, 0.5]),
         translation=np.zeros(3),
     )
     return CameraModel(
